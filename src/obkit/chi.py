@@ -129,31 +129,11 @@ class Cocycle:
             if m.rows != k or m.cols != k:
                 raise DimensionError("quotient action matrix has the wrong shape")
             mats[n] = m
-        factor = target.factors[0]
-        basis = module._basis()
-        for gi, n in enumerate(names):
-            m = mats[n]
-            for rel in module.relations_rows():
-                if not module.presentation.is_zero(m.apply(rel)):
-                    raise RejectedError(
-                        f"quotient action of {n!r} does not preserve the relations"
-                    )
-            order = factor.torsion[gi - factor.free_rank] if gi >= factor.free_rank else None
-            if order is not None:
-                power = IntMatrix.identity(k)
-                for _ in range(order):
-                    power = power @ m
-                if any(module.reduce(power.apply(e)) != module.reduce(e) for e in basis):
-                    raise RejectedError(
-                        f"quotient action of {n!r} violates its torsion order"
-                    )
-        for i in range(len(names)):
-            for j in range(i + 1, len(names)):
-                ab = mats[names[i]] @ mats[names[j]]
-                ba = mats[names[j]] @ mats[names[i]]
-                if any(module.reduce(ab.apply(e)) != module.reduce(ba.apply(e)) for e in basis):
-                    raise RejectedError("quotient action matrices do not commute")
+        report = module.action_violation(target.factors[0], mats)
+        if report is not None:
+            raise RejectedError(f"quotient {report}")
         self._q_matrices = mats
+        basis = module._basis()
         for gen in self.quotient.source.generator_names():
             lhs = self.module.action[gen]
             rhs_vecs = [self.act_q_vec(self.quotient.images[gen], e) for e in basis]
@@ -286,31 +266,29 @@ def _as_matrix(m) -> RingMatrix:
     return m.matrix if isinstance(m, InvertiblePair) else m
 
 
-def _resolve_inverse(abc: RingMatrix, a, b, cm, d) -> RingMatrix:
+def _resolve_inverse(a, b, cm, d) -> RingMatrix:
     if d is None:
-        pairs = [a, b, cm]
-        if not all(isinstance(p, InvertiblePair) for p in pairs):
+        if not all(isinstance(p, InvertiblePair) for p in (a, b, cm)):
             raise RejectedError(
                 "no inverse supplied and the factors are not certified invertible"
             )
-        d_mat = cm.inverse @ b.inverse @ a.inverse
-    elif isinstance(d, InvertiblePair):
-        if verify_inverse(abc, d.matrix):
-            return d.matrix
-        d_mat = d.inverse
-    else:
-        d_mat = d
-    if not verify_inverse(abc, d_mat):
-        raise RejectedError("supplied matrix is not a two-sided inverse of A*B*C")
-    return d_mat
+        return cm.inverse @ b.inverse @ a.inverse
+    abc = _as_matrix(a) @ _as_matrix(b) @ _as_matrix(cm)
+    for d_mat in (d.matrix, d.inverse) if isinstance(d, InvertiblePair) else (d,):
+        if verify_inverse(abc, d_mat):
+            return d_mat
+    raise RejectedError("supplied matrix is not a two-sided inverse of A*B*C")
 
 
 def chi_eval(c: Cocycle, a, b, cm, d=None) -> WhElement:
     """The chain-level functional: sum of f(a_ij (x) b_jk (x) c_kl)[d_li].
 
-    The bracket extends Z-bilinearly over the support of d_li.  The
-    inverse is either supplied (and verified two-sided) or composed from
-    the certified factors; a failed verification rejects the call.
+    The bracket extends Z-bilinearly over the support of d_li.  A
+    supplied inverse d (either reading of a certified pair) is verified
+    two-sided against A*B*C, and a failed verification rejects the call.
+    When d is omitted, C^-1 B^-1 A^-1 is composed from the three
+    certified pairs and trusted without a check: ``InvertiblePair``
+    verified each inverse when it was built.
     """
     am, bm, cmm = _as_matrix(a), _as_matrix(b), _as_matrix(cm)
     spec = c.module.spec
@@ -319,8 +297,7 @@ def chi_eval(c: Cocycle, a, b, cm, d=None) -> WhElement:
             raise ContextError("matrix over a different group")
     if not (am.n == bm.n == cmm.n):
         raise DimensionError("matrix sizes differ")
-    abc = am @ bm @ cmm
-    d_mat = _resolve_inverse(abc, a, b, cm, d)
+    d_mat = _resolve_inverse(a, b, cm, d)
     n = am.n
     raw = []
     for i in range(n):

@@ -10,16 +10,13 @@ they are invertible modulo the relation lattice.
 from __future__ import annotations
 
 from .errors import ContextError, DimensionError, RejectedError
-from .groups import GroupElement, GroupSpec
+from .groups import FactorSpec, GroupElement, GroupSpec
 from .intlinalg import IntMatrix, QuotientPresentation, solve
 
 __all__ = [
     "GModule",
     "ModuleElement",
     "ModuleMap",
-    "act",
-    "validate_module",
-    "apply_map",
     "check_equivariant",
 ]
 
@@ -135,15 +132,9 @@ class GModule:
     def trivial_action(self) -> bool:
         """True when every generator acts as the identity on the quotient."""
         if self._trivial is None:
-            self._trivial = all(
-                self._acts_as_identity(m) for m in self.action.values()
-            )
+            ident = IntMatrix.identity(self.rank)
+            self._trivial = all(self._congruent(m, ident) for m in self.action.values())
         return self._trivial
-
-    def _acts_as_identity(self, m: IntMatrix) -> bool:
-        return all(
-            self.reduce(m.apply(e)) == self.reduce(e) for e in self._basis()
-        )
 
     def _congruent(self, m1: IntMatrix, m2: IntMatrix) -> bool:
         return all(
@@ -184,42 +175,51 @@ class GModule:
 
     def _run_validation(self) -> str | None:
         inverses = {}
-        rel = self.relations_rows()
-        for fi, factor in enumerate(self.spec.factors):
-            for gi, gen in enumerate(factor.names):
-                m = self.action[gen]
-                for r in rel:
-                    if not self.presentation.is_zero(m.apply(r)):
-                        return f"action of {gen!r} does not preserve the relation lattice"
-                inv = self._invert_on_quotient(m)
-                if inv is None:
-                    return f"action of {gen!r} is not invertible on the quotient"
-                if not self._congruent_to_identity_pair(m, inv):
-                    return f"action of {gen!r} has an inconsistent inverse"
-                inverses[gen] = inv
-                if factor.kind == "abelian" and gi >= factor.free_rank:
-                    order = factor.torsion[gi - factor.free_rank]
-                    if not self._acts_as_identity(_power(m, order)):
-                        return (
-                            f"action of {gen!r} violates the torsion constraint "
-                            f"(order {order})"
-                        )
-            if factor.kind == "abelian" and factor.rank > 1:
-                for i in range(factor.rank):
-                    for j in range(i + 1, factor.rank):
-                        a = self.action[factor.names[i]]
-                        b = self.action[factor.names[j]]
-                        if not self._congruent(a @ b, b @ a):
-                            return (
-                                f"actions of {factor.names[i]!r} and "
-                                f"{factor.names[j]!r} do not commute on the quotient"
-                            )
+        for factor in self.spec.factors:
+            report = self.action_violation(factor, self.action, inverses)
+            if report is not None:
+                return report
         self._inverse = inverses
         return None
 
-    def _congruent_to_identity_pair(self, m: IntMatrix, inv: IntMatrix) -> bool:
+    def action_violation(self, factor: FactorSpec, mats: dict,
+                         inverses: dict | None = None) -> str | None:
+        """The first constraint that ``mats`` (generator name to matrix)
+        breaks as an action of ``factor`` on this module; None when all hold.
+
+        Each generator in turn must preserve the relation lattice, be
+        invertible on the quotient (checked only when ``inverses`` is given,
+        which then receives the inverse), and, if it has torsion order m,
+        have an m-th power congruent to the identity.  Then the generators
+        of an abelian factor must commute on the quotient.
+        """
         ident = IntMatrix.identity(self.rank)
-        return self._congruent(m @ inv, ident) and self._congruent(inv @ m, ident)
+        rel = self.relations_rows()
+        for gi, gen in enumerate(factor.names):
+            m = mats[gen]
+            if not all(self.presentation.is_zero(m.apply(r)) for r in rel):
+                return f"action of {gen!r} does not preserve the relation lattice"
+            if inverses is not None:
+                inv = self._invert_on_quotient(m)
+                if inv is None:
+                    return f"action of {gen!r} is not invertible on the quotient"
+                if not (self._congruent(m @ inv, ident) and self._congruent(inv @ m, ident)):
+                    return f"action of {gen!r} has an inconsistent inverse"
+                inverses[gen] = inv
+            if factor.kind == "abelian" and gi >= factor.free_rank:
+                order = factor.torsion[gi - factor.free_rank]
+                if not self._congruent(_power(m, order), ident):
+                    return (
+                        f"action of {gen!r} violates the torsion constraint "
+                        f"(order {order})"
+                    )
+        if factor.kind == "abelian":
+            for i, x in enumerate(factor.names):
+                for y in factor.names[i + 1:]:
+                    a, b = mats[x], mats[y]
+                    if not self._congruent(a @ b, b @ a):
+                        return f"actions of {x!r} and {y!r} do not commute on the quotient"
+        return None
 
     def _ensure_valid(self) -> None:
         report = self.validate()
@@ -290,22 +290,13 @@ class ModuleMap:
             return "map is flagged equivariant but does not commute with the action"
         return None
 
+    def __call__(self, a: ModuleElement) -> ModuleElement:
+        if a.module is not self.source:
+            raise ContextError("element is not in the map's source module")
+        return ModuleElement(self.target, self.target.reduce(self.matrix.apply(a.coords)))
+
     def __repr__(self):
         return f"ModuleMap({self.name or 'phi'})"
-
-
-def act(g: GroupElement, a: ModuleElement) -> ModuleElement:
-    return a.module.act(g, a)
-
-
-def validate_module(mod: GModule) -> str | None:
-    return mod.validate()
-
-
-def apply_map(phi: ModuleMap, a: ModuleElement) -> ModuleElement:
-    if a.module is not phi.source:
-        raise ContextError("element is not in the map's source module")
-    return ModuleElement(phi.target, phi.target.reduce(phi.matrix.apply(a.coords)))
 
 
 def check_equivariant(phi: ModuleMap) -> bool:

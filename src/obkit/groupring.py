@@ -18,10 +18,6 @@ __all__ = [
     "ElementaryGen",
     "DiagonalGen",
     "InvertiblePair",
-    "ring_add",
-    "ring_mul",
-    "ring_neg",
-    "mat_mul",
     "build_invertible",
     "verify_inverse",
 ]
@@ -124,18 +120,6 @@ class RingElement:
         return f"RingElement({self})"
 
 
-def ring_add(x: RingElement, y: RingElement) -> RingElement:
-    return x + y
-
-
-def ring_mul(x: RingElement, y: RingElement) -> RingElement:
-    return x * y
-
-
-def ring_neg(x: RingElement) -> RingElement:
-    return -x
-
-
 class RingMatrix:
     """A square matrix over Z[G]; multiplication preserves operand order."""
 
@@ -184,15 +168,11 @@ class RingMatrix:
         return self.spec == other.spec and self.n == other.n and self.entries == other.entries
 
     def __hash__(self):
-        return hash((self.n,))
+        return hash(self.entries)
 
     def __repr__(self):
         rows = "; ".join(", ".join(str(x) for x in row) for row in self.entries)
         return f"RingMatrix[{rows}]"
-
-
-def mat_mul(x: RingMatrix, y: RingMatrix) -> RingMatrix:
-    return x @ y
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,6 @@ __all__ = [
     "invariant_factors",
     "solve",
     "QuotientPresentation",
-    "coset_reduce",
-    "is_zero_in_quotient",
 ]
 
 
@@ -250,11 +248,3 @@ class QuotientPresentation:
 
     def __repr__(self):
         return f"QuotientPresentation(rank={self.rank}, invariants={self.group_invariants()})"
-
-
-def coset_reduce(p: QuotientPresentation, x) -> tuple:
-    return p.reduce(x)
-
-
-def is_zero_in_quotient(p: QuotientPresentation, x) -> bool:
-    return p.is_zero(x)

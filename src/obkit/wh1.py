@@ -32,9 +32,6 @@ from .intlinalg import QuotientPresentation
 __all__ = [
     "WhElement",
     "wh_normal_form",
-    "wh_add",
-    "wh_neg",
-    "wh_scale",
     "induced_map",
     "detect_nontrivial",
     "WhOracle",
@@ -159,18 +156,6 @@ class WhElement:
 def wh_normal_form(x: WhElement) -> WhElement:
     """Renormalize; idempotent on already-canonical elements."""
     return WhElement.build(x.module, x.terms)
-
-
-def wh_add(x: WhElement, y: WhElement) -> WhElement:
-    return x + y
-
-
-def wh_neg(x: WhElement) -> WhElement:
-    return -x
-
-
-def wh_scale(x: WhElement, n: int) -> WhElement:
-    return x.scale(n)
 
 
 def induced_map(phi: ModuleMap, x: WhElement) -> WhElement:

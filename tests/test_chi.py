@@ -91,6 +91,26 @@ def test_action_must_factor_through_quotient():
         Cocycle(quotient, pi2, {})
 
 
+def _z2xz2_quotient(spec):
+    qspec = GroupSpec((FactorSpec.abelian(("q1", "q2"), torsion=[2, 2]),))
+    return FiniteQuotient(spec, qspec, {"t": qspec.generator("q1"), "s": qspec.generator("q2")})
+
+
+@pytest.mark.parametrize("relations, quotient, q_action, match", [
+    # the swap sends the relation (2,0) to (0,2), which is not a relation
+    ([(2, 0)], z2_quotient, {"q": [[0, 1], [1, 0]]}, "relation"),
+    # an order-3 matrix for a quotient generator of order 2
+    ([], z2_quotient, {"q": [[0, -1], [1, -1]]}, "torsion"),
+    # two involutions of Z^2 that do not commute
+    ([], _z2xz2_quotient, {"q1": [[0, 1], [1, 0]], "q2": [[-1, 0], [0, 1]]}, "commute"),
+])
+def test_quotient_action_checks(relations, quotient, q_action, match):
+    spec = zz2_spec()
+    module = GModule(spec, QuotientPresentation(2, relations))
+    with pytest.raises(RejectedError, match=match):
+        Cocycle(quotient(spec), module, {}, q_action=q_action)
+
+
 def test_quotient_respects_torsion():
     spec = zz2_spec()
     qspec = GroupSpec((FactorSpec.abelian(("q",), torsion=[4]),))

@@ -74,6 +74,23 @@ def test_chi_command(capsys):
     assert "CHI: (0,-1,1)[s]" in out
 
 
+def test_chi_supplied_inverse_is_checked(tmp_path, capsys):
+    data = json.loads(pathlib.Path(Z2).read_text())
+    data["matrices"]["W"] = {"size": 1, "generators": 'D(1,"t")'}
+    path = str(tmp_path / "with_w.json")
+    pathlib.Path(path).write_text(json.dumps(data))
+    status = main(["--scenario", path, "chi", "c", "A", "B", "C", "W"])
+    captured = capsys.readouterr()
+    assert status == 3
+    assert "REJECTED" in captured.err
+    # A = (s) is the inverse of A*B*C = (s^3) = (s)
+    status, out = run_main(capsys, "--scenario", path, "chi", "c", "A", "B", "C", "A")
+    assert status == 0
+    _, expected = run_main(capsys, "--scenario", path, "chi", "c", "A", "B", "C")
+    chi_line = [line for line in expected.splitlines() if line.startswith("CHI:")]
+    assert chi_line and chi_line[0] in out.splitlines()
+
+
 def test_obstruct_command(capsys):
     status, out = run_main(capsys, "--scenario", Z2, "obstruct", "g")
     assert status == 0

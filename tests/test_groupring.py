@@ -11,10 +11,6 @@ from obkit.groupring import (
     RingElement,
     RingMatrix,
     build_invertible,
-    mat_mul,
-    ring_add,
-    ring_mul,
-    ring_neg,
     verify_inverse,
 )
 from support import f2_spec, rand_invertible, rand_ring, zz2_spec
@@ -27,13 +23,13 @@ def ring(g, c=1):
 def test_unit_inverse_product():
     spec = f2_spec()
     g = spec.generator("x") * spec.generator("y")
-    assert ring_mul(ring(g), ring(g.inverse())) == RingElement.one(spec)
+    assert ring(g) * ring(g.inverse()) == RingElement.one(spec)
 
 
 def test_additive_cancellation():
     spec = f2_spec()
     g, h = ring(spec.generator("x")), ring(spec.generator("y"))
-    assert ring_add(ring_add(g, h), ring_neg(g)) == h
+    assert (g + h) + (-g) == h
 
 
 def test_expand_one_minus_t_squared():
@@ -41,7 +37,7 @@ def test_expand_one_minus_t_squared():
     spec = zz2_spec()
     t = spec.generator("t")
     one = RingElement.one(spec)
-    lhs = ring_mul(one + ring(t), one - ring(t))
+    lhs = (one + ring(t)) * (one - ring(t))
     assert lhs == one - ring(t * t)
     assert str(lhs) == "1 - t^2"
 
@@ -75,12 +71,12 @@ def test_mat_identity_and_elementary_law():
     t = spec.generator("t")
     ident = RingMatrix.identity(spec, 2)
     e1 = ElementaryGen(0, 1, ring(t)).matrix(spec, 2)
-    assert mat_mul(e1, ident) == e1
+    assert e1 @ ident == e1
     x = rand_ring(random.Random(1), spec, 2)
     y = rand_ring(random.Random(2), spec, 2)
     exy = ElementaryGen(0, 1, x + y).matrix(spec, 2)
-    assert mat_mul(ElementaryGen(0, 1, x).matrix(spec, 2),
-                   ElementaryGen(0, 1, y).matrix(spec, 2)) == exy
+    assert (ElementaryGen(0, 1, x).matrix(spec, 2)
+            @ ElementaryGen(0, 1, y).matrix(spec, 2)) == exy
 
 
 def test_mat_mul_matches_hand_expansion():
@@ -88,7 +84,7 @@ def test_mat_mul_matches_hand_expansion():
     spec = zz2_spec()
     for _ in range(20):
         mats = [rand_invertible(rng, spec, 2, max_gens=1).matrix for _ in range(3)]
-        product = mat_mul(mat_mul(mats[0], mats[1]), mats[2])
+        product = mats[0] @ mats[1] @ mats[2]
         n = 2
         for i in range(n):
             for j in range(n):
@@ -125,6 +121,24 @@ def test_verify_inverse():
     assert not verify_inverse(e.matrix(spec, 2), e.matrix(spec, 2))
 
 
+def test_matrix_hash_follows_entries():
+    spec = zz2_spec()
+    t, s = spec.generator("t"), spec.generator("s")
+    e = ElementaryGen(0, 1, ring(t))
+    ident = RingMatrix.identity(spec, 2)
+    built = e.matrix(spec, 2) @ e.inverted().matrix(spec, 2)
+    assert built == ident and hash(built) == hash(ident)
+    distinct = {
+        ident,
+        e.matrix(spec, 2),
+        ElementaryGen(1, 0, ring(s)).matrix(spec, 2),
+        DiagonalGen(0, -1, s).matrix(spec, 2),
+        DiagonalGen(1, 1, t).matrix(spec, 2),
+    }
+    assert len(distinct) == 5
+    assert len({hash(m) for m in distinct}) > 1
+
+
 def test_invertible_pairs_randomized():
     rng = random.Random(41)
     for spec in (f2_spec(), zz2_spec()):
@@ -136,9 +150,9 @@ def test_invertible_pairs_randomized():
 def test_errors():
     spec = zz2_spec()
     with pytest.raises(ContextError):
-        ring_add(RingElement.one(spec), RingElement.one(f2_spec()))
+        RingElement.one(spec) + RingElement.one(f2_spec())
     with pytest.raises(DimensionError):
-        mat_mul(RingMatrix.identity(spec, 2), RingMatrix.identity(spec, 3))
+        RingMatrix.identity(spec, 2) @ RingMatrix.identity(spec, 3)
     with pytest.raises(DimensionError):
         ElementaryGen(0, 0, RingElement.one(spec)).matrix(spec, 2)
 

@@ -8,9 +8,7 @@ from obkit.errors import DimensionError
 from obkit.intlinalg import (
     IntMatrix,
     QuotientPresentation,
-    coset_reduce,
     invariant_factors,
-    is_zero_in_quotient,
     smith_normal_form,
     solve,
 )
@@ -80,18 +78,18 @@ def test_solve():
 
 def test_coset_reduce_examples():
     p = QuotientPresentation(2, [(2, 0)])
-    assert coset_reduce(p, (3, 5)) == (1, 5)
-    assert coset_reduce(p, (0, 0)) == (0, 0)
+    assert p.reduce((3, 5)) == (1, 5)
+    assert p.reduce((0, 0)) == (0, 0)
     trivial = QuotientPresentation(2, [(1, 0), (0, 1)])
-    assert coset_reduce(trivial, (7, -3)) == (0, 0)
+    assert trivial.reduce((7, -3)) == (0, 0)
 
 
 def test_coset_membership():
     p = QuotientPresentation(1, [(2,)])
-    assert is_zero_in_quotient(p, (4,))
-    assert not is_zero_in_quotient(p, (3,))
+    assert p.is_zero((4,))
+    assert not p.is_zero((3,))
     q = QuotientPresentation(2, [(1, 1), (0, 2)])
-    assert is_zero_in_quotient(q, (1, -1))
+    assert q.is_zero((1, -1))
 
 
 def test_coset_reduce_is_homomorphism():

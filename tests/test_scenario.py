@@ -122,13 +122,13 @@ def test_load_scenario(tmp_path):
 
 
 def test_shipped_modules_validate_and_torsion_mutations_reject():
-    from obkit.gmodules import GModule, validate_module
+    from obkit.gmodules import GModule
     from obkit.intlinalg import IntMatrix
 
     for name in ("paper_f2.json", "paper_z2.json", "paper_z6.json"):
         scenario = parse_scenario(fixture_text(name))
         for module in scenario.modules.values():
-            assert validate_module(module) is None
+            assert module.validate() is None
             for gen, matrix in module.action.items():
                 fi, gi = scenario.spec.locate(gen)
                 factor = scenario.spec.factors[fi]
@@ -154,4 +154,4 @@ def test_shipped_modules_validate_and_torsion_mutations_reject():
                         action[gen] = bumped
                         mutated = GModule(scenario.spec, module.presentation,
                                           action=action)
-                        assert validate_module(mutated) is not None
+                        assert mutated.validate() is not None
