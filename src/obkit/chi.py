@@ -12,6 +12,9 @@ exhaustive cocycle identity decidable.
 
 from __future__ import annotations
 
+import itertools
+from functools import cached_property
+
 from .errors import ContextError, DimensionError, InternalError, RejectedError
 from .gmodules import GModule, ModuleElement, ModuleMap
 from .groupring import InvertiblePair, RingElement, RingMatrix, verify_inverse
@@ -73,7 +76,35 @@ class FiniteQuotient:
         return out
 
     def elements(self) -> list[GroupElement]:
-        return enumerate_elements(self.target)
+        return list(self._elements)
+
+    @cached_property
+    def _elements(self) -> tuple[GroupElement, ...]:
+        return tuple(enumerate_elements(self.target))
+
+    @cached_property
+    def index(self) -> dict[GroupElement, int]:
+        """Position of each quotient element in ``elements()``.
+
+        Elements are enumerated by exponent vector in lexicographic order,
+        so the position of (e_1, ..., e_r) is the mixed-radix number with
+        digits e_i over the torsion orders.
+        """
+        return {g: i for i, g in enumerate(self._elements)}
+
+    @cached_property
+    def sums(self) -> tuple[tuple[int, ...], ...]:
+        """``sums[i][j]`` is the index of the product of elements i and j."""
+        torsion = self.target.factors[0].torsion
+        digits = list(itertools.product(*(range(m) for m in torsion)))
+
+        def position(a, b) -> int:
+            out = 0
+            for x, y, m in zip(a, b, torsion):
+                out = out * m + (x + y) % m
+            return out
+
+        return tuple(tuple(position(a, b) for b in digits) for a in digits)
 
 
 class Cocycle:
@@ -146,28 +177,31 @@ class Cocycle:
                 )
         return mats
 
+    @cached_property
+    def _element_matrices(self) -> tuple[IntMatrix, ...]:
+        """The action matrix of each quotient element, by quotient index.
+
+        For exponents (e_1, ..., e_r) it is M_r^e_r ... M_1^e_1, the
+        generator matrices in the order they act, so applying it gives
+        exactly the coordinates of acting generator by generator.
+        """
+        names = self.quotient.target.factors[0].names
+        out = []
+        for q in self.quotient.elements():
+            m = IntMatrix.identity(self.module.rank)
+            for _, exps in q.syllables:
+                for name, e in zip(names, exps):
+                    for _ in range(e):
+                        m = self._q_matrices[name] @ m
+            out.append(m)
+        return tuple(out)
+
     def act_q_vec(self, q: GroupElement, coords) -> tuple:
         """Action of a quotient element on raw coordinates."""
-        if q.is_identity:
-            return tuple(coords)
-        factor = self.quotient.target.factors[0]
-        v = tuple(coords)
-        (fi, exps), = q.syllables
-        for gi, e in enumerate(exps):
-            m = self._q_matrices[factor.names[gi]]
-            for _ in range(e):
-                v = m.apply(v)
-        return v
+        return self._element_matrices[self.quotient.index[q]].apply(coords)
 
     def value(self, q1: GroupElement, q2: GroupElement, q3: GroupElement) -> tuple:
         return self.table.get((q1, q2, q3), (0,) * self.module.rank)
-
-    def entries(self):
-        """Table entries in a deterministic order."""
-        order = {g: i for i, g in enumerate(self.quotient.elements())}
-        return sorted(
-            self.table.items(), key=lambda kv: (order[kv[0][0]], order[kv[0][1]], order[kv[0][2]])
-        )
 
 
 def coboundary(quotient: FiniteQuotient, module: GModule, two_cochain,
@@ -180,61 +214,85 @@ def coboundary(quotient: FiniteQuotient, module: GModule, two_cochain,
     """
     probe = Cocycle(quotient, module, {}, q_action=q_action)
     k = module.rank
-    b = {}
+    elems = quotient.elements()
+    index = quotient.index
+    sums = quotient.sums
+    n = len(elems)
+    b = [(0,) * k] * (n * n)
     for (q1, q2), coords in two_cochain.items():
         coords = tuple(int(x) for x in coords)
         if len(coords) != k:
             raise DimensionError("2-cochain value has the wrong rank")
-        b[(q1, q2)] = coords
-    zero = (0,) * k
-
-    def bval(p, q):
-        return b.get((p, q), zero)
+        if q1 not in index or q2 not in index:
+            raise ContextError("2-cochain key outside the quotient group")
+        b[index[q1] * n + index[q2]] = coords
 
     table = {}
-    for g in quotient.elements():
-        for h in quotient.elements():
-            for kk in quotient.elements():
-                acted = probe.act_q_vec(g, bval(h, kk))
+    for gi, act in enumerate(probe._element_matrices):
+        g_sums = sums[gi]
+        for hi in range(n):
+            gh = g_sums[hi] * n
+            b_gh = b[gi * n + hi]
+            for ki, hk in enumerate(sums[hi]):
                 total = [
-                    acted[i]
-                    - bval(multiply(g, h), kk)[i]
-                    + bval(g, multiply(h, kk))[i]
-                    - bval(g, h)[i]
-                    for i in range(k)
+                    x - y + z - w
+                    for x, y, z, w in zip(act.apply(b[hi * n + ki]), b[gh + ki],
+                                          b[gi * n + hk], b_gh)
                 ]
-                if any(module.reduce(total)):
-                    table[(g, h, kk)] = tuple(total)
+                if any(total) and any(module.reduce(total)):
+                    table[(elems[gi], elems[hi], elems[ki])] = tuple(total)
     return Cocycle(quotient, module, table, q_action=q_action, name=name)
 
 
 def verify_cocycle(c: Cocycle):
-    """Exhaustively check the inhomogeneous 3-cocycle identity.
+    """Exhaustively check the inhomogeneous 3-cocycle identity
+
+        g.c(h,q,l) - c(gh,q,l) + c(g,hq,l) - c(g,h,ql) + c(g,h,q) = 0
+
+    in the coefficient module, over all |Q|^4 quadruples.
 
     Returns None when the identity holds, else the first violated
-    quadruple in enumeration order.
+    quadruple (g, h, q, l) in enumeration order: each coordinate runs
+    over ``FiniteQuotient.elements()``, g slowest and l fastest.  The
+    scenario loader prints this quadruple in its E243 diagnostic, and
+    tracing reads its position in that order as the number of quadruples
+    checked, so the order is part of the contract.
+
+    The loop works on quotient indices: the table is copied into a flat
+    list indexed by (i*n + j)*n + l, products come from
+    ``FiniteQuotient.sums`` and each g acts through one matrix.  A total
+    that is the zero vector is not reduced, which is exact because
+    reduction is linear.
     """
-    module = c.module
-    k = module.rank
-    elems = c.quotient.elements()
-    for g in elems:
-        for h in elems:
-            gh = multiply(g, h)
-            for q in elems:
-                hq = multiply(h, q)
-                for l in elems:
-                    ql = multiply(q, l)
-                    acted = c.act_q_vec(g, c.value(h, q, l))
+    quotient = c.quotient
+    elems = quotient.elements()
+    index = quotient.index
+    sums = quotient.sums
+    n = len(elems)
+    vals = [(0,) * c.module.rank] * (n * n * n)
+    for (g, h, q), v in c.table.items():
+        vals[(index[g] * n + index[h]) * n + index[q]] = v
+    reduce = c.module.reduce
+    # c(x, y, l) sits at row_xy + (index of l) in vals.
+    for gi, act in enumerate(c._element_matrices):
+        apply = act.apply
+        g_sums = sums[gi]
+        for hi in range(n):
+            h_sums = sums[hi]
+            row_gh = (gi * n + hi) * n
+            for qi in range(n):
+                row_hq = (hi * n + qi) * n
+                row_gh_q = (g_sums[hi] * n + qi) * n
+                row_g_hq = (gi * n + h_sums[qi]) * n
+                c_ghq = vals[row_gh + qi]
+                for li, ql in enumerate(sums[qi]):
                     total = [
-                        acted[i]
-                        - c.value(gh, q, l)[i]
-                        + c.value(g, hq, l)[i]
-                        - c.value(g, h, ql)[i]
-                        + c.value(g, h, q)[i]
-                        for i in range(k)
+                        w - x + y - z + u
+                        for w, x, y, z, u in zip(apply(vals[row_hq + li]), vals[row_gh_q + li],
+                                                 vals[row_g_hq + li], vals[row_gh + ql], c_ghq)
                     ]
-                    if any(module.reduce(total)):
-                        return (g, h, q, l)
+                    if any(total) and any(reduce(total)):
+                        return (elems[gi], elems[hi], elems[qi], elems[li])
     return None
 
 

@@ -1,5 +1,6 @@
 """Shared builders for the test suite: group specs, random elements,
-trivial-action modules, and random certified matrices."""
+trivial-action modules, random certified matrices, and a reference
+cocycle check."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import random
 
 from obkit.gmodules import GModule
 from obkit.groupring import DiagonalGen, ElementaryGen, RingElement, build_invertible
-from obkit.groups import FactorSpec, GroupSpec, multiply
+from obkit.groups import FactorSpec, GroupSpec, enumerate_elements, multiply
 from obkit.intlinalg import IntMatrix, QuotientPresentation
 
 
@@ -109,3 +110,45 @@ def rand_unimodular(rng: random.Random, n: int, steps: int = 6) -> IntMatrix:
         if rng.random() < 0.3:
             rows[i] = [-a for a in rows[i]]
     return IntMatrix(rows)
+
+
+def reference_verify_cocycle(c):
+    """The cocycle identity checked quadruple by quadruple on group
+    elements: an independent oracle for ``chi.verify_cocycle``.
+
+    Products come from ``multiply``, values from ``Cocycle.value`` and a
+    quotient element acts by applying its generators' matrices one at a
+    time.  Returns None or the first violated (g, h, q, l), with g
+    slowest and l fastest over the quotient's elements.
+    """
+    module = c.module
+    k = module.rank
+    names = c.quotient.target.factors[0].names
+    elems = enumerate_elements(c.quotient.target)
+
+    def act(q, v):
+        for _, exps in q.syllables:
+            for name, e in zip(names, exps):
+                for _ in range(e):
+                    v = c._q_matrices[name].apply(v)
+        return tuple(v)
+
+    for g in elems:
+        for h in elems:
+            gh = multiply(g, h)
+            for q in elems:
+                hq = multiply(h, q)
+                for l in elems:
+                    ql = multiply(q, l)
+                    acted = act(g, c.value(h, q, l))
+                    total = [
+                        acted[i]
+                        - c.value(gh, q, l)[i]
+                        + c.value(g, hq, l)[i]
+                        - c.value(g, h, ql)[i]
+                        + c.value(g, h, q)[i]
+                        for i in range(k)
+                    ]
+                    if any(module.reduce(total)):
+                        return (g, h, q, l)
+    return None

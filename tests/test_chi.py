@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from obkit import chi
 from obkit.chi import (
     Cocycle,
     FiniteQuotient,
@@ -21,9 +24,17 @@ from obkit.groupring import RingElement, RingMatrix
 from obkit.groups import FactorSpec, GroupSpec
 from obkit.intlinalg import QuotientPresentation
 from obkit.wh1 import WhElement, induced_map
-from support import rand_invertible, rand_ring, trivial_module, zz2_spec, zz6_spec
+from support import (
+    rand_invertible,
+    rand_ring,
+    reference_verify_cocycle,
+    trivial_module,
+    zz2_spec,
+    zz6_spec,
+)
 
 SWAP3 = [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
+ROT4 = [[1, 0, 0], [0, 0, -1], [0, 1, 0]]
 
 
 def z2_quotient(spec):
@@ -78,6 +89,90 @@ def test_coboundary_always_verifies():
             two[key] = tuple(rng.randint(-2, 2) for _ in range(3))
         c = coboundary(quotient, pi2, two, q_action={"q": SWAP3})
         assert verify_cocycle(c) is None
+
+
+def _torsion_setting(orders, matrix=None, rank=3, relations=()):
+    """t * (Z/m_1 x ... x Z/m_r) onto the same finite group with t sent to
+    1, and a module on which the first torsion generator acts by
+    ``matrix`` (None: the trivial action)."""
+    names = tuple(f"s{i}" for i in range(len(orders)))
+    qnames = tuple(f"q{i}" for i in range(len(orders)))
+    spec = GroupSpec((FactorSpec.free("t"), FactorSpec.abelian(names, torsion=orders)))
+    qspec = GroupSpec((FactorSpec.abelian(qnames, torsion=orders),))
+    images = {"t": qspec.identity()}
+    images.update((s, qspec.generator(q)) for s, q in zip(names, qnames))
+    quotient = FiniteQuotient(spec, qspec, images)
+    if matrix is None:
+        return quotient, GModule(spec, QuotientPresentation(rank, relations)), None
+    module = GModule(spec, QuotientPresentation(rank, relations), action={names[0]: matrix})
+    ident = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    q_action = {q: matrix if i == 0 else ident for i, q in enumerate(qnames)}
+    return quotient, module, q_action
+
+
+QUOTIENT_ACTIONS = {"trivial": None, "swap": SWAP3, "rot4": ROT4}
+
+# (quotient torsion orders, first generator's action, module rank, relations)
+ORACLE_CASES = (
+    [((m,), "trivial", 2, ()) for m in range(2, 7)]
+    + [((m,), "swap", 3, ()) for m in (2, 4, 6)]
+    + [((4,), "rot4", 3, ()), ((2, 2), "trivial", 2, ()), ((2, 2), "swap", 3, ())]
+    + [((m,), "trivial", 1, ([2],)) for m in (2, 3, 4)]
+)
+
+
+def _case_id(case):
+    orders, action, _, relations = case
+    return "x".join(f"Z{m}" for m in orders) + f"-{action}" + ("-mod2" if relations else "")
+
+
+@st.composite
+def oracle_cocycles(draw, orders, action, rank, relations):
+    """A random table, a coboundary, or a coboundary with one entry
+    changed, over one of ``ORACLE_CASES``."""
+    quotient, module, q_action = _torsion_setting(orders, QUOTIENT_ACTIONS[action], rank,
+                                                  relations)
+    element = st.sampled_from(quotient.elements())
+    vector = st.tuples(*[st.integers(-2, 2)] * rank)
+    kind = draw(st.sampled_from(["random", "coboundary", "mutated"]))
+    if kind == "random":
+        table = draw(st.dictionaries(st.tuples(element, element, element), vector,
+                                     max_size=6))
+        return Cocycle(quotient, module, table, q_action=q_action)
+    two = draw(st.dictionaries(st.tuples(element, element), vector, max_size=6))
+    c = coboundary(quotient, module, two, q_action=q_action)
+    if kind == "coboundary":
+        return c
+    key = draw(st.tuples(element, element, element))
+    bump = draw(vector.filter(any))
+    table = dict(c.table)
+    table[key] = tuple(a + b for a, b in zip(table.get(key, (0,) * rank), bump))
+    return Cocycle(quotient, module, table, q_action=q_action)
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=_case_id)
+def test_verify_cocycle_matches_reference(case):
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(oracle_cocycles(*case))
+    def check(c):
+        assert verify_cocycle(c) == reference_verify_cocycle(c)
+
+    check()
+
+
+def test_cocycle_check_multiplies_at_most_q_squared_times(monkeypatch):
+    # Products come from the quotient's index, not from one multiply per
+    # quadruple.
+    calls = []
+    multiply = chi.multiply
+    monkeypatch.setattr(chi, "multiply", lambda g, h: calls.append(1) or multiply(g, h))
+    quotient, module, q_action = _torsion_setting((8,), ROT4)
+    q = quotient.target.generator("q0")
+    c = coboundary(quotient, module, {(q, q): (0, 1, 0), (q, q * q): (1, 0, -1)},
+                   q_action=q_action)
+    assert len(c.table) > 0
+    assert verify_cocycle(c) is None
+    assert len(calls) <= 8 ** 2
 
 
 def test_action_must_factor_through_quotient():

@@ -1,21 +1,27 @@
 """CLI dispatch, exit statuses and byte-determinism of reports."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
 
+import obkit
 from obkit.cli import main
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 F2 = str(SCENARIOS / "paper_f2.json")
 Z2 = str(SCENARIOS / "paper_z2.json")
+# The child process imports the same obkit as the tests, installed or not.
+OBKIT_ROOT = str(pathlib.Path(obkit.__file__).resolve().parent.parent)
 
 
-def run_cli(*args, **kwargs):
+def run_cli(*args, env=None, **kwargs):
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (OBKIT_ROOT, env.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "obkit.cli", *args],
-        capture_output=True, text=True, **kwargs,
+        capture_output=True, text=True, env=env, **kwargs,
     )
 
 
@@ -166,7 +172,6 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_byte_determinism_across_runs_and_hash_seeds():
-    import os
     outputs = set()
     for seed in ("0", "1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=seed)

@@ -83,12 +83,21 @@ def test_invalid_module_rejected():
 
 
 def test_invalid_cocycle_rejected_with_quadruple():
-    data = json.loads(fixture_text("paper_z2.json"))
-    data["cocycles"]["c"]["entries"][0]["value"] = [1, -1, 1]
-    with pytest.raises(ScenarioError) as err:
-        parse_scenario(json.dumps(data))
-    diags = [d for d in err.value.diagnostics if d.code == "E243"]
-    assert diags and "violated at" in diags[0].message
+    # The quadruple is the first violation in (g, h, q, l) enumeration
+    # order; in the Z/6 case it is the 374th of the 1296 quadruples.
+    cases = [
+        ("paper_z2.json", 0, [1, -1, 1],
+         "1:598: E243 cocycle 'c': identity violated at (q, q, q, q)"),
+        ("paper_z6.json", 16, [1, -1, 0],
+         "1:599: E243 cocycle 'c': identity violated at (q, q^4, q^2, q)"),
+    ]
+    for name, entry, value, expected in cases:
+        data = json.loads(fixture_text(name))
+        data["cocycles"]["c"]["entries"][entry]["value"] = value
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(json.dumps(data))
+        diags = [d.render() for d in err.value.diagnostics if d.code == "E243"]
+        assert diags == [expected]
 
 
 def test_profile_violation_is_syntax():
