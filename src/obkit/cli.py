@@ -40,6 +40,9 @@ from .words import WordError, parse_wh, parse_word
 
 __all__ = ["Report", "run_command", "main"]
 
+# Largest ``oracle --pairs``: each pair builds and reduces two random elements.
+MAX_ORACLE_PAIRS = 100_000
+
 
 @dataclass(frozen=True)
 class Report:
@@ -227,6 +230,8 @@ def _cmd_obstruct(scenario: Scenario, args) -> Report:
 
 
 def _cmd_oracle(scenario: Scenario | None, args) -> Report:
+    if not 1 <= args.pairs <= MAX_ORACLE_PAIRS:
+        raise RejectedError(f"--pairs must lie in [1, {MAX_ORACLE_PAIRS}], got {args.pairs}")
     spec = builtin_group(args.group)
     if spec is None:
         raise RejectedError(f"unknown group token {args.group!r} "

@@ -99,12 +99,15 @@ class IntMatrix:
 
 
 def _row_apply(vec, m: IntMatrix) -> tuple:
-    """Row vector times matrix."""
+    """Row vector times matrix: the sum of the rows that vec's nonzero
+    entries select, so a mostly-zero vector costs only its support."""
     if len(vec) != m.rows:
         raise DimensionError("vector length mismatch")
-    return tuple(
-        sum(vec[i] * m.entries[i][j] for i in range(m.rows)) for j in range(m.cols)
-    )
+    out = [0] * m.cols
+    for x, row in zip(vec, m.entries):
+        if x:
+            out = [a + x * b for a, b in zip(out, row)]
+    return tuple(out)
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:

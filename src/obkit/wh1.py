@@ -9,8 +9,11 @@ instance of the defining coinvariance relation a[h] ~ (g.a)[g h g^-1].
 For trivial coefficients the canonical form is complete: the group is a
 direct sum of copies of A over nontrivial conjugacy classes.  Over a
 finite group a literal presentation of the coinvariant quotient (via
-Smith normal form) decides equality for any action.  Over an infinite
-group with nontrivial action only these sound reductions apply, and
+Smith normal form, with coinvariance relations for the group's
+generators only, which span the same lattice as those for all elements)
+decides equality for any action, up to an ambient rank of
+MAX_ORACLE_AMBIENT.  Over an infinite group with nontrivial action, or a
+finite one past that limit, only these sound reductions apply, and
 ``wh_equal`` answers None rather than guess.
 """
 
@@ -38,6 +41,10 @@ __all__ = [
     "oracle_wh_presentation",
     "wh_equal",
 ]
+
+# Largest ambient rank k*|G| the finite oracle presents: its dense Smith
+# normal form grows with the cube of this.
+MAX_ORACLE_AMBIENT = 512
 
 
 class WhElement:
@@ -206,15 +213,34 @@ def oracle_wh_presentation(spec: GroupSpec, module: GModule) -> WhOracle:
     """Present (A tensor Z[G]) / <A[1], coinvariance> by Smith normal form.
 
     Relations: the module's own relations in every group slot, the whole
-    identity slot, and a[h] - (g.a)[g h g^-1] for all g, h and basis a.
+    identity slot, and r(g, h, a) = a[h] - (g.a)[g h g^-1] for every
+    generator g of G, every h and every basis vector a.
+
+    The generators span the same lattice as all of G.  The relation of a
+    product splits as r(g1 g2, h, a) = r(g2, h, a) + r(g1, g2 h g2^-1, g2.a);
+    r is Z-linear in a, so r(g1, -, g2.a) is a sum of basis relations;
+    every element of a finite group is a positive word in its generators;
+    and the action laws (torsion orders, commuting generators) hold modulo
+    the module relations, which every slot carries.  So the invariant
+    factors and every equality of ``coords`` are those of the all-elements
+    presentation; only the Smith basis differs.
+
+    Raises UnsupportedError for an infinite group, or when the ambient
+    rank k*|G| exceeds MAX_ORACLE_AMBIENT; the limit is checked from the
+    group's order before the module is validated or any element is
+    enumerated.
     """
     if module.spec != spec:
         raise ContextError("module is over a different group")
+    k = module.rank
+    if spec.is_finite and k * spec.order() > MAX_ORACLE_AMBIENT:
+        raise UnsupportedError(
+            f"oracle ambient rank {k * spec.order()} exceeds the limit {MAX_ORACLE_AMBIENT}"
+        )
     report = module.validate()
     if report is not None:
         raise RejectedError(f"invalid module: {report}")
     elements = enumerate_elements(spec)  # raises UnsupportedError when infinite
-    k = module.rank
     n = len(elements)
     ambient = k * n
     index = {g: i for i, g in enumerate(elements)}
@@ -231,7 +257,7 @@ def oracle_wh_presentation(spec: GroupSpec, module: GModule) -> WhOracle:
         row[ident_slot * k + j] = 1
         rows.append(row)
     basis = [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
-    for g in elements:
+    for g in (spec.generator(name) for name in spec.generator_names()):
         ginv = inverse(g)
         acted = [module.act_vec(g, e) for e in basis]
         for h in elements:

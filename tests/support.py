@@ -1,6 +1,7 @@
 """Shared builders for the test suite: group specs, random elements,
-trivial-action modules, random certified matrices, and a reference
-cocycle check."""
+trivial-action modules, random certified matrices, and reference
+implementations (cocycle check, all-elements Wh oracle relations, dense
+row-vector product) that fast paths are checked against."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import random
 
 from obkit.gmodules import GModule
 from obkit.groupring import DiagonalGen, ElementaryGen, RingElement, build_invertible
-from obkit.groups import FactorSpec, GroupSpec, enumerate_elements, multiply
+from obkit.groups import FactorSpec, GroupSpec, enumerate_elements, inverse, multiply
 from obkit.intlinalg import IntMatrix, QuotientPresentation
 
 
@@ -152,3 +153,55 @@ def reference_verify_cocycle(c):
                     if any(module.reduce(total)):
                         return (g, h, q, l)
     return None
+
+
+def reference_oracle_rows(spec: GroupSpec, module: GModule) -> list[list[int]]:
+    """Relations of the Wh oracle with a coinvariance relation for every
+    pair of group elements: an independent oracle for the lattice of
+    ``wh1.oracle_wh_presentation``, which uses generators only.
+
+    Rows live in the ambient Z^(k*|G|), slot i holding the coefficient at
+    the i-th element of ``enumerate_elements(spec)``: the module's
+    relations in every slot, the whole identity slot, and
+    a[h] - (g.a)[g h g^-1] for all g, h and basis a.
+    """
+    elements = enumerate_elements(spec)
+    k = module.rank
+    n = len(elements)
+    ambient = k * n
+    index = {g: i for i, g in enumerate(elements)}
+    rows = []
+    for slot in range(n):
+        for rel in module.relations_rows():
+            row = [0] * ambient
+            for i, c in enumerate(rel):
+                row[slot * k + i] = c
+            rows.append(row)
+    ident_slot = index[spec.identity()]
+    for j in range(k):
+        row = [0] * ambient
+        row[ident_slot * k + j] = 1
+        rows.append(row)
+    basis = [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
+    for g in elements:
+        ginv = inverse(g)
+        acted = [module.act_vec(g, e) for e in basis]
+        for h in elements:
+            tgt = index[multiply(multiply(g, h), ginv)]
+            src = index[h]
+            for j in range(k):
+                row = [0] * ambient
+                row[src * k + j] += 1
+                for i, c in enumerate(acted[j]):
+                    row[tgt * k + i] -= c
+                if any(row):
+                    rows.append(row)
+    return rows
+
+
+def reference_row_apply(vec, m: IntMatrix) -> tuple:
+    """Row vector times matrix, one dense dot product per column: the
+    reference for ``intlinalg._row_apply``."""
+    return tuple(
+        sum(vec[i] * m.entries[i][j] for i in range(m.rows)) for j in range(m.cols)
+    )

@@ -7,7 +7,8 @@ import subprocess
 import sys
 
 import obkit
-from obkit.cli import main
+from obkit import wh1
+from obkit.cli import MAX_ORACLE_PAIRS, main
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 F2 = str(SCENARIOS / "paper_f2.json")
@@ -119,6 +120,39 @@ def test_oracle_agree_seeded(capsys):
     assert status == 0
     assert "DISAGREEMENTS: 0" in out
     assert "RESULT: ok" in out
+
+
+def _fail_enumerate(spec):
+    raise AssertionError("enumerated the elements of an oversized group")
+
+
+def test_oracle_input_bounds(capsys, monkeypatch):
+    # Each rejection comes before any group element is enumerated.
+    monkeypatch.setattr(wh1, "enumerate_elements", _fail_enumerate)
+    for pairs in ("-5", "0", str(MAX_ORACLE_PAIRS + 1)):
+        assert main(["oracle", "agree", "Z2", "Ztrivial", "--pairs", pairs]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "--pairs must lie in" in err
+    assert main(["oracle", "agree", "Z100000", "Ztrivial"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "exceeds the limit" in err
+
+
+def test_wh_equal_unknown_past_the_oracle_limit(capsys, tmp_path, monkeypatch):
+    # Z/1024 acting on Z by a sign: (1)[s] = (-1)[s] in the coinvariants,
+    # but the oracle's ambient rank 1024 is past the limit.
+    monkeypatch.setattr(wh1, "enumerate_elements", _fail_enumerate)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "name": "big",
+        "group": {"factors": [{"kind": "abelian", "names": ["s"], "free_rank": 0,
+                               "torsion": [1024]}]},
+        "modules": {"A": {"rank": 1, "action": {"s": [[-1]]}}},
+    }))
+    status, out = run_main(capsys, "--scenario", str(path), "wh", "equal",
+                           "(1)[s]", "(-1)[s]", "--module", "A")
+    assert status == 0
+    assert out == "RESULT: unknown\n"
 
 
 def test_report_paper_exact_lines(capsys):

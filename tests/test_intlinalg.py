@@ -3,16 +3,21 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import smith_normal_form as smith_normal_form_sympy
 
 from obkit.errors import DimensionError
 from obkit.intlinalg import (
     IntMatrix,
     QuotientPresentation,
+    _row_apply,
     invariant_factors,
     smith_normal_form,
     solve,
 )
-from support import rand_unimodular
+from support import rand_unimodular, reference_row_apply
 
 
 def check_snf(m):
@@ -122,3 +127,70 @@ def test_group_invariants():
     assert p.group_invariants() == (2, 0, 0)
     assert p.free_rank == 2
     assert p.torsion_factors == (2,)
+
+
+def _matrices(max_rows=8, max_cols=8):
+    """Dense integer matrices, or tall sparse ones shaped like Wh oracle
+    relations: each row holds a 1 and at most two small entries."""
+    dense = st.integers(1, max_rows).flatmap(lambda r: st.integers(1, max_cols).flatmap(
+        lambda c: st.lists(st.lists(st.integers(-20, 20), min_size=c, max_size=c),
+                           min_size=r, max_size=r)))
+
+    @st.composite
+    def sparse(draw):
+        c = draw(st.integers(1, max_cols))
+        r = draw(st.integers(c, max_rows))
+        rows = []
+        for _ in range(r):
+            row = [0] * c
+            row[draw(st.integers(0, c - 1))] += 1
+            for _ in range(draw(st.integers(0, 2))):
+                row[draw(st.integers(0, c - 1))] -= draw(st.integers(-3, 3))
+            rows.append(row)
+        return rows
+
+    return st.one_of(dense, sparse()).map(IntMatrix)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_matrices())
+def test_snf_matches_sympy(m):
+    u, s, v = smith_normal_form(m)
+    assert u @ m @ v == s
+    assert abs(u.det()) == 1 and abs(v.det()) == 1
+    expected = smith_normal_form_sympy(Matrix(m.entries), domain=ZZ)
+    n = min(m.rows, m.cols)
+    assert invariant_factors(m) == tuple(abs(expected[i, i]) for i in range(n))
+
+
+@st.composite
+def _row_products(draw):
+    """A vector and a matrix with as many rows, either possibly empty."""
+    r = draw(st.integers(0, 6))
+    c = draw(st.integers(0, 6))
+    entries = st.integers(-9, 9)
+    rows = draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r))
+    vec = draw(st.lists(entries, min_size=r, max_size=r))
+    return vec, IntMatrix(rows, cols=c)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_row_products())
+def test_row_apply_matches_dense_product(args):
+    vec, m = args
+    assert _row_apply(vec, m) == reference_row_apply(vec, m)
+    assert _row_apply([0] * m.rows, m) == (0,) * m.cols
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_matrices(6, 6), st.data())
+def test_reduce_matches_dense_reference(m, data):
+    p = QuotientPresentation(m.cols, m.entries)
+    for _ in range(5):
+        x = data.draw(st.lists(st.integers(-30, 30), min_size=m.cols, max_size=m.cols))
+        y = list(reference_row_apply(x, p.v))
+        for i, d in enumerate(p.diag):
+            if d:
+                y[i] %= d
+        assert p.reduce(x) == tuple(y)
+    assert p.reduce([0] * m.cols) == (0,) * m.cols

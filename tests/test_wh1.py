@@ -4,13 +4,17 @@ obstruction group."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from obkit.errors import RejectedError
+from obkit import wh1
+from obkit.errors import RejectedError, UnsupportedError
 from obkit.gmodules import GModule, ModuleMap
 from obkit.groups import enumerate_elements, inverse, multiply
 from obkit.intlinalg import QuotientPresentation
 from obkit.wh1 import (
     WhElement,
+    WhOracle,
     detect_nontrivial,
     induced_map,
     oracle_wh_presentation,
@@ -20,6 +24,7 @@ from obkit.wh1 import (
 from support import (
     f2_spec,
     rand_element,
+    reference_oracle_rows,
     trivial_module,
     zmod_spec,
     zz2_spec,
@@ -254,3 +259,173 @@ def test_rendering():
     # the bracket s*t canonicalizes to its syllable rotation t*s
     y = WhElement.build(mod2, [((1, 0), multiply(s, t)), ((0, 2), t)])
     assert str(y) == "(0,2)[t] + (1,0)[t*s]"
+
+
+# -- the generator-presented oracle against the all-elements relations ----
+
+def _identity(k):
+    return [[int(i == j) for j in range(k)] for i in range(k)]
+
+
+def _swap(k):
+    m = _identity(k)
+    m[0], m[1] = m[1], m[0]
+    return m
+
+
+def _rot4(k):
+    m = _identity(k)
+    m[0][0], m[0][1], m[1][0], m[1][1] = 0, -1, 1, 0
+    return m
+
+
+def _sign(k):
+    return [[-int(i == j) for j in range(k)] for i in range(k)]
+
+
+def _cycle3(k):
+    m = _identity(k)
+    m[0], m[1], m[2] = m[1], m[2], m[0]
+    return m
+
+
+# Actions of the first generator; "min_rank" is the smallest rank they need.
+ORACLE_ACTIONS = {"trivial": (_identity, 1), "swap": (_swap, 2), "rot4": (_rot4, 2),
+                  "sign": (_sign, 1)}
+ORACLE_RELATIONS = {
+    "free": lambda k: [],
+    "2e1": lambda k: [[2] + [0] * (k - 1)],
+    "2all": lambda k: [[2 * int(i == j) for j in range(k)] for i in range(k)],
+}
+
+
+def _oracle_cases():
+    """(id, orders, rank, relations, action) for every valid combination
+    of group, rank, action of the first generator and relation lattice,
+    plus actions of two generators and scalar actions on Z/n whose laws
+    hold only modulo n (Z/2 on Z/4 by 3, Z/4 on Z/4 by 5, ...)."""
+    cases = []
+    groups = [(m,) for m in range(2, 7)] + [(2, 2), (2, 3)]
+    for orders in groups:
+        spec = zmod_spec(*orders)
+        names = spec.generator_names()
+        for rank in (1, 2, 3):
+            for aname, (matrix, min_rank) in ORACLE_ACTIONS.items():
+                if rank < min_rank:
+                    continue
+                for rname, rel in ORACLE_RELATIONS.items():
+                    if rank == 1 and rname == "2all":  # the same lattice as 2e1
+                        continue
+                    cases.append((f"{'x'.join(f'Z{m}' for m in orders)}-k{rank}-{aname}-{rname}",
+                                  orders, rank, rel(rank), {names[0]: matrix(rank)}))
+    for rank in (2, 3):
+        cases.append((f"Z2xZ2-k{rank}-sign,swap", (2, 2), rank, [],
+                      {"s1": _sign(rank), "s2": _swap(rank)}))
+    cases.append(("Z2xZ3-k3-sign,cycle3", (2, 3), 3, [],
+                  {"s1": _sign(3), "s2": _cycle3(3)}))
+    cases.append(("Z3-k3-cycle3", (3,), 3, [], {"s": _cycle3(3)}))
+    cases += [
+        ("Z2-Z/4-by3", (2,), 1, [[4]], {"s": [[3]]}),
+        ("Z3-Z/7-by2", (3,), 1, [[7]], {"s": [[2]]}),
+        ("Z6-Z/7-by3", (6,), 1, [[7]], {"s": [[3]]}),
+        ("Z4-Z/4-by5", (4,), 1, [[4]], {"s": [[5]]}),
+        ("Z2-Z/4+Z-by3", (2,), 2, [[4, 0]], {"s": [[3, 0], [0, 1]]}),
+    ]
+    valid = []
+    for case in cases:
+        _, orders, rank, relations, action = case
+        module = GModule(zmod_spec(*orders), QuotientPresentation(rank, relations),
+                         action=action)
+        if module.validate() is None:
+            valid.append(case)
+    return valid
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+@st.composite
+def wh_pairs(draw, module, elements):
+    """Two raw Wh elements: unrelated, or the second obtained from the
+    first by coinvariance moves a[h] -> (g.a)[g h g^-1] plus an identity
+    term, so that both verdicts occur."""
+    spec = module.spec
+    coeff = st.lists(st.integers(-3, 3), min_size=module.rank, max_size=module.rank)
+    terms = st.lists(st.tuples(coeff, st.sampled_from(elements)), max_size=4)
+    x = draw(terms)
+    if draw(st.booleans()):
+        y = draw(terms)
+    else:
+        y = []
+        for a, h in x:
+            g = draw(st.sampled_from(elements))
+            y.append((module.act_vec(g, a), multiply(multiply(g, h), inverse(g))))
+        y.append((draw(coeff), spec.identity()))
+        if draw(st.booleans()):
+            y.append((draw(coeff), draw(st.sampled_from(elements))))
+    return WhElement.build(module, x), WhElement.build(module, y)
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+def test_oracle_generators_span_reference_lattice(case):
+    _, orders, rank, relations, action = case
+    spec = zmod_spec(*orders)
+    module = GModule(spec, QuotientPresentation(rank, relations), action=action)
+    oracle = oracle_wh_presentation(spec, module)
+    pres = oracle.presentation
+    reference = WhOracle(module, enumerate_elements(spec),
+                         QuotientPresentation(pres.rank, reference_oracle_rows(spec, module)))
+    ref = reference.presentation
+    assert oracle.elements == reference.elements
+    assert all(ref.is_zero(row) for row in pres.relations.entries)
+    assert all(pres.is_zero(row) for row in ref.relations.entries)
+    assert pres.group_invariants() == ref.group_invariants()
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(wh_pairs(module, oracle.elements))
+    def check(pair):
+        x, y = pair
+        assert ((oracle.coords(x) == oracle.coords(y))
+                == (reference.coords(x) == reference.coords(y)))
+
+    check()
+
+
+def test_oracle_cost_per_generator(monkeypatch):
+    # Z/16 acting on Z^3 by a quarter turn: one generator, so at most
+    # 2*|G|*|S| products and |G|*(k*|S| + r) + k relation rows.
+    calls = []
+    real = wh1.multiply
+    monkeypatch.setattr(wh1, "multiply", lambda g, h: calls.append(1) or real(g, h))
+    spec = zmod_spec(16)
+    module = GModule(spec, QuotientPresentation(3), action={"s": _rot4(3)})
+    oracle = oracle_wh_presentation(spec, module)
+    order, gens, k, r = 16, 1, 3, 0
+    assert len(calls) <= 2 * order * gens
+    assert oracle.presentation.relations.rows <= order * (k * gens + r) + k
+
+
+def _fail_enumerate(spec):
+    raise AssertionError("enumerated the elements of an oversized group")
+
+
+def test_oracle_size_limit_rejects_before_enumerating(monkeypatch):
+    monkeypatch.setattr(wh1, "enumerate_elements", _fail_enumerate)
+    for orders, rank in (((wh1.MAX_ORACLE_AMBIENT + 1,), 1), ((100000,), 1),
+                         ((2, 2), wh1.MAX_ORACLE_AMBIENT // 4 + 1)):
+        spec = zmod_spec(*orders)
+        with pytest.raises(UnsupportedError, match="exceeds the limit"):
+            oracle_wh_presentation(spec, trivial_module(spec, rank))
+    # The limit also comes before validating the module: doubling is not
+    # invertible, but the size is refused first.
+    spec = zmod_spec(100000)
+    doubling = GModule(spec, QuotientPresentation(1), action={"s": [[2]]})
+    with pytest.raises(UnsupportedError, match="exceeds the limit"):
+        oracle_wh_presentation(spec, doubling)
+
+
+def test_oracle_at_the_size_limit():
+    spec = zmod_spec(wh1.MAX_ORACLE_AMBIENT)
+    oracle = oracle_wh_presentation(spec, trivial_module(spec, 1))
+    assert oracle.presentation.rank == wh1.MAX_ORACLE_AMBIENT
+    assert oracle.presentation.free_rank == wh1.MAX_ORACLE_AMBIENT - 1
