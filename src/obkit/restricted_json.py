@@ -2,11 +2,22 @@
 only, with line/column positions on every node and every error.
 
 Floats, exponents, booleans and null are rejected so that scenario
-fixtures stay bit-exact and diffable.
+fixtures stay bit-exact and diffable.  The text is UTF-8 (``load_scenario``
+decodes it), and integers are written with the ASCII digits ``0-9`` only.
+
+Each token class is scanned by one compiled regex, not one loop turn per
+character: whitespace, the plain run of a string up to its next quote,
+backslash or newline, and an integer.  The common tokens are matched
+whole, with the whitespace before them: an object key and its colon, and
+a string without escapes or a well-formed integer.  Anything else takes
+the general path, which gives every diagnostic.  Line starts are found
+once, and an offset maps to its ``line:col`` by bisection.
 """
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import ObkitError
@@ -15,6 +26,14 @@ __all__ = ["Node", "JsonError", "parse_json"]
 
 _ESCAPES = {'"': '"', "\\": "\\", "/": "/", "b": "\b", "f": "\f",
             "n": "\n", "r": "\r", "t": "\t"}
+_WS = re.compile(r"[ \t\r\n]*")
+_PLAIN = re.compile(r'[^"\\\n]*')
+_INT = re.compile(r"-?([0-9]*)")
+_HEX4 = re.compile(r"[0-9a-fA-F]{4}")
+# An integer is matched whole only when no digit, '.', 'e' or 'E' follows,
+# so a leading zero or a fraction is left to the general path.
+_KEY = re.compile(r'[ \t\r\n]*"([^"\\\n]*)"[ \t\r\n]*:')
+_SCALAR = re.compile(r'[ \t\r\n]*(?:"([^"\\\n]*)"|(-?(?:0|[1-9][0-9]*))(?![0-9.eE]))?')
 
 
 class JsonError(ObkitError):
@@ -43,35 +62,23 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.line_starts = [0]
-        for i, ch in enumerate(text):
-            if ch == "\n":
-                self.line_starts.append(i + 1)
+        self.line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
 
     def where(self, pos: int | None = None) -> tuple[int, int]:
         pos = self.pos if pos is None else pos
-        lo, hi = 0, len(self.line_starts) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.line_starts[mid] <= pos:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo + 1, pos - self.line_starts[lo] + 1
+        line = bisect_right(self.line_starts, pos)
+        return line, pos - self.line_starts[line - 1] + 1
 
     def fail(self, message: str, pos: int | None = None):
         line, col = self.where(pos)
         raise JsonError(message, line, col)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def skip_ws(self) -> str:
+        """Move past whitespace and return the next character, or ''."""
+        self.pos = pos = _WS.match(self.text, self.pos).end()
+        return self.text[pos:pos + 1]
 
     def parse(self) -> Node:
-        self.skip_ws()
         node = self.parse_value()
         self.skip_ws()
         if self.pos != len(self.text):
@@ -79,15 +86,23 @@ class _Parser:
         return node
 
     def parse_value(self) -> Node:
-        self.skip_ws()
-        ch = self.peek()
+        match = _SCALAR.match(self.text, self.pos)
+        self.pos = match.end()
+        string, number = match.groups()
+        if string is not None:
+            line, col = self.where(match.start(1) - 1)
+            return Node("string", string, line, col)
+        if number is not None:
+            line, col = self.where(match.start(2))
+            return Node("int", int(number), line, col)
+        ch = self.text[self.pos:self.pos + 1]
         if ch == "{":
             return self.parse_object()
         if ch == "[":
             return self.parse_array()
         if ch == '"':
             return self.parse_string()
-        if ch == "-" or ch.isdigit():
+        if ch == "-" or "0" <= ch <= "9":
             return self.parse_int()
         if self.text.startswith(("true", "false", "null"), self.pos):
             self.fail("booleans and null are not allowed in this profile")
@@ -99,23 +114,25 @@ class _Parser:
         line, col = self.where()
         self.pos += 1
         items = []
-        self.skip_ws()
-        if self.peek() == "}":
+        if self.skip_ws() == "}":
             self.pos += 1
             return Node("object", items, line, col)
         while True:
-            self.skip_ws()
-            if self.peek() != '"':
-                self.fail("object keys must be strings")
-            key_node = self.parse_string()
-            self.skip_ws()
-            if self.peek() != ":":
-                self.fail("expected ':' after object key")
-            self.pos += 1
-            value = self.parse_value()
-            items.append((key_node.value, key_node.line, key_node.col, value))
-            self.skip_ws()
-            ch = self.peek()
+            match = _KEY.match(self.text, self.pos)
+            if match is not None:
+                key = match.group(1)
+                key_line, key_col = self.where(match.start(1) - 1)
+                self.pos = match.end()
+            else:
+                if self.skip_ws() != '"':
+                    self.fail("object keys must be strings")
+                key_node = self.parse_string()
+                key, key_line, key_col = key_node.value, key_node.line, key_node.col
+                if self.skip_ws() != ":":
+                    self.fail("expected ':' after object key")
+                self.pos += 1
+            items.append((key, key_line, key_col, self.parse_value()))
+            ch = self.skip_ws()
             if ch == ",":
                 self.pos += 1
                 continue
@@ -128,14 +145,12 @@ class _Parser:
         line, col = self.where()
         self.pos += 1
         items = []
-        self.skip_ws()
-        if self.peek() == "]":
+        if self.skip_ws() == "]":
             self.pos += 1
             return Node("array", items, line, col)
         while True:
             items.append(self.parse_value())
-            self.skip_ws()
-            ch = self.peek()
+            ch = self.skip_ws()
             if ch == ",":
                 self.pos += 1
                 continue
@@ -146,52 +161,46 @@ class _Parser:
 
     def parse_string(self) -> Node:
         line, col = self.where()
+        text = self.text
         start = self.pos
-        self.pos += 1
         out = []
+        pos = start + 1
         while True:
-            if self.pos >= len(self.text):
-                self.fail("unterminated string", start)
-            ch = self.text[self.pos]
+            end = _PLAIN.match(text, pos).end()
+            out.append(text[pos:end])
+            ch = text[end:end + 1]
             if ch == '"':
-                self.pos += 1
+                self.pos = end + 1
                 return Node("string", "".join(out), line, col)
-            if ch == "\\":
-                self.pos += 1
-                esc = self.text[self.pos:self.pos + 1]
-                if esc in _ESCAPES:
-                    out.append(_ESCAPES[esc])
-                    self.pos += 1
-                elif esc == "u":
-                    hexpart = self.text[self.pos + 1:self.pos + 5]
-                    if len(hexpart) != 4 or any(c not in "0123456789abcdefABCDEF" for c in hexpart):
-                        self.fail("invalid unicode escape")
-                    out.append(chr(int(hexpart, 16)))
-                    self.pos += 5
-                else:
-                    self.fail(f"invalid escape {esc!r}")
-            elif ch == "\n":
+            if ch == "":
+                self.fail("unterminated string", start)
+            if ch == "\n":
                 self.fail("unescaped newline in string", start)
+            esc = text[end + 1:end + 2]
+            if esc in _ESCAPES:
+                out.append(_ESCAPES[esc])
+                pos = end + 2
+            elif esc == "u":
+                if _HEX4.fullmatch(text, end + 2, end + 6) is None:
+                    self.fail("invalid unicode escape", end + 1)
+                out.append(chr(int(text[end + 2:end + 6], 16)))
+                pos = end + 6
             else:
-                out.append(ch)
-                self.pos += 1
+                self.fail(f"invalid escape {esc!r}", end + 1)
 
     def parse_int(self) -> Node:
         line, col = self.where()
         start = self.pos
-        if self.peek() == "-":
-            self.pos += 1
-        if not self.peek().isdigit():
-            self.fail("expected digits")
-        while self.peek().isdigit():
-            self.pos += 1
-        if self.peek() in ".eE":
+        match = _INT.match(self.text, start)
+        digits = match.group(1)
+        if not digits:
+            self.fail("expected digits", match.start(1))
+        self.pos = end = match.end()
+        if self.text[end:end + 1] in (".", "e", "E"):
             self.fail("non-integer numbers are not allowed in this profile", start)
-        body = self.text[start:self.pos]
-        digits = body[1:] if body.startswith("-") else body
-        if len(digits) > 1 and digits.startswith("0"):
+        if len(digits) > 1 and digits[0] == "0":
             self.fail("leading zeros are not allowed", start)
-        return Node("int", int(body), line, col)
+        return Node("int", int(match.group()), line, col)
 
 
 def parse_json(text: str) -> Node:

@@ -424,6 +424,10 @@ class _Resolver:
                     self.diag(cnode, "E200", f"cocycle {name!r} needs 'quotient' and 'module'")
                 continue
             table = {}
+            # Each distinct argument string is parsed once per cocycle;
+            # only successful parses are kept, so a bad word is still
+            # diagnosed at its own node.
+            words: dict[str, GroupElement] = {}
             bad = False
             entries_node = cobj.get("entries")
             if entries_node is not None:
@@ -443,10 +447,13 @@ class _Resolver:
                         break
                     args = []
                     for wnode in args_node.value:
-                        w = self.parse_word_node(quotient.target, wnode, "cocycle argument")
+                        w = words.get(wnode.value) if wnode.kind == "string" else None
                         if w is None:
-                            bad = True
-                            break
+                            w = self.parse_word_node(quotient.target, wnode, "cocycle argument")
+                            if w is None:
+                                bad = True
+                                break
+                            words[wnode.value] = w
                         args.append(w)
                     if bad:
                         break
@@ -620,5 +627,20 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+    """Read, decode and resolve a scenario file.
+
+    Bytes that are not UTF-8 raise ScenarioError (E100) at the bad byte:
+    its line is one more than the newlines before it, its column one more
+    than its offset in that line.  Line ends are translated to ``\\n`` as
+    a text-mode read would.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        col = err.start - (data.rfind(b"\n", 0, err.start) + 1) + 1
+        raise ScenarioError([Diagnostic(line, col, "E100",
+                                        f"invalid UTF-8 byte 0x{data[err.start]:02x}")]) from None
+    return parse_scenario(text.replace("\r\n", "\n").replace("\r", "\n"))

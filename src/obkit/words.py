@@ -1,7 +1,8 @@
 """Parsers for the word, ring-element, Wh-element and generator-sequence
 string grammars used by scenario files and the CLI.
 
-Words follow ``ident ('^' int)? ('*' ...)*`` with ``1`` for the identity.
+Words follow ``ident ('^' int)? ('*' ...)*`` with ``1`` for the identity;
+integers are written with the ASCII digits ``0-9`` only.
 Ring elements are integer combinations like ``2*g + -1*h`` or ``1 - t``.
 Wh elements look like ``(1,0)[s*t] + (0,2)[t]`` or ``-2[s]``, with plain
 integer coefficients allowed for rank-one modules.  Generator sequences
@@ -47,9 +48,9 @@ class _Tokens:
             if ch.isspace():
                 i += 1
                 continue
-            if ch.isdigit():
+            if "0" <= ch <= "9":
                 j = i
-                while j < n and text[j].isdigit():
+                while j < n and "0" <= text[j] <= "9":
                     j += 1
                 self.items.append(("num", text[i:j], i))
                 i = j

@@ -1,7 +1,8 @@
 """Shared builders for the test suite: group specs, random elements,
 trivial-action modules, random certified matrices, and reference
 implementations (cocycle check, all-elements Wh oracle relations, dense
-row-vector product) that fast paths are checked against."""
+row-vector product, character-by-character JSON parser) that fast paths
+are checked against."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from obkit.gmodules import GModule
 from obkit.groupring import DiagonalGen, ElementaryGen, RingElement, build_invertible
 from obkit.groups import FactorSpec, GroupSpec, enumerate_elements, inverse, multiply
 from obkit.intlinalg import IntMatrix, QuotientPresentation
+from obkit.restricted_json import JsonError, Node
 
 
 def f2_spec() -> GroupSpec:
@@ -205,3 +207,170 @@ def reference_row_apply(vec, m: IntMatrix) -> tuple:
     return tuple(
         sum(vec[i] * m.entries[i][j] for i in range(m.rows)) for j in range(m.cols)
     )
+
+
+_REFERENCE_ESCAPES = {'"': '"', "\\": "\\", "/": "/", "b": "\b", "f": "\f",
+                      "n": "\n", "r": "\r", "t": "\t"}
+_ASCII_DIGITS = frozenset("0123456789")
+
+
+class _ReferenceParser:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.line_starts = [0]
+        for i, ch in enumerate(text):
+            if ch == "\n":
+                self.line_starts.append(i + 1)
+
+    def where(self, pos: int | None = None) -> tuple[int, int]:
+        pos = self.pos if pos is None else pos
+        lo, hi = 0, len(self.line_starts) - 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if self.line_starts[mid] <= pos:
+                lo = mid
+            else:
+                hi = mid - 1
+        return lo + 1, pos - self.line_starts[lo] + 1
+
+    def fail(self, message: str, pos: int | None = None):
+        line, col = self.where(pos)
+        raise JsonError(message, line, col)
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
+            self.pos += 1
+
+    def peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def parse(self) -> Node:
+        self.skip_ws()
+        node = self.parse_value()
+        self.skip_ws()
+        if self.pos != len(self.text):
+            self.fail("trailing content after the document")
+        return node
+
+    def parse_value(self) -> Node:
+        self.skip_ws()
+        ch = self.peek()
+        if ch == "{":
+            return self.parse_object()
+        if ch == "[":
+            return self.parse_array()
+        if ch == '"':
+            return self.parse_string()
+        if ch == "-" or ch in _ASCII_DIGITS:
+            return self.parse_int()
+        if self.text.startswith(("true", "false", "null"), self.pos):
+            self.fail("booleans and null are not allowed in this profile")
+        if ch == "":
+            self.fail("unexpected end of input")
+        self.fail(f"unexpected character {ch!r}")
+
+    def parse_object(self) -> Node:
+        line, col = self.where()
+        self.pos += 1
+        items = []
+        self.skip_ws()
+        if self.peek() == "}":
+            self.pos += 1
+            return Node("object", items, line, col)
+        while True:
+            self.skip_ws()
+            if self.peek() != '"':
+                self.fail("object keys must be strings")
+            key_node = self.parse_string()
+            self.skip_ws()
+            if self.peek() != ":":
+                self.fail("expected ':' after object key")
+            self.pos += 1
+            value = self.parse_value()
+            items.append((key_node.value, key_node.line, key_node.col, value))
+            self.skip_ws()
+            ch = self.peek()
+            if ch == ",":
+                self.pos += 1
+                continue
+            if ch == "}":
+                self.pos += 1
+                return Node("object", items, line, col)
+            self.fail("expected ',' or '}' in object")
+
+    def parse_array(self) -> Node:
+        line, col = self.where()
+        self.pos += 1
+        items = []
+        self.skip_ws()
+        if self.peek() == "]":
+            self.pos += 1
+            return Node("array", items, line, col)
+        while True:
+            items.append(self.parse_value())
+            self.skip_ws()
+            ch = self.peek()
+            if ch == ",":
+                self.pos += 1
+                continue
+            if ch == "]":
+                self.pos += 1
+                return Node("array", items, line, col)
+            self.fail("expected ',' or ']' in array")
+
+    def parse_string(self) -> Node:
+        line, col = self.where()
+        start = self.pos
+        self.pos += 1
+        out = []
+        while True:
+            if self.pos >= len(self.text):
+                self.fail("unterminated string", start)
+            ch = self.text[self.pos]
+            if ch == '"':
+                self.pos += 1
+                return Node("string", "".join(out), line, col)
+            if ch == "\\":
+                self.pos += 1
+                esc = self.text[self.pos:self.pos + 1]
+                if esc in _REFERENCE_ESCAPES:
+                    out.append(_REFERENCE_ESCAPES[esc])
+                    self.pos += 1
+                elif esc == "u":
+                    hexpart = self.text[self.pos + 1:self.pos + 5]
+                    if len(hexpart) != 4 or any(c not in "0123456789abcdefABCDEF" for c in hexpart):
+                        self.fail("invalid unicode escape")
+                    out.append(chr(int(hexpart, 16)))
+                    self.pos += 5
+                else:
+                    self.fail(f"invalid escape {esc!r}")
+            elif ch == "\n":
+                self.fail("unescaped newline in string", start)
+            else:
+                out.append(ch)
+                self.pos += 1
+
+    def parse_int(self) -> Node:
+        line, col = self.where()
+        start = self.pos
+        if self.peek() == "-":
+            self.pos += 1
+        if self.peek() not in _ASCII_DIGITS:
+            self.fail("expected digits")
+        while self.peek() in _ASCII_DIGITS:
+            self.pos += 1
+        if self.peek() and self.peek() in ".eE":
+            self.fail("non-integer numbers are not allowed in this profile", start)
+        body = self.text[start:self.pos]
+        digits = body[1:] if body.startswith("-") else body
+        if len(digits) > 1 and digits.startswith("0"):
+            self.fail("leading zeros are not allowed", start)
+        return Node("int", int(body), line, col)
+
+
+def reference_parse_json(text: str) -> Node:
+    """The restricted-JSON profile parsed one character per loop turn:
+    the reference that ``restricted_json.parse_json`` must agree with,
+    node for node and diagnostic for diagnostic."""
+    return _ReferenceParser(text).parse()

@@ -190,6 +190,14 @@ def test_exit_status_diagnostics(tmp_path):
     assert "E100" in result.stderr
 
 
+def test_exit_status_invalid_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"group": \xff}')
+    result = run_cli("--scenario", str(path), "report-paper")
+    assert result.returncode == 2
+    assert result.stderr == "1:11: E100 invalid UTF-8 byte 0xff\n"
+
+
 def test_exit_status_bad_word_argument():
     result = run_cli("--scenario", F2, "normalize", "nosuchgen")
     assert result.returncode == 2

@@ -2,10 +2,14 @@
 
 import json
 import pathlib
+import random
 
 import pytest
 
+from obkit import scenario as scenario_module
+from obkit.chi import Cocycle
 from obkit.scenario import ScenarioError, load_scenario, parse_scenario
+from obkit.words import parse_word
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -164,3 +168,115 @@ def test_shipped_modules_validate_and_torsion_mutations_reject():
                         mutated = GModule(scenario.spec, module.presentation,
                                           action=action)
                         assert mutated.validate() is not None
+
+
+def _z4_word(e):
+    return {0: "1", 1: "q"}.get(e, f"q^{e}")
+
+
+def _z4_coboundary_scenario(seed):
+    """t * Z/4 acting trivially on Z, with the dense coboundary table of a
+    seeded 2-cochain f: df(a, b, c) = f(b, c) - f(a+b, c) + f(a, b+c) - f(a, b).
+    The 64 entries use 4 distinct argument strings, each one many times."""
+    rng = random.Random(seed)
+    f = {(a, b): rng.randint(-3, 3) for a in range(4) for b in range(4)}
+    entries = [
+        {"args": [_z4_word(a), _z4_word(b), _z4_word(c)],
+         "value": [f[b, c] - f[(a + b) % 4, c] + f[a, (b + c) % 4] - f[a, b]]}
+        for a in range(4) for b in range(4) for c in range(4)
+    ]
+    return {
+        "name": "z4",
+        "group": {"factors": [{"kind": "free", "names": ["t"]},
+                              {"kind": "abelian", "names": ["s"], "torsion": [4]}]},
+        "modules": {"A": {"rank": 1}},
+        "quotients": {"Q": {"factors": [{"kind": "abelian", "names": ["q"], "torsion": [4]}],
+                            "images": {"t": "1", "s": "q"}}},
+        "cocycles": {"c": {"quotient": "Q", "module": "A", "entries": entries}},
+    }
+
+
+def test_cocycle_words_parsed_once_per_distinct_string(monkeypatch):
+    data = _z4_coboundary_scenario(7)
+    entries = data["cocycles"]["c"]["entries"]
+    arg_strings = {w for entry in entries for w in entry["args"]}
+    other_words = len(data["quotients"]["Q"]["images"])
+    calls = []
+
+    def counting_parse_word(spec, text):
+        calls.append(text)
+        return parse_word(spec, text)
+
+    monkeypatch.setattr(scenario_module, "parse_word", counting_parse_word)
+    loaded = parse_scenario(json.dumps(data, indent=1))
+    assert len(calls) <= len(arg_strings) + other_words
+
+    # The memo changes no key or value: the same table as parsing each
+    # argument node on its own.
+    q = loaded.quotients["Q"]
+    table = {tuple(parse_word(q.target, w) for w in entry["args"]): entry["value"]
+             for entry in entries}
+    expected = Cocycle(q, loaded.modules["A"], table)
+    assert loaded.cocycles["c"].table == expected.table
+    assert loaded.cocycles["c"].table
+
+
+def test_bad_cocycle_word_diagnosed_at_its_own_node():
+    data = _z4_coboundary_scenario(7)
+    data["cocycles"]["c"]["entries"][40]["args"][1] = "q*w"
+    text = json.dumps(data, indent=1)
+    offset = text.index('"q*w"')
+    line = text.count("\n", 0, offset) + 1
+    col = offset - text.rfind("\n", 0, offset)
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert [d.render() for d in err.value.diagnostics] == [
+        f"{line}:{col}: E230 cocycle argument: unknown generator 'w'"
+    ]
+
+
+GROUP_T = '{"group": {"factors": [{"kind": "free", "names": ["t"]}]},\n'
+
+
+def test_non_ascii_digits_are_positioned_errors():
+    for digit in ("\u00b2", "\u0663"):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(GROUP_T + ' "paper": {"powers": ' + digit + "}}")
+        assert [d.render() for d in err.value.diagnostics] == [
+            f"2:22: E100 unexpected character {digit!r}"]
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(GROUP_T + ' "elements": {"sigma": "t^' + digit + '"}}')
+        assert [d.render() for d in err.value.diagnostics] == [
+            f"2:24: E230 element 'sigma': unexpected character {digit!r}"]
+
+
+def test_integer_at_end_of_input():
+    cases = [
+        ('{"paper": {"powers": 64', "1:24: E100 expected ',' or '}' in object"),
+        ('{"a": [1, 2', "1:12: E100 expected ',' or ']' in array"),
+        ('{"a": -7', "1:9: E100 expected ',' or '}' in object"),
+        ("5", "1:1: E200 scenario must be an object"),
+    ]
+    for text, expected in cases:
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(text)
+        assert [d.render() for d in err.value.diagnostics] == [expected]
+
+
+def test_load_scenario_rejects_invalid_utf8(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"name": "x",\n  "group": \xff}')
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(path)
+    assert [d.render() for d in err.value.diagnostics] == [
+        "2:12: E100 invalid UTF-8 byte 0xff"]
+
+
+def test_load_scenario_reads_line_ends_as_text_mode_does(tmp_path):
+    # CRLF and a lone CR each end a line, so the error sits on line 3.
+    path = tmp_path / "s.json"
+    path.write_bytes(b'{"name": "x",\r\n "group":\r 1.5}')
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(path)
+    assert [d.render() for d in err.value.diagnostics] == [
+        "3:2: E100 non-integer numbers are not allowed in this profile"]

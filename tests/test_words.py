@@ -1,9 +1,14 @@
 """Element-string grammars and the restricted JSON profile."""
 
+import pathlib
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obkit.groupring import DiagonalGen, ElementaryGen, RingElement
-from obkit.restricted_json import JsonError, parse_json
+from obkit.restricted_json import JsonError, Node, parse_json
 from obkit.wh1 import WhElement
 from obkit.words import (
     WordError,
@@ -12,7 +17,12 @@ from obkit.words import (
     parse_wh,
     parse_word,
 )
-from support import mixed_spec, trivial_module, zz2_spec
+from support import mixed_spec, reference_parse_json, trivial_module, zz2_spec
+
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+FIXTURE_TEXTS = tuple((SCENARIOS / name).read_text(encoding="utf-8")
+                      for name in ("paper_f2.json", "paper_z2.json", "paper_z6.json"))
+NON_ASCII_DIGITS = ("\u00b2", "\u0663")
 
 
 def test_parse_word_round_trip():
@@ -108,7 +118,7 @@ def test_restricted_json_positions():
 
 
 def test_restricted_json_rejects_profile_violations():
-    for bad in ["1.5", "[true]", "null", '{"a": 1e3}', "[01]", '"unterminated']:
+    for bad in ["1.5", "[true]", "null", '{"a": 1e3}', "[-2E5]", "[01]", '"unterminated']:
         with pytest.raises(JsonError):
             parse_json(bad)
 
@@ -117,3 +127,156 @@ def test_restricted_json_error_positions():
     with pytest.raises(JsonError) as err:
         parse_json('{"a":\n true}')
     assert err.value.line == 2
+
+
+def test_restricted_json_integer_at_end_of_input():
+    assert parse_json("5") == Node("int", 5, 1, 1)
+    assert parse_json(" -5\n") == Node("int", -5, 1, 2)
+    for text, message, col in [
+        ('{"paper": {"powers": 64', "expected ',' or '}' in object", 24),
+        ("[1, 2", "expected ',' or ']' in array", 6),
+        ('{"a": -7', "expected ',' or '}' in object", 9),
+        ("-", "expected digits", 2),
+    ]:
+        with pytest.raises(JsonError) as err:
+            parse_json(text)
+        assert (err.value.message, err.value.line, err.value.col) == (message, 1, col)
+
+
+def test_non_ascii_digits_rejected_by_both_grammars():
+    spec = zz2_spec()
+    for digit in NON_ASCII_DIGITS:
+        with pytest.raises(JsonError) as err:
+            parse_json('{"powers": ' + digit + "}")
+        assert (err.value.message, err.value.col) == (f"unexpected character {digit!r}", 12)
+        with pytest.raises(JsonError) as err:
+            parse_json("[-" + digit + "]")
+        assert (err.value.message, err.value.col) == ("expected digits", 3)
+        for text in ("t^" + digit, "t^1" + digit):
+            with pytest.raises(WordError) as err:
+                parse_word(spec, text)
+            assert err.value.message == f"unexpected character {digit!r}"
+        with pytest.raises(WordError):
+            parse_ring(spec, digit + "*t")
+        with pytest.raises(WordError):
+            parse_generator_sequence(spec, 2, "D(" + digit + ',"t")')
+
+
+# -- the regex scanner against the character-by-character reference -------
+
+def _outcome(parse, text):
+    try:
+        return repr(parse(text))
+    except JsonError as err:
+        return (err.message, err.line, err.col)
+
+
+_WS = st.sampled_from(["", " ", "\t", "\n", "\r\n", "\n   ", " \r\n\t "])
+_SHORT_ESCAPES = {'"': '\\"', "\\": "\\\\", "/": "\\/", "\b": "\\b", "\f": "\\f",
+                  "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+@st.composite
+def _json_strings(draw):
+    chars = draw(st.text(st.characters(max_codepoint=0xFFFF, exclude_categories=("Cs",)),
+                         max_size=8))
+    out = ['"']
+    for ch in chars:
+        forms = [f"\\u{ord(ch):04x}", f"\\u{ord(ch):04X}"]
+        if ch in _SHORT_ESCAPES:
+            forms.append(_SHORT_ESCAPES[ch])
+        if ch not in '"\\\n':
+            forms.append(ch)
+        out.append(draw(st.sampled_from(forms)))
+    out.append('"')
+    return "".join(out)
+
+
+@st.composite
+def _json_documents(draw, depth=0):
+    kinds = ["int", "string"] + (["array", "object"] if depth < 3 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "int":
+        return str(draw(st.integers(-10**6, 10**6)))
+    if kind == "string":
+        return draw(_json_strings())
+    size = draw(st.integers(0, 3))
+    if kind == "array":
+        items = [draw(_json_documents(depth + 1)) for _ in range(size)]
+        open_, close = "[", "]"
+    else:
+        items = [draw(_json_strings()) + draw(_WS) + ":" + draw(_WS)
+                 + draw(_json_documents(depth + 1)) for _ in range(size)]
+        open_, close = "{", "}"
+    body = "".join((draw(_WS) + "," if i else "") + draw(_WS) + item
+                   for i, item in enumerate(items))
+    return open_ + body + draw(_WS) + close
+
+
+_MUTATION_ALPHABET = (list('{}[]:,"\\') + ["\n", "\t", "-", " ", ".", "e", "E"]
+                      + list("0123456789") + sorted(set("truefalsenull"))
+                      + list(NON_ASCII_DIGITS))
+
+
+@st.composite
+def _mutated_fixtures(draw):
+    chars = list(draw(st.sampled_from(FIXTURE_TEXTS)))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(chars) - 1))
+        op = draw(st.sampled_from(("insert", "delete", "replace")))
+        if op == "delete":
+            del chars[at]
+        elif op == "insert":
+            chars.insert(at, draw(st.sampled_from(_MUTATION_ALPHABET)))
+        else:
+            chars[at] = draw(st.sampled_from(_MUTATION_ALPHABET))
+    return "".join(chars)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.tuples(_WS, _json_documents(), _WS).map("".join))
+def test_parse_json_matches_reference_on_valid_documents(text):
+    got = _outcome(parse_json, text)
+    assert isinstance(got, str)
+    assert got == _outcome(reference_parse_json, text)
+
+
+def test_parse_json_matches_reference_on_edge_cases():
+    for text in ['"\\u12"', '["\\u12G4"]', '"\\q"', '"\\', '"ab', '"a\nb"', ' "\\\n"',
+                 '{"a\nb": 1}', '{"a\\"b" : 1}', '{"a\\u0041" :\t1}', '{"a" 1}', '{1: 2}',
+                 "[-]", "-x", "00", "-01", "-0", "1.5", "[2E1]", "7e", "[1,]"]:
+        assert _outcome(parse_json, text) == _outcome(reference_parse_json, text)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_mutated_fixtures())
+def test_parse_json_matches_reference_on_mutated_fixtures(text):
+    # Anything but JsonError escapes _outcome and fails the test.
+    assert _outcome(parse_json, text) == _outcome(reference_parse_json, text)
+
+
+# -- the word grammars raise nothing but WordError ---------------------------
+
+_GRAMMAR_TOKENS = st.one_of(
+    st.sampled_from(["x", "y", "a", "s", "w", "E", "D", "1", "0", " ", "*", "^", "+", "-",
+                     "(", ")", "[", "]", ",", ";", '"', "E(", "D(", "_", "x1"]
+                    + list(NON_ASCII_DIGITS)),
+    st.text("0123456789", min_size=1, max_size=3),
+)
+
+
+def _cap_digit_runs(text):
+    # Exponent bounds are not enforced yet, so no digit run exceeds 3.
+    return re.sub(r"[0-9]{4,}", lambda m: m.group()[:3], text)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.lists(_GRAMMAR_TOKENS, max_size=14).map("".join).map(_cap_digit_runs))
+def test_word_grammars_raise_only_word_error(text):
+    spec = mixed_spec()
+    for parse in (lambda: parse_word(spec, text), lambda: parse_ring(spec, text),
+                  lambda: parse_generator_sequence(spec, 2, text)):
+        try:
+            parse()
+        except WordError:
+            pass
