@@ -164,14 +164,10 @@ class Cocycle:
         if report is not None:
             raise RejectedError(f"quotient {report}")
         self._q_matrices = mats
-        basis = module._basis()
+        index = self.quotient.index
         for gen in self.quotient.source.generator_names():
-            lhs = self.module.action[gen]
-            rhs_vecs = [self.act_q_vec(self.quotient.images[gen], e) for e in basis]
-            if any(
-                module.reduce(lhs.apply(e)) != module.reduce(v)
-                for e, v in zip(basis, rhs_vecs)
-            ):
+            image = self._element_matrices[index[self.quotient.images[gen]]]
+            if not module._congruent(module.action[gen], image):
                 raise RejectedError(
                     f"action of {gen!r} does not factor through the quotient"
                 )
@@ -195,10 +191,6 @@ class Cocycle:
                         m = self._q_matrices[name] @ m
             out.append(m)
         return tuple(out)
-
-    def act_q_vec(self, q: GroupElement, coords) -> tuple:
-        """Action of a quotient element on raw coordinates."""
-        return self._element_matrices[self.quotient.index[q]].apply(coords)
 
     def value(self, q1: GroupElement, q2: GroupElement, q3: GroupElement) -> tuple:
         return self.table.get((q1, q2, q3), (0,) * self.module.rank)
@@ -317,7 +309,7 @@ def linearize_eval(c: Cocycle, x: RingElement, y: RingElement, z: RingElement) -
                 val = c.value(qg, qh, qk)
                 for i in range(k):
                     total[i] += coeff * val[i]
-    return ModuleElement(module, module.reduce(total))
+    return ModuleElement(module, total)
 
 
 def _as_matrix(m) -> RingMatrix:

@@ -21,7 +21,7 @@ from .errors import (
     RejectedError,
     UnsupportedError,
 )
-from .gmodules import GModule
+from .gmodules import GModule, ModuleElement
 from .groups import FactorSpec, GroupSpec, conjugacy_canonical, are_conjugate
 from .intlinalg import QuotientPresentation
 from .obstruction import (
@@ -323,12 +323,7 @@ def _cmd_report_paper(scenario: Scenario, args) -> Report:
 
 
 def _coeff_str(x: WhElement) -> str:
-    if not x.terms:
-        return "0"
-    coords = x.terms[0][0]
-    if len(coords) == 1:
-        return str(coords[0])
-    return "(" + ",".join(str(c) for c in coords) + ")"
+    return str(ModuleElement(x.module, x.terms[0][0])) if x.terms else "0"
 
 
 def _bool(flag: bool) -> str:

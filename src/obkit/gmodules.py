@@ -9,6 +9,8 @@ they are invertible modulo the relation lattice.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .errors import ContextError, DimensionError, RejectedError
 from .groups import FactorSpec, GroupElement, GroupSpec
 from .intlinalg import IntMatrix, QuotientPresentation, solve
@@ -22,7 +24,9 @@ __all__ = [
 
 
 class ModuleElement:
-    """An element of a GModule; equality compares canonical coset coordinates."""
+    """An element of a GModule.  ``coords`` is its coset's canonical
+    representative in the module's own basis (``QuotientPresentation.reduce``),
+    fixed at construction; equality, hashing and printing read it."""
 
     __slots__ = ("module", "coords")
 
@@ -31,14 +35,11 @@ class ModuleElement:
         if len(coords) != module.rank:
             raise DimensionError("coordinate length does not match module rank")
         self.module = module
-        self.coords = coords
-
-    def reduced(self) -> tuple:
-        return self.module.presentation.reduce(self.coords)
+        self.coords = module.presentation.reduce(coords)
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.reduced())
+        return not any(self.coords)
 
     def __add__(self, other: "ModuleElement") -> "ModuleElement":
         self._same(other)
@@ -60,16 +61,15 @@ class ModuleElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModuleElement):
             return NotImplemented
-        return self.module is other.module and self.reduced() == other.reduced()
+        return self.module is other.module and self.coords == other.coords
 
     def __hash__(self):
-        return hash((id(self.module), self.reduced()))
+        return hash((id(self.module), self.coords))
 
     def __str__(self):
-        red = self.reduced()
-        if len(red) == 1:
-            return str(red[0])
-        return "(" + ",".join(str(x) for x in red) + ")"
+        if len(self.coords) == 1:
+            return str(self.coords[0])
+        return "(" + ",".join(str(x) for x in self.coords) + ")"
 
     def __repr__(self):
         return f"ModuleElement({self})"
@@ -137,14 +137,18 @@ class GModule:
         return self._trivial
 
     def _congruent(self, m1: IntMatrix, m2: IntMatrix) -> bool:
+        """True iff two maps into this module agree on the quotient: each
+        column of m1 - m2 lies in the relation lattice."""
+        is_zero = self.presentation.is_zero
         return all(
-            self.reduce(m1.apply(e)) == self.reduce(m2.apply(e)) for e in self._basis()
+            is_zero([a - b for a, b in zip(c1, c2)])
+            for c1, c2 in zip(zip(*m1.entries), zip(*m2.entries))
         )
 
     def _invert_on_quotient(self, m: IntMatrix) -> IntMatrix | None:
         """A matrix x with m @ x congruent to the identity, or None."""
         k = self.rank
-        rel = self.relations_rows()
+        rel = self.presentation.relations.entries
         sys_rows = [
             list(m.entries[i]) + [r[i] for r in rel] for i in range(k)
         ]
@@ -156,9 +160,6 @@ class GModule:
                 return None
             cols.append(w[:k])
         return IntMatrix([[cols[j][i] for j in range(k)] for i in range(k)])
-
-    def relations_rows(self) -> list[tuple]:
-        return [tuple(r) for r in self.presentation.relations.entries]
 
     def validate(self) -> str | None:
         """Check the module invariants; None when they hold.
@@ -194,7 +195,7 @@ class GModule:
         of an abelian factor must commute on the quotient.
         """
         ident = IntMatrix.identity(self.rank)
-        rel = self.relations_rows()
+        rel = self.presentation.relations.entries
         for gi, gen in enumerate(factor.names):
             m = mats[gen]
             if not all(self.presentation.is_zero(m.apply(r)) for r in rel):
@@ -251,7 +252,7 @@ class GModule:
     def act(self, g: GroupElement, a: ModuleElement) -> ModuleElement:
         if a.module is not self:
             raise ContextError("element belongs to a different module")
-        return ModuleElement(self, self.reduce(self.act_vec(g, a.coords)))
+        return ModuleElement(self, self.act_vec(g, a.coords))
 
     def __repr__(self):
         label = self.name or f"rank{self.rank}"
@@ -281,32 +282,36 @@ class ModuleMap:
         self.matrix = m
         self.equivariant = equivariant
 
+    @cached_property
+    def is_equivariant(self) -> bool:
+        """``check_equivariant``'s verdict, computed once per map."""
+        return check_equivariant(self)
+
     def validate(self) -> str | None:
         """None when well-defined (and equivariant, if flagged)."""
-        for r in self.source.relations_rows():
-            if not self.target.presentation.is_zero(self.matrix.apply(r)):
-                return "map does not send relations into relations"
-        if self.equivariant and not check_equivariant(self):
+        relations = self.source.presentation.relations.entries
+        if not all(self.target.presentation.is_zero(self.matrix.apply(r)) for r in relations):
+            return "map does not send relations into relations"
+        if self.equivariant and not self.is_equivariant:
             return "map is flagged equivariant but does not commute with the action"
         return None
 
     def __call__(self, a: ModuleElement) -> ModuleElement:
         if a.module is not self.source:
             raise ContextError("element is not in the map's source module")
-        return ModuleElement(self.target, self.target.reduce(self.matrix.apply(a.coords)))
+        return ModuleElement(self.target, self.matrix.apply(a.coords))
 
     def __repr__(self):
         return f"ModuleMap({self.name or 'phi'})"
 
 
 def check_equivariant(phi: ModuleMap) -> bool:
-    """True iff phi commutes with every generator action on the quotients."""
+    """True iff phi commutes with every generator action on the quotients.
+    ``phi.is_equivariant`` runs this check once per map."""
     phi.source._ensure_valid()
     phi.target._ensure_valid()
-    for gen in phi.source.spec.generator_names():
-        left = phi.matrix @ phi.source.action[gen]
-        right = phi.target.action[gen] @ phi.matrix
-        for e in phi.source._basis():
-            if phi.target.reduce(left.apply(e)) != phi.target.reduce(right.apply(e)):
-                return False
-    return True
+    return all(
+        phi.target._congruent(phi.matrix @ phi.source.action[gen],
+                              phi.target.action[gen] @ phi.matrix)
+        for gen in phi.source.spec.generator_names()
+    )

@@ -10,7 +10,6 @@ from .errors import DimensionError
 __all__ = [
     "IntMatrix",
     "smith_normal_form",
-    "invariant_factors",
     "solve",
     "QuotientPresentation",
 ]
@@ -37,10 +36,6 @@ class IntMatrix:
     def identity(n: int) -> "IntMatrix":
         return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @staticmethod
-    def zeros(r: int, c: int) -> "IntMatrix":
-        return IntMatrix([[0] * c for _ in range(r)], cols=c)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntMatrix):
             return NotImplemented
@@ -64,35 +59,6 @@ class IntMatrix:
         if len(vec) != self.cols:
             raise DimensionError("vector length mismatch")
         return tuple(sum(a * x for a, x in zip(row, vec)) for row in self.entries)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix([list(col) for col in zip(*self.entries)] if self.entries else [], cols=self.rows)
-
-    def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise DimensionError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(r) for r in self.entries]
-        sign = 1
-        prev = 1
-        for t in range(n - 1):
-            if a[t][t] == 0:
-                for i in range(t + 1, n):
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(t + 1, n):
-                for j in range(t + 1, n):
-                    a[i][j] = (a[i][j] * a[t][t] - a[i][t] * a[t][j]) // prev
-                a[i][t] = 0
-            prev = a[t][t]
-        return sign * a[n - 1][n - 1]
 
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.entries]!r})"
@@ -178,12 +144,6 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return IntMatrix(u, cols=R), IntMatrix(a, cols=C), IntMatrix(v, cols=C)
 
 
-def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
-    """Diagonal of the Smith form, length min(rows, cols)."""
-    _, s, _ = smith_normal_form(m)
-    return tuple(s.entries[i][i] for i in range(min(m.rows, m.cols)))
-
-
 def solve(a: IntMatrix, b) -> tuple | None:
     """An integer solution x of a @ x == b, or None if none exists."""
     if len(b) != a.rows:
@@ -207,10 +167,14 @@ def solve(a: IntMatrix, b) -> tuple | None:
 
 
 class QuotientPresentation:
-    """Z^k modulo the lattice spanned by the rows of a relation matrix.
+    """Z^k modulo the lattice L spanned by the rows of a relation matrix R.
 
-    Smith data is computed once; ``reduce`` maps any integer vector to
-    canonical coset coordinates living in prod Z/d_i x Z^(free part).
+    Smith data U @ R @ V == S is computed once.  ``reduce`` names a coset by
+    its canonical representative in the basis of x itself, y' @ V^-1, where
+    y = x @ V and y' reduces each y_i with d_i != 0 into [0, d_i).  Vectors
+    differ by a relation iff their representatives are equal, and matrices
+    in the original basis act on a representative directly.  When V is the
+    identity it is x with each torsion coordinate taken mod d_i.
     """
 
     def __init__(self, rank: int, relations=()):
@@ -223,6 +187,7 @@ class QuotientPresentation:
         self.u, self.s, self.v = smith_normal_form(self.relations)
         n = min(self.relations.rows, rank)
         self.diag = tuple(self.s.entries[i][i] for i in range(n))
+        self._rows = {}
 
     @property
     def free_rank(self) -> int:
@@ -236,15 +201,28 @@ class QuotientPresentation:
         """Nontrivial invariant factors followed by one 0 per free rank."""
         return self.torsion_factors + (0,) * self.free_rank
 
+    def _lattice_row(self, i: int) -> tuple:
+        """The nonzero (j, entry) pairs of row i of U @ R == S @ V^-1, the
+        lattice vector d_i times row i of V^-1; built on first use."""
+        row = self._rows.get(i)
+        if row is None:
+            dense = _row_apply(self.u.entries[i], self.relations)
+            row = self._rows[i] = tuple((j, b) for j, b in enumerate(dense) if b)
+        return row
+
     def reduce(self, x) -> tuple:
-        """Canonical coset coordinates; equal iff the vectors differ by a relation."""
+        """The canonical representative of x + L, in the basis of x:
+        x - sum_i floor(y_i / d_i) * (U @ R)_i with y = x @ V."""
         if len(x) != self.rank:
             raise DimensionError("vector length does not match rank")
-        y = list(_row_apply(x, self.v))
+        y = _row_apply(x, self.v)
+        out = list(x)
         for i, d in enumerate(self.diag):
-            if d:
-                y[i] %= d
-        return tuple(y)
+            q = y[i] // d if d else 0
+            if q:
+                for j, b in self._lattice_row(i):
+                    out[j] -= q * b
+        return tuple(out)
 
     def is_zero(self, x) -> bool:
         return not any(self.reduce(x))

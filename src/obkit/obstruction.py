@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ContextError, RejectedError
-from .gmodules import GModule, ModuleElement, ModuleMap, check_equivariant
+from .gmodules import GModule, ModuleElement, ModuleMap
 from .groups import GroupElement, GroupSpec
 from .intlinalg import QuotientPresentation
 from .wh1 import WhElement, induced_map
@@ -169,7 +169,7 @@ def _check_retraction(p: PseudoisotopyClass, r: ModuleMap) -> None:
     if not (target.trivial_action and target.rank == 1
             and target.presentation.free_rank == 1):
         raise RejectedError("retraction target must be trivial-action Z")
-    if not check_equivariant(r):
+    if not r.is_equivariant:
         raise RejectedError("retraction coefficient map must be equivariant")
 
 

@@ -5,6 +5,11 @@ Floats, exponents, booleans and null are rejected so that scenario
 fixtures stay bit-exact and diffable.  The text is UTF-8 (``load_scenario``
 decodes it), and integers are written with the ASCII digits ``0-9`` only.
 
+An integer has at most MAX_INT_DIGITS digits, the least value Python's
+``int_max_str_digits`` setting can take, so ``int()`` accepts every literal
+under any setting; containers nest at most MAX_DEPTH deep, far from the
+recursion limit.  Each limit is diagnosed where the literal or container starts.
+
 Each token class is scanned by one compiled regex, not one loop turn per
 character: whitespace, the plain run of a string up to its next quote,
 backslash or newline, and an integer.  The common tokens are matched
@@ -23,6 +28,9 @@ from dataclasses import dataclass
 from .errors import ObkitError
 
 __all__ = ["Node", "JsonError", "parse_json"]
+
+MAX_INT_DIGITS = 640
+MAX_DEPTH = 64
 
 _ESCAPES = {'"': '"', "\\": "\\", "/": "/", "b": "\b", "f": "\f",
             "n": "\n", "r": "\r", "t": "\t"}
@@ -62,6 +70,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
         self.line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
 
     def where(self, pos: int | None = None) -> tuple[int, int]:
@@ -94,12 +103,15 @@ class _Parser:
             return Node("string", string, line, col)
         if number is not None:
             line, col = self.where(match.start(2))
-            return Node("int", int(number), line, col)
+            return Node("int", self.to_int(number, match.start(2)), line, col)
         ch = self.text[self.pos:self.pos + 1]
-        if ch == "{":
-            return self.parse_object()
-        if ch == "[":
-            return self.parse_array()
+        if ch == "{" or ch == "[":
+            self.depth += 1
+            if self.depth > MAX_DEPTH:
+                self.fail(f"containers nest deeper than {MAX_DEPTH} levels")
+            node = self.parse_object() if ch == "{" else self.parse_array()
+            self.depth -= 1
+            return node
         if ch == '"':
             return self.parse_string()
         if ch == "-" or "0" <= ch <= "9":
@@ -200,7 +212,13 @@ class _Parser:
             self.fail("non-integer numbers are not allowed in this profile", start)
         if len(digits) > 1 and digits[0] == "0":
             self.fail("leading zeros are not allowed", start)
-        return Node("int", int(match.group()), line, col)
+        return Node("int", self.to_int(match.group(), start), line, col)
+
+    def to_int(self, literal: str, start: int) -> int:
+        """The value of an integer literal that begins at ``start``."""
+        if len(literal.lstrip("-")) > MAX_INT_DIGITS:
+            self.fail(f"integer has more than {MAX_INT_DIGITS} digits", start)
+        return int(literal)
 
 
 def parse_json(text: str) -> Node:

@@ -20,7 +20,7 @@ finite one past that limit, only these sound reductions apply, and
 from __future__ import annotations
 
 from .errors import ContextError, RejectedError, UnsupportedError
-from .gmodules import GModule, ModuleElement, ModuleMap, check_equivariant
+from .gmodules import GModule, ModuleElement, ModuleMap
 from .groups import (
     GroupElement,
     GroupSpec,
@@ -50,9 +50,11 @@ MAX_ORACLE_AMBIENT = 512
 class WhElement:
     """A canonical-form element of (A[G]/A[1])_G.
 
-    ``terms`` is a sorted tuple of (reduced coefficient coordinates,
-    conjugacy-canonical group element) pairs with nonzero coefficients
-    and nonidentity brackets.
+    ``terms`` is a sorted tuple of (coefficient, conjugacy-canonical group
+    element) pairs with nonzero coefficients and nonidentity brackets; each
+    coefficient is its coset's canonical representative in the module's
+    own basis (``QuotientPresentation.reduce``), so the action matrices
+    apply to it directly.
     """
 
     __slots__ = ("module", "terms")
@@ -173,7 +175,7 @@ def induced_map(phi: ModuleMap, x: WhElement) -> WhElement:
     """
     if phi.source is not x.module:
         raise ContextError("map source does not match the element's module")
-    if not phi.source.trivial_action and not check_equivariant(phi):
+    if not phi.source.trivial_action and not phi.is_equivariant:
         raise RejectedError("induced map needs an equivariant coefficient map")
     return WhElement.build(
         phi.target, [(phi.matrix.apply(coords), g) for coords, g in x.terms]
@@ -246,7 +248,7 @@ def oracle_wh_presentation(spec: GroupSpec, module: GModule) -> WhOracle:
     index = {g: i for i, g in enumerate(elements)}
     rows = []
     for slot in range(n):
-        for rel in module.relations_rows():
+        for rel in module.presentation.relations.entries:
             row = [0] * ambient
             for i, c in enumerate(rel):
                 row[slot * k + i] = c

@@ -2,7 +2,8 @@
 string grammars used by scenario files and the CLI.
 
 Words follow ``ident ('^' int)? ('*' ...)*`` with ``1`` for the identity;
-integers are written with the ASCII digits ``0-9`` only.
+integers are written with the ASCII digits ``0-9`` only, and at most
+``restricted_json.MAX_INT_DIGITS`` of them, the limit scenario files have.
 Ring elements are integer combinations like ``2*g + -1*h`` or ``1 - t``.
 Wh elements look like ``(1,0)[s*t] + (0,2)[t]`` or ``-2[s]``, with plain
 integer coefficients allowed for rank-one modules.  Generator sequences
@@ -15,6 +16,7 @@ from .errors import ObkitError
 from .gmodules import GModule
 from .groupring import DiagonalGen, ElementaryGen, RingElement
 from .groups import GroupElement, GroupSpec, multiply
+from .restricted_json import MAX_INT_DIGITS
 from .wh1 import WhElement
 
 __all__ = [
@@ -52,6 +54,8 @@ class _Tokens:
                 j = i
                 while j < n and "0" <= text[j] <= "9":
                     j += 1
+                if j - i > MAX_INT_DIGITS:
+                    raise WordError(f"integer has more than {MAX_INT_DIGITS} digits", i)
                 self.items.append(("num", text[i:j], i))
                 i = j
             elif ch.isalpha() or ch == "_":
@@ -86,6 +90,10 @@ class _Tokens:
             self.pos += 1
         return tok
 
+    def number(self) -> int:
+        """Consume a digit run and return its value."""
+        return int(self.expect("num")[1])
+
     def expect(self, kind: str):
         tok = self.next()
         if tok[0] != kind:
@@ -105,8 +113,7 @@ def _parse_signed_int(toks: _Tokens) -> int:
         if tok[0] == "-":
             sign = -sign
         tok = toks.peek()
-    num = toks.expect("num")
-    return sign * int(num[1])
+    return sign * toks.number()
 
 
 def _parse_word_body(spec: GroupSpec, toks: _Tokens) -> GroupElement:
@@ -148,10 +155,8 @@ def _parse_ring_term(spec: GroupSpec, toks: _Tokens) -> RingElement:
     while toks.peek()[0] in ("+", "-"):
         if toks.next()[0] == "-":
             sign = -sign
-    tok = toks.peek()
-    if tok[0] == "num":
-        toks.next()
-        coeff = sign * int(tok[1])
+    if toks.peek()[0] == "num":
+        coeff = sign * toks.number()
         if toks.peek()[0] == "*":
             toks.next()
             word = _parse_word_body(spec, toks)
@@ -175,10 +180,9 @@ def parse_ring(spec: GroupSpec, text: str) -> RingElement:
 def _parse_wh_coeff(module: GModule, toks: _Tokens, sign: int, pos: int):
     tok = toks.peek()
     if tok[0] == "num":
-        toks.next()
         if module.rank != 1:
             raise WordError("tuple coefficient required for a module of rank > 1", tok[2])
-        return (sign * int(tok[1]),)
+        return (sign * toks.number(),)
     if tok[0] == "(":
         toks.next()
         coords = [_parse_signed_int(toks)]

@@ -11,8 +11,9 @@ import random
 from obkit.gmodules import GModule
 from obkit.groupring import DiagonalGen, ElementaryGen, RingElement, build_invertible
 from obkit.groups import FactorSpec, GroupSpec, enumerate_elements, inverse, multiply
-from obkit.intlinalg import IntMatrix, QuotientPresentation
-from obkit.restricted_json import JsonError, Node
+from obkit.errors import DimensionError
+from obkit.intlinalg import IntMatrix, QuotientPresentation, smith_normal_form
+from obkit.restricted_json import MAX_DEPTH, MAX_INT_DIGITS, JsonError, Node
 
 
 def f2_spec() -> GroupSpec:
@@ -61,6 +62,16 @@ def rand_element(rng: random.Random, spec: GroupSpec, max_syllables: int = 4):
             exp = rng.choice([-2, -1, 1, 2])
         out = multiply(out, spec.generator(name, exp))
     return out
+
+
+# Relation lattices whose Smith form needs column operations (V != I), so
+# that Smith coordinates and coordinates in the module's own basis differ.
+NON_SMITH_LATTICES = (
+    (2, [(2, 2)]),
+    (3, [(4, 2, 4), (-1, 0, 0)]),
+    (3, [(2, 0, 4), (0, 6, 2)]),
+    (4, [(3, 1, 0, 2), (0, 2, 2, -4)]),
+)
 
 
 def trivial_module(spec: GroupSpec, rank: int, relations=(), name: str = "A") -> GModule:
@@ -113,6 +124,39 @@ def rand_unimodular(rng: random.Random, n: int, steps: int = 6) -> IntMatrix:
         if rng.random() < 0.3:
             rows[i] = [-a for a in rows[i]]
     return IntMatrix(rows)
+
+
+def det(m: IntMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    if m.rows != m.cols:
+        raise DimensionError("determinant of a non-square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = [list(r) for r in m.entries]
+    sign = 1
+    prev = 1
+    for t in range(n - 1):
+        if a[t][t] == 0:
+            for i in range(t + 1, n):
+                if a[i][t]:
+                    a[t], a[i] = a[i], a[t]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(t + 1, n):
+            for j in range(t + 1, n):
+                a[i][j] = (a[i][j] * a[t][t] - a[i][t] * a[t][j]) // prev
+            a[i][t] = 0
+        prev = a[t][t]
+    return sign * a[n - 1][n - 1]
+
+
+def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
+    """Diagonal of the Smith form, length min(rows, cols)."""
+    _, s, _ = smith_normal_form(m)
+    return tuple(s.entries[i][i] for i in range(min(m.rows, m.cols)))
 
 
 def reference_verify_cocycle(c):
@@ -174,7 +218,7 @@ def reference_oracle_rows(spec: GroupSpec, module: GModule) -> list[list[int]]:
     index = {g: i for i, g in enumerate(elements)}
     rows = []
     for slot in range(n):
-        for rel in module.relations_rows():
+        for rel in module.presentation.relations.entries:
             row = [0] * ambient
             for i, c in enumerate(rel):
                 row[slot * k + i] = c
@@ -218,6 +262,7 @@ class _ReferenceParser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
         self.line_starts = [0]
         for i, ch in enumerate(text):
             if ch == "\n":
@@ -256,10 +301,13 @@ class _ReferenceParser:
     def parse_value(self) -> Node:
         self.skip_ws()
         ch = self.peek()
-        if ch == "{":
-            return self.parse_object()
-        if ch == "[":
-            return self.parse_array()
+        if ch in ("{", "["):
+            self.depth += 1
+            if self.depth > MAX_DEPTH:
+                self.fail(f"containers nest deeper than {MAX_DEPTH} levels")
+            node = self.parse_object() if ch == "{" else self.parse_array()
+            self.depth -= 1
+            return node
         if ch == '"':
             return self.parse_string()
         if ch == "-" or ch in _ASCII_DIGITS:
@@ -366,6 +414,8 @@ class _ReferenceParser:
         digits = body[1:] if body.startswith("-") else body
         if len(digits) > 1 and digits.startswith("0"):
             self.fail("leading zeros are not allowed", start)
+        if len(digits) > MAX_INT_DIGITS:
+            self.fail(f"integer has more than {MAX_INT_DIGITS} digits", start)
         return Node("int", int(body), line, col)
 
 

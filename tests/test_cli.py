@@ -1,5 +1,6 @@
 """CLI dispatch, exit statuses and byte-determinism of reports."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -7,12 +8,14 @@ import subprocess
 import sys
 
 import obkit
-from obkit import wh1
+from obkit import gmodules, obstruction, wh1
 from obkit.cli import MAX_ORACLE_PAIRS, main
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 F2 = str(SCENARIOS / "paper_f2.json")
 Z2 = str(SCENARIOS / "paper_z2.json")
+PAPER_FIXTURES = ("paper_f2.json", "paper_z2.json", "paper_z6.json")
+GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
 # The child process imports the same obkit as the tests, installed or not.
 OBKIT_ROOT = str(pathlib.Path(obkit.__file__).resolve().parent.parent)
 
@@ -227,3 +230,45 @@ def test_seed_never_affects_report_paper():
     a = run_cli("--scenario", F2, "--seed", "1", "report-paper")
     b = run_cli("--scenario", F2, "--seed", "999", "report-paper")
     assert a.stdout == b.stdout
+
+
+def test_report_paper_bytes_match_the_benchmark_digests(capsys):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["paper-report"]
+    assert sorted(golden) == list(PAPER_FIXTURES)
+    for name in PAPER_FIXTURES:
+        status, out = run_main(capsys, "--scenario", str(SCENARIOS / name), "report-paper")
+        assert status == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == golden[name], name
+
+
+def test_report_paper_checks_the_retraction_once(capsys, monkeypatch):
+    calls = []
+    real = gmodules.check_equivariant
+    # Patched in every layer that holds the name, so that a caller which
+    # imported it directly is counted too.
+    for layer in (gmodules, wh1, obstruction):
+        if hasattr(layer, "check_equivariant"):
+            monkeypatch.setattr(layer, "check_equivariant",
+                                lambda phi: calls.append(phi.name) or real(phi))
+    for name in PAPER_FIXTURES:
+        calls.clear()
+        status, _ = run_main(capsys, "--scenario", str(SCENARIOS / name), "report-paper")
+        assert status == 0
+        assert calls == ["r"], name
+
+
+def test_exit_status_oversized_input(tmp_path):
+    big = "9" * 5000
+    result = run_cli("--scenario", F2, "normalize", "t^" + big)
+    assert result.returncode == 2
+    assert result.stderr == "PARSE: integer has more than 640 digits (at offset 2)\n"
+    for text, expected in [
+        ('{"name": "x",\n "paper": {"powers": ' + big + "}}",
+         "2:22: E100 integer has more than 640 digits\n"),
+        ("[" * 5000, "1:65: E100 containers nest deeper than 64 levels\n"),
+    ]:
+        path = tmp_path / "oversized.json"
+        path.write_text(text)
+        result = run_cli("--scenario", str(path), "report-paper")
+        assert result.returncode == 2
+        assert result.stderr == expected

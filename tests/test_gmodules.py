@@ -3,16 +3,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obkit.errors import ContextError, DimensionError
 from obkit.gmodules import (
     GModule,
+    ModuleElement,
     ModuleMap,
     check_equivariant,
 )
 from obkit.groups import inverse, multiply
 from obkit.intlinalg import QuotientPresentation
-from support import rand_element, trivial_module, zz2_spec, zz6_spec
+from support import NON_SMITH_LATTICES, rand_element, trivial_module, zz2_spec, zz6_spec
 
 SWAP = [[0, 1], [1, 0]]
 
@@ -161,3 +164,22 @@ def test_module_element_equality_in_quotient():
     assert mod.element((3, 1)) == mod.element((1, 1))
     assert mod.element((3, 1)) != mod.element((0, 1))
     assert mod.element((2, 0)).is_zero
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(NON_SMITH_LATTICES), st.data())
+def test_module_element_holds_its_canonical_representative(lattice, data):
+    rank, relations = lattice
+    mod = trivial_module(zz2_spec(), rank, relations)
+    coords = st.lists(st.integers(-20, 20), min_size=rank, max_size=rank)
+    e = ModuleElement(mod, data.draw(coords))
+    assert e.coords == mod.presentation.reduce(e.coords)
+    assert ModuleElement(mod, e.coords) == e
+    assert hash(ModuleElement(mod, e.coords)) == hash(e)
+    assert 1 * e == e and e + mod.zero() == e
+    shift = data.draw(st.lists(st.integers(-3, 3), min_size=len(relations),
+                               max_size=len(relations)))
+    moved = [x + sum(c * r[i] for c, r in zip(shift, relations))
+             for i, x in enumerate(e.coords)]
+    assert ModuleElement(mod, moved).coords == e.coords
+    assert (e - e).is_zero

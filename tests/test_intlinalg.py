@@ -13,18 +13,23 @@ from obkit.intlinalg import (
     IntMatrix,
     QuotientPresentation,
     _row_apply,
-    invariant_factors,
     smith_normal_form,
     solve,
 )
-from support import rand_unimodular, reference_row_apply
+from support import (
+    NON_SMITH_LATTICES,
+    det,
+    invariant_factors,
+    rand_unimodular,
+    reference_row_apply,
+)
 
 
 def check_snf(m):
     u, s, v = smith_normal_form(m)
     assert (u @ m @ v) == s
-    assert abs(u.det()) == 1
-    assert abs(v.det()) == 1
+    assert abs(det(u)) == 1
+    assert abs(det(v)) == 1
     diag = [s.entries[i][i] for i in range(min(m.rows, m.cols))]
     for i in range(m.rows):
         for j in range(m.cols):
@@ -45,7 +50,7 @@ def test_snf_identity():
 
 
 def test_snf_zero():
-    m = IntMatrix.zeros(2, 3)
+    m = IntMatrix([[0] * 3] * 2)
     _, s, _ = smith_normal_form(m)
     assert all(x == 0 for row in s.entries for x in row)
 
@@ -100,18 +105,11 @@ def test_coset_membership():
 def test_coset_reduce_is_homomorphism():
     rng = random.Random(29)
     p = QuotientPresentation(3, [(2, 0, 4), (0, 6, 2)])
-    mods = []
-    n = min(p.relations.rows, p.rank)
-    for i in range(p.rank):
-        d = p.diag[i] if i < n else 0
-        mods.append(d)
     for _ in range(300):
         x = [rng.randint(-30, 30) for _ in range(3)]
         y = [rng.randint(-30, 30) for _ in range(3)]
-        combined = []
-        for a, b, d in zip(p.reduce(x), p.reduce(y), mods):
-            combined.append((a + b) % d if d else a + b)
-        assert p.reduce([a + b for a, b in zip(x, y)]) == tuple(combined)
+        combined = p.reduce([a + b for a, b in zip(p.reduce(x), p.reduce(y))])
+        assert p.reduce([a + b for a, b in zip(x, y)]) == combined
 
 
 def test_dimension_errors():
@@ -157,7 +155,7 @@ def _matrices(max_rows=8, max_cols=8):
 def test_snf_matches_sympy(m):
     u, s, v = smith_normal_form(m)
     assert u @ m @ v == s
-    assert abs(u.det()) == 1 and abs(v.det()) == 1
+    assert abs(det(u)) == 1 and abs(det(v)) == 1
     expected = smith_normal_form_sympy(Matrix(m.entries), domain=ZZ)
     n = min(m.rows, m.cols)
     assert invariant_factors(m) == tuple(abs(expected[i, i]) for i in range(n))
@@ -192,5 +190,43 @@ def test_reduce_matches_dense_reference(m, data):
         for i, d in enumerate(p.diag):
             if d:
                 y[i] %= d
-        assert p.reduce(x) == tuple(y)
+        assert reference_row_apply(p.reduce(x), p.v) == tuple(y)
     assert p.reduce([0] * m.cols) == (0,) * m.cols
+
+
+def test_fixed_lattices_need_column_operations():
+    for rank, relations in NON_SMITH_LATTICES:
+        assert QuotientPresentation(rank, relations).v != IntMatrix.identity(rank)
+
+
+@st.composite
+def _lattices(draw):
+    """A relation lattice of rank at most 4: one of NON_SMITH_LATTICES or
+    up to four random relations."""
+    if draw(st.booleans()):
+        rank, relations = draw(st.sampled_from(NON_SMITH_LATTICES))
+    else:
+        rank = draw(st.integers(1, 4))
+        row = st.lists(st.integers(-6, 6), min_size=rank, max_size=rank)
+        relations = draw(st.lists(row, max_size=4))
+    return QuotientPresentation(rank, relations)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_lattices(), st.data())
+def test_reduce_is_the_canonical_representative_in_the_original_basis(p, data):
+    x = data.draw(st.lists(st.integers(-40, 40), min_size=p.rank, max_size=p.rank))
+    smith = list(reference_row_apply(x, p.v))
+    for i, d in enumerate(p.diag):
+        if d:
+            smith[i] %= d
+    rep = p.reduce(x)
+    # x @ V mod d names the coset and the representative maps onto it, so
+    # rep lies in x's coset and is the one choice with reduced Smith
+    # coordinates.
+    assert reference_row_apply(rep, p.v) == tuple(smith)
+    assert p.reduce(rep) == rep
+    relation = data.draw(st.lists(st.integers(-3, 3), min_size=p.relations.rows,
+                                  max_size=p.relations.rows))
+    shifted = [a + b for a, b in zip(x, reference_row_apply(relation, p.relations))]
+    assert p.reduce(shifted) == rep

@@ -250,6 +250,22 @@ def test_non_ascii_digits_are_positioned_errors():
             f"2:24: E230 element 'sigma': unexpected character {digit!r}"]
 
 
+def test_input_limits_are_positioned_errors():
+    big = "9" * 5000
+    cases = [
+        (GROUP_T + ' "paper": {"powers": ' + big + "}}",
+         "2:22: E100 integer has more than 640 digits"),
+        (GROUP_T + ' "elements": {"sigma": "t^' + big + '"}}',
+         "2:24: E230 element 'sigma': integer has more than 640 digits"),
+        (GROUP_T + ' "x": ' + "[" * 5000,
+         "2:70: E100 containers nest deeper than 64 levels"),
+    ]
+    for text, expected in cases:
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(text)
+        assert [d.render() for d in err.value.diagnostics] == [expected]
+
+
 def test_integer_at_end_of_input():
     cases = [
         ('{"paper": {"powers": 64', "1:24: E100 expected ',' or '}' in object"),

@@ -6,12 +6,13 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import Matrix
 
 from obkit import wh1
 from obkit.errors import RejectedError, UnsupportedError
 from obkit.gmodules import GModule, ModuleMap
-from obkit.groups import enumerate_elements, inverse, multiply
-from obkit.intlinalg import QuotientPresentation
+from obkit.groups import FactorSpec, GroupSpec, enumerate_elements, inverse, multiply
+from obkit.intlinalg import IntMatrix, QuotientPresentation
 from obkit.wh1 import (
     WhElement,
     WhOracle,
@@ -21,9 +22,12 @@ from obkit.wh1 import (
     wh_equal,
     wh_normal_form,
 )
+from obkit.words import parse_wh
 from support import (
+    NON_SMITH_LATTICES,
     f2_spec,
     rand_element,
+    rand_unimodular,
     reference_oracle_rows,
     trivial_module,
     zmod_spec,
@@ -429,3 +433,91 @@ def test_oracle_at_the_size_limit():
     oracle = oracle_wh_presentation(spec, trivial_module(spec, 1))
     assert oracle.presentation.rank == wh1.MAX_ORACLE_AMBIENT
     assert oracle.presentation.free_rank == wh1.MAX_ORACLE_AMBIENT - 1
+
+
+# -- coefficients on lattices whose Smith basis is not the module's -------
+
+def test_normal_form_reproducer_on_a_non_smith_lattice():
+    # Z^3 / <(4,2,4), (-1,0,0)>: the Smith form needs a column operation,
+    # so Smith coordinates (0,1,-13) are not a vector of the module.
+    spec = GroupSpec((FactorSpec.free("t"),))
+    module = trivial_module(spec, 3, [(4, 2, 4), (-1, 0, 0)])
+    x = parse_wh(module, "(1,5,-3)[t]")
+    assert str(x) == "(0,1,-11)[t]"
+    assert x == x.scale(1)
+    assert wh_normal_form(x) == x
+
+
+def _element_by_seed(spec):
+    return st.integers(0, 10**6).map(lambda seed: rand_element(random.Random(seed), spec))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(NON_SMITH_LATTICES), st.data())
+def test_normal_form_canonical_on_non_smith_lattices(lattice, data):
+    rank, relations = lattice
+    spec = zz2_spec()
+    module = trivial_module(spec, rank, relations)
+    coeff = st.lists(st.integers(-9, 9), min_size=rank, max_size=rank)
+    raw = data.draw(st.lists(st.tuples(coeff, _element_by_seed(spec)), max_size=5))
+    x = WhElement.build(module, raw)
+    assert wh_normal_form(x) == x
+    assert x.scale(1) == x
+    assert parse_wh(module, str(x)) == x
+    # A map onto the quotient by the image lattice is well defined;
+    # mapping the normal form equals normalizing the mapped pairs.
+    matrix = IntMatrix(data.draw(st.lists(coeff, min_size=rank, max_size=rank)))
+    target = trivial_module(spec, rank, [matrix.apply(r) for r in relations], name="B")
+    phi = ModuleMap(module, target, matrix)
+    assert phi.validate() is None
+    assert induced_map(phi, x) == WhElement.build(
+        target, [(matrix.apply(c), g) for c, g in raw])
+
+
+def _inverse(p: IntMatrix) -> IntMatrix:
+    return IntMatrix([[int(x) for x in row] for row in Matrix(p.entries).inv().tolist()])
+
+
+# (id, group orders, rank, relations, action): nontrivial actions on
+# lattices with V != I.
+NON_SMITH_ACTIONS = [
+    ("Z2-swap", (2,), 2, [(2, 2)], {"s": _swap(2)}),
+    ("Z3-cycle3", (3,), 3, [(1, 1, 1)], {"s": _cycle3(3)}),
+    ("Z4-rot4", (4,), 2, [(2, 2), (2, -2)], {"s": _rot4(2)}),
+    ("Z2xZ2-sign,swap", (2, 2), 2, [(4, 2), (2, 4)], {"s1": _sign(2), "s2": _swap(2)}),
+]
+
+
+@pytest.mark.parametrize("case", NON_SMITH_ACTIONS, ids=[c[0] for c in NON_SMITH_ACTIONS])
+def test_normal_form_sound_against_the_oracle_on_non_smith_lattices(case):
+    _, orders, rank, relations, action = case
+    spec = zmod_spec(*orders)
+    elements = enumerate_elements(spec)
+    assert QuotientPresentation(rank, relations).v != IntMatrix.identity(rank)
+    coeff = st.lists(st.integers(-9, 9), min_size=rank, max_size=rank)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 10**6), st.data())
+    def check(seed, data):
+        # Seed 0 keeps the listed basis; any other writes the module in
+        # the basis v -> P v for a random unimodular P.
+        p = rand_unimodular(random.Random(seed), rank) if seed else IntMatrix.identity(rank)
+        p_inv = _inverse(p)
+        module = GModule(spec, QuotientPresentation(rank, [p.apply(r) for r in relations]),
+                         action={g: p @ IntMatrix(m) @ p_inv for g, m in action.items()})
+        assert module.validate() is None
+        oracle = oracle_wh_presentation(spec, module)
+        raw = data.draw(st.lists(st.tuples(coeff, st.sampled_from(elements)), max_size=5))
+        x = WhElement.build(module, raw)
+        assert oracle.coords(WhElement(module, tuple(raw))) == oracle.coords(x)
+        assert wh_normal_form(x) == x
+        assert x.scale(1) == x
+        assert parse_wh(module, str(x)) == x
+        # A generator's action commutes with the abelian group's action.
+        phi = ModuleMap(module, module, module.action[spec.generator_names()[0]],
+                        equivariant=True)
+        assert phi.validate() is None
+        assert induced_map(phi, x) == WhElement.build(
+            module, [(phi.matrix.apply(c), g) for c, g in raw])
+
+    check()

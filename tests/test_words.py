@@ -2,13 +2,14 @@
 
 import pathlib
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obkit.groupring import DiagonalGen, ElementaryGen, RingElement
-from obkit.restricted_json import JsonError, Node, parse_json
+from obkit.restricted_json import MAX_DEPTH, MAX_INT_DIGITS, JsonError, Node, parse_json
 from obkit.wh1 import WhElement
 from obkit.words import (
     WordError,
@@ -280,3 +281,66 @@ def test_word_grammars_raise_only_word_error(text):
             parse()
         except WordError:
             pass
+
+
+# -- input limits: digit runs and nesting ------------------------------------
+
+BIG = "9" * 5000
+
+
+def _json_failure(text):
+    with pytest.raises(JsonError) as err:
+        parse_json(text)
+    return err.value.message, err.value.line, err.value.col
+
+
+def test_integer_digit_limit_in_json():
+    longest = "9" * MAX_INT_DIGITS
+    assert parse_json("[" + longest + "]").value[0].value == int(longest)
+    assert parse_json("-" + longest).value == -int(longest)
+    too_long = f"integer has more than {MAX_INT_DIGITS} digits"
+    for text, line, col in [("[1, " + longest + "9]", 1, 5),
+                            ('{"powers":\n  -' + BIG + "}", 2, 3), (BIG, 1, 1)]:
+        assert _json_failure(text) == (too_long, line, col)
+        assert _outcome(reference_parse_json, text) == (too_long, line, col)
+
+
+def test_integer_digit_limit_holds_under_the_strictest_interpreter_setting():
+    # 640 is the smallest value int_max_str_digits takes (besides 0, no
+    # limit), so every literal within the limit converts under any setting.
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert parse_json("9" * MAX_INT_DIGITS).value == int("9" * MAX_INT_DIGITS)
+        assert parse_ring(zz2_spec(), "9" * MAX_INT_DIGITS + "*t").terms
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_nesting_limit_in_json():
+    deepest = "[" * MAX_DEPTH + "]" * MAX_DEPTH
+    assert parse_json(deepest).kind == "array"
+    assert _outcome(reference_parse_json, deepest) == repr(parse_json(deepest))
+    too_deep = f"containers nest deeper than {MAX_DEPTH} levels"
+    mixed = '{"a": ' * (MAX_DEPTH - 1) + '\n [{"b": 1}]' + "}" * (MAX_DEPTH - 1)
+    for text, line, col in [("[" * (MAX_DEPTH + 1) + "]" * (MAX_DEPTH + 1), 1, MAX_DEPTH + 1),
+                            ("[" * 5000, 1, MAX_DEPTH + 1), (mixed, 2, 3)]:
+        assert _json_failure(text) == (too_deep, line, col)
+        assert _outcome(reference_parse_json, text) == (too_deep, line, col)
+
+
+def test_integer_digit_limit_in_word_grammars():
+    spec = zz2_spec()
+    module = trivial_module(spec, 2)
+    too_long = f"integer has more than {MAX_INT_DIGITS} digits"
+    for parse, text, pos in [
+        (lambda t: parse_word(spec, t), "t^" + BIG, 2),
+        (lambda t: parse_word(spec, t), "s * t^-" + BIG, 7),
+        (lambda t: parse_ring(spec, t), "1 + " + "9" * (MAX_INT_DIGITS + 1) + "*t", 4),
+        (lambda t: parse_wh(module, t), "(1," + BIG + ")[t]", 3),
+        (lambda t: parse_generator_sequence(spec, 2, t), "D(" + BIG + ',"t")', 2),
+    ]:
+        with pytest.raises(WordError) as err:
+            parse(text)
+        assert (err.value.message, err.value.pos) == (too_long, pos)
+    assert parse_wh(module, "(" + "9" * MAX_INT_DIGITS + ",0)[t]").terms
