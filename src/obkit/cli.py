@@ -29,7 +29,6 @@ from .obstruction import (
     circle_conclusion,
     clam_double,
     involution,
-    power_report,
     retraction_invariant,
     stable_obstruction,
     stable_sum,
@@ -53,26 +52,6 @@ class Report:
 
     def render(self) -> str:
         return "".join(f"{key}: {value}\n" for key, value in self.lines)
-
-
-def _compress_range(flags) -> str:
-    """Render the true positions of 1-based flags as comma-joined runs."""
-    runs = []
-    start = None
-    prev = None
-    for n, ok in flags:
-        if ok:
-            if start is None:
-                start = n
-            prev = n
-        elif start is not None:
-            runs.append((start, prev))
-            start = None
-    if start is not None:
-        runs.append((start, prev))
-    if not runs:
-        return "none"
-    return ",".join(f"{a}..{b}" if a != b else str(a) for a, b in runs)
 
 
 # -- builtin tokens for the oracle command -------------------------------
@@ -296,8 +275,7 @@ def _cmd_report_paper(scenario: Scenario, args) -> Report:
         value = chi_eval(cocycle, a, b, c)
         lines.append(("CHI_MAIN", str(value)))
         lines.append(("CHI_RETRACTED", str(induced_map(phi, value))))
-        lines.append(("RETRACTION_KILLS_CHI",
-                      _bool(retraction_kills_chi(phi, cocycle, a, b, c))))
+        lines.append(("RETRACTION_KILLS_CHI", _bool(retraction_kills_chi(phi, cocycle))))
     eps = involution(lens)
     lines.append(("EPS_MAIN", str(eps.main)))
     if eps.note != lens.note:
@@ -309,17 +287,23 @@ def _cmd_report_paper(scenario: Scenario, args) -> Report:
     lines.append(("STABLE_DOUBLE_MAIN", str(stable_d)))
     single = PseudoisotopyClass((lens,), boundary=False, note=cfg.lens)
     lines.append(("RHO_G", str(retraction_invariant(single, phi))))
-    lines.append(("RHO_DOUBLE", str(retraction_invariant(double, phi))))
-    powers = power_report(double, phi, cfg.powers)
-    lines.append(("POWERS_NONTRIVIAL", _compress_range(powers.entries)))
+    circle = circle_conclusion(double, phi)
+    lines.append(("RHO_DOUBLE", str(circle.rho)))
+    lines.append(("POWERS_NONTRIVIAL", _power_range(circle.all_powers_nontrivial, cfg.powers)))
     lines.append(("POWERS_SHORTCUT",
                   "rho != 0 in a free abelian group, so n*rho != 0 for all n >= 1"
-                  if powers.shortcut_nonzero else "rho = 0, so every power is 0"))
-    circle = circle_conclusion(double, phi)
-    lines.append(("CIRCLE", "nontrivial" if circle.status == "nontrivial" else circle.status))
+                  if circle.all_powers_nontrivial else "rho = 0, so every power is 0"))
+    lines.append(("CIRCLE", circle.status))
     lines.append(("CIRCLE_PSEUDOISOTOPIC_TO_IDENTITY", _bool(circle.pseudoisotopic_to_identity)))
     lines.append(("CIRCLE_WITNESS", circle.witness))
     return Report(tuple(lines))
+
+
+def _power_range(nontrivial: bool, powers: int) -> str:
+    """The powers n = 1..powers that are nontrivial: all of them or none."""
+    if not nontrivial or powers < 1:
+        return "none"
+    return "1" if powers == 1 else f"1..{powers}"
 
 
 def _coeff_str(x: WhElement) -> str:

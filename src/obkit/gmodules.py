@@ -121,9 +121,6 @@ class GModule:
     def zero(self) -> ModuleElement:
         return ModuleElement(self, (0,) * self.rank)
 
-    def reduce(self, coords) -> tuple:
-        return self.presentation.reduce(coords)
-
     def _basis(self):
         k = self.rank
         return [tuple(1 if i == j else 0 for j in range(k)) for i in range(k)]
@@ -146,7 +143,11 @@ class GModule:
         )
 
     def _invert_on_quotient(self, m: IntMatrix) -> IntMatrix | None:
-        """A matrix x with m @ x congruent to the identity, or None."""
+        """A matrix x with m @ x congruent to the identity, or None.
+
+        When m preserves the relation lattice, x @ m is congruent to the
+        identity too: m is then a surjective endomorphism of a finitely
+        generated abelian group, hence injective, so x is its inverse."""
         k = self.rank
         rel = self.presentation.relations.entries
         sys_rows = [
@@ -204,8 +205,6 @@ class GModule:
                 inv = self._invert_on_quotient(m)
                 if inv is None:
                     return f"action of {gen!r} is not invertible on the quotient"
-                if not (self._congruent(m @ inv, ident) and self._congruent(inv @ m, ident)):
-                    return f"action of {gen!r} has an inconsistent inverse"
                 inverses[gen] = inv
             if factor.kind == "abelian" and gi >= factor.free_rank:
                 order = factor.torsion[gi - factor.free_rank]

@@ -1,7 +1,7 @@
 """Index-tagged lens obstruction classes and their sign calculus: the
 upside-down involution, positive/negative suspension, the stabilized
-invariant (-1)^k * lambda, retraction values, power nontriviality, and
-the mapping-circle conclusion rule.
+invariant (-1)^k * lambda, retraction values, and the mapping-circle
+conclusion rule with its verdict on every power.
 
 The framing component (Z/2 coefficients) is carried through every
 operation with the same sign rules but only ever set from scenario
@@ -13,15 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ContextError, RejectedError
-from .gmodules import GModule, ModuleElement, ModuleMap
-from .groups import GroupElement, GroupSpec
-from .intlinalg import QuotientPresentation
+from .gmodules import ModuleElement, ModuleMap
+from .groups import GroupElement
 from .wh1 import WhElement, induced_map
 
 __all__ = [
     "LensClass",
     "PseudoisotopyClass",
-    "framing_module",
     "make_lens",
     "involution",
     "stable_obstruction",
@@ -29,24 +27,11 @@ __all__ = [
     "clam_double",
     "stable_sum",
     "retraction_invariant",
-    "PowerReport",
-    "power_report",
     "CircleReport",
     "circle_conclusion",
 ]
 
 _EXTRAPOLATED = "paper-extrapolated: involution on nontrivial-action coefficients"
-
-_framing_cache: dict[GroupSpec, GModule] = {}
-
-
-def framing_module(spec: GroupSpec) -> GModule:
-    """The trivial-action Z/2 coefficient module shared per group."""
-    mod = _framing_cache.get(spec)
-    if mod is None:
-        mod = GModule(spec, QuotientPresentation(1, [(2,)]), name="Z2")
-        _framing_cache[spec] = mod
-    return mod
 
 
 @dataclass(frozen=True)
@@ -87,9 +72,9 @@ class PseudoisotopyClass:
                 raise ContextError("pieces use different framing modules")
 
 
-def make_lens(alpha: ModuleElement, sigma: GroupElement, k: int = 1, n: int = 3,
-              framing: WhElement | None = None, note: str = "") -> LensClass:
-    """A lens realizing the obstruction alpha[sigma]; framing defaults to 0."""
+def make_lens(alpha: ModuleElement, sigma: GroupElement, framing: WhElement,
+              k: int = 1, n: int = 3, note: str = "") -> LensClass:
+    """A lens realizing the obstruction alpha[sigma] with the given framing part."""
     if sigma.is_identity:
         raise RejectedError(
             "sigma must be nontrivial: the bracket at the identity vanishes by definition"
@@ -97,8 +82,6 @@ def make_lens(alpha: ModuleElement, sigma: GroupElement, k: int = 1, n: int = 3,
     if sigma.spec != alpha.module.spec:
         raise ContextError("sigma and alpha live over different groups")
     main = WhElement.build(alpha.module, [(alpha, sigma)])
-    if framing is None:
-        framing = WhElement.zero(framing_module(sigma.spec))
     return LensClass(n=n, k=k, framing=framing, main=main, note=note)
 
 
@@ -181,33 +164,6 @@ def retraction_invariant(p: PseudoisotopyClass, r: ModuleMap) -> WhElement:
 
 
 @dataclass(frozen=True)
-class PowerReport:
-    """Per-power nontriviality of the retraction invariant."""
-
-    rho: WhElement
-    shortcut_nonzero: bool
-    entries: tuple[tuple[int, bool], ...]
-
-    @property
-    def all_nontrivial(self) -> bool:
-        return all(flag for _, flag in self.entries)
-
-
-def power_report(p: PseudoisotopyClass, r: ModuleMap, n_max: int) -> PowerReport:
-    """Nontriviality of n*rho for n = 1..n_max.
-
-    The coefficient group is free abelian on nontrivial conjugacy
-    classes, so rho != 0 already decides every power; each power is
-    nevertheless computed explicitly.
-    """
-    rho = retraction_invariant(p, r)
-    entries = tuple(
-        (n, not rho.scale(n).is_zero) for n in range(1, n_max + 1)
-    )
-    return PowerReport(rho=rho, shortcut_nonzero=not rho.is_zero, entries=entries)
-
-
-@dataclass(frozen=True)
 class CircleReport:
     """Conclusion for the mapping circle obtained by gluing the ends."""
 
@@ -223,23 +179,18 @@ def circle_conclusion(p: PseudoisotopyClass, r: ModuleMap) -> CircleReport:
 
     A nonzero invariant certifies a mapping class on the circle product
     that is nontrivial with all powers nontrivial, yet pseudoisotopic to
-    the identity via the suspension witness.
+    the identity via the suspension witness.  The powers need no check of
+    their own: the retraction target is certified trivial-action Z, so
+    rho lies in a free abelian group, where n*rho != 0 exactly when
+    rho != 0, for every n >= 1.
     """
     if not p.boundary:
         raise RejectedError("closing the ends requires the identity on both ends")
     rho = retraction_invariant(p, r)
-    if rho.is_zero:
-        return CircleReport(
-            status="inconclusive by this invariant",
-            rho=rho,
-            all_powers_nontrivial=False,
-            pseudoisotopic_to_identity=True,
-            witness="positive suspension of the generating lens",
-        )
     return CircleReport(
-        status="nontrivial",
+        status="inconclusive by this invariant" if rho.is_zero else "nontrivial",
         rho=rho,
-        all_powers_nontrivial=True,
+        all_powers_nontrivial=not rho.is_zero,
         pseudoisotopic_to_identity=True,
         witness="positive suspension of the generating lens",
     )

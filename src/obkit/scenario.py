@@ -10,6 +10,7 @@ list of positioned diagnostics; there is no partial acceptance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .chi import Cocycle, FiniteQuotient, verify_cocycle
 from .errors import ContextError, DimensionError, ObkitError, RejectedError
@@ -17,8 +18,9 @@ from .gmodules import GModule, ModuleMap
 from .groupring import InvertiblePair, build_invertible
 from .groups import FactorSpec, GroupElement, GroupSpec
 from .intlinalg import QuotientPresentation
-from .obstruction import LensClass, framing_module, make_lens
+from .obstruction import LensClass, make_lens
 from .restricted_json import JsonError, Node, parse_json
+from .wh1 import WhElement
 from .words import WordError, parse_generator_sequence, parse_wh, parse_word
 
 __all__ = ["Diagnostic", "ScenarioError", "Scenario", "parse_scenario", "load_scenario"]
@@ -80,9 +82,11 @@ class Scenario:
     assertions: tuple[str, ...] = ()
     paper: PaperConfig | None = None
 
-    @property
+    @cached_property
     def framing(self) -> GModule:
-        return framing_module(self.spec)
+        """The trivial-action Z/2 module of every lens's framing part,
+        built on first use and shared by the scenario's lenses."""
+        return GModule(self.spec, QuotientPresentation(1, [(2,)]), name="Z2")
 
 
 class _Resolver:
@@ -547,7 +551,7 @@ class _Resolver:
                 continue
             k = self.get_int(lobj, "k", lnode, required=False, default=1)
             n = self.get_int(lobj, "n", lnode, required=False, default=3)
-            framing = None
+            framing = WhElement.zero(scenario.framing)
             if "framing" in lobj:
                 fnode = lobj["framing"]
                 if fnode.kind != "string":
@@ -559,8 +563,8 @@ class _Resolver:
                     self.diag(fnode, "E230", f"framing: {err.message}")
                     continue
             try:
-                scenario.lenses[name] = make_lens(alpha, sigma, k=k, n=n,
-                                                  framing=framing, note=name)
+                scenario.lenses[name] = make_lens(alpha, sigma, framing, k=k, n=n,
+                                                  note=name)
             except (RejectedError, ContextError) as err:
                 self.diag(lnode, "E244", f"lens {name!r}: {err}")
 

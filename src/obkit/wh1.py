@@ -34,7 +34,6 @@ from .intlinalg import QuotientPresentation
 
 __all__ = [
     "WhElement",
-    "wh_normal_form",
     "induced_map",
     "detect_nontrivial",
     "WhOracle",
@@ -87,7 +86,7 @@ class WhElement:
                 slot[i] += x
         terms = []
         for rep, coords in acc.items():
-            red = module.reduce(coords)
+            red = module.presentation.reduce(coords)
             if any(red):
                 terms.append((red, rep))
         terms.sort(key=lambda t: element_sort_key(t[1]))
@@ -160,11 +159,6 @@ class WhElement:
 
     def __repr__(self):
         return f"WhElement({self})"
-
-
-def wh_normal_form(x: WhElement) -> WhElement:
-    """Renormalize; idempotent on already-canonical elements."""
-    return WhElement.build(x.module, x.terms)
 
 
 def induced_map(phi: ModuleMap, x: WhElement) -> WhElement:

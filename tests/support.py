@@ -1,19 +1,23 @@
 """Shared builders for the test suite: group specs, random elements,
-trivial-action modules, random certified matrices, and reference
-implementations (cocycle check, all-elements Wh oracle relations, dense
-row-vector product, character-by-character JSON parser) that fast paths
-are checked against."""
+trivial-action modules, framing modules, random certified matrices,
+reference implementations (cocycle check, all-elements Wh oracle
+relations, dense row-vector product, character-by-character JSON parser)
+that fast paths are checked against, and the identities Wh normalization
+and chi must satisfy."""
 
 from __future__ import annotations
 
+import functools
 import random
 
+from obkit.chi import chi_eval, pushforward
 from obkit.gmodules import GModule
 from obkit.groupring import DiagonalGen, ElementaryGen, RingElement, build_invertible
 from obkit.groups import FactorSpec, GroupSpec, enumerate_elements, inverse, multiply
 from obkit.errors import DimensionError
 from obkit.intlinalg import IntMatrix, QuotientPresentation, smith_normal_form
 from obkit.restricted_json import MAX_DEPTH, MAX_INT_DIGITS, JsonError, Node
+from obkit.wh1 import WhElement, induced_map
 
 
 def f2_spec() -> GroupSpec:
@@ -76,6 +80,33 @@ NON_SMITH_LATTICES = (
 
 def trivial_module(spec: GroupSpec, rank: int, relations=(), name: str = "A") -> GModule:
     return GModule(spec, QuotientPresentation(rank, relations), name=name)
+
+
+@functools.cache
+def framing_module(spec: GroupSpec) -> GModule:
+    """One trivial-action Z/2 framing module per group spec, shared by the
+    lenses a test builds over it."""
+    return GModule(spec, QuotientPresentation(1, [(2,)]), name="Z2")
+
+
+def zero_framing(spec: GroupSpec) -> WhElement:
+    return WhElement.zero(framing_module(spec))
+
+
+def wh_normal_form(x: WhElement) -> WhElement:
+    """Renormalize; idempotent on already-canonical elements."""
+    return WhElement.build(x.module, x.terms)
+
+
+def chi_naturality_check(phi, c, a, b, cm, d=None, q_action=None) -> bool:
+    """phi_* of chi for c equals chi for the pushed-forward cocycle.
+
+    This holds identically at the chain level; a False return indicates
+    a defect.
+    """
+    lhs = induced_map(phi, chi_eval(c, a, b, cm, d))
+    rhs = chi_eval(pushforward(phi, c, q_action=q_action), a, b, cm, d)
+    return lhs == rhs
 
 
 def rand_ring(rng: random.Random, spec: GroupSpec, support: int = 2) -> RingElement:
@@ -196,7 +227,7 @@ def reference_verify_cocycle(c):
                         + c.value(g, h, q)[i]
                         for i in range(k)
                     ]
-                    if any(module.reduce(total)):
+                    if any(module.presentation.reduce(total)):
                         return (g, h, q, l)
     return None
 

@@ -26,6 +26,7 @@ from obkit.obstruction import involution, make_lens, stable_obstruction, suspend
 from obkit.scenario import load_scenario
 from obkit.wh1 import WhElement, oracle_wh_presentation
 from support import (
+    chi_naturality_check,
     det,
     f2_spec,
     invariant_factors,
@@ -34,6 +35,7 @@ from support import (
     rand_invertible,
     rand_unimodular,
     trivial_module,
+    zero_framing,
     zmod_spec,
     zz2_spec,
 )
@@ -187,7 +189,7 @@ def test_criterion_4_chi_identities():
         # reached by both generators
         a_mod = trivial_module(spec, 2, name="A")
         b_mod = trivial_module(spec, 1, name="B")
-        from obkit.chi import FiniteQuotient, chi_naturality_check
+        from obkit.chi import FiniteQuotient
 
         qspec = quotient.target
         reach = FiniteQuotient(spec, qspec,
@@ -270,7 +272,7 @@ def test_criterion_6_sign_calculus():
             if sigma.is_identity:
                 continue
             coords = (rng.randint(-3, 3), rng.randint(-3, 3))
-            lens = make_lens(pi2.element(coords), sigma)
+            lens = make_lens(pi2.element(coords), sigma, zero_framing(spec))
             eps = involution(lens)
             assert eps.main == WhElement.build(
                 pi2, [([-c for c in coords], inverse(sigma))])

@@ -11,7 +11,6 @@ from obkit.chi import (
     Cocycle,
     FiniteQuotient,
     chi_eval,
-    chi_naturality_check,
     coboundary,
     linearize_eval,
     pushforward,
@@ -25,6 +24,7 @@ from obkit.groups import FactorSpec, GroupSpec
 from obkit.intlinalg import QuotientPresentation
 from obkit.wh1 import WhElement, induced_map
 from support import (
+    chi_naturality_check,
     rand_invertible,
     rand_ring,
     reference_verify_cocycle,
@@ -333,14 +333,59 @@ def test_retraction_kills_chi():
     b = rand_invertible(rng, spec, 2)
     c = rand_invertible(rng, spec, 2)
     # all shipped table values lie in the kernel of r
-    assert retraction_kills_chi(r, cocycle, a, b, c)
+    assert retraction_kills_chi(r, cocycle)
+    assert chi_eval(pushforward(r, cocycle), a, b, c).is_zero
     # the zero map kills anything
     zero_map = ModuleMap(pi2, z, [[0, 0, 0]], equivariant=True)
-    assert retraction_kills_chi(zero_map, cocycle, a, b, c)
+    assert retraction_kills_chi(zero_map, cocycle)
+    assert chi_eval(pushforward(zero_map, cocycle), a, b, c).is_zero
     # a map that does not kill the table is reported as uncovered
     leaky = ModuleMap(pi2, z, [[0, 1, 0]])
-    with pytest.raises(RejectedError):
-        retraction_kills_chi(leaky, cocycle, a, b, c)
+    with pytest.raises(RejectedError, match="pushed-forward table is nonzero"):
+        retraction_kills_chi(leaky, cocycle)
+    # a nontrivial-action target is refused as pushforward refuses it
+    self_zero = ModuleMap(pi2, pi2, [[0] * 3] * 3, equivariant=True)
+    with pytest.raises(RejectedError, match="nontrivial-action target"):
+        retraction_kills_chi(self_zero, cocycle)
+    with pytest.raises(RejectedError, match="nontrivial-action target"):
+        pushforward(self_zero, cocycle)
+
+
+def test_retraction_kills_chi_randomized():
+    # whenever the table check passes, chi of the pushed cocycle vanishes
+    rng = random.Random(101)
+    spec = zz2_spec()
+    a_mod = trivial_module(spec, 2, name="A")
+    b_mod = trivial_module(spec, 1, name="B")
+    qspec = GroupSpec((FactorSpec.abelian(("q",), torsion=[2]),))
+    quotient = FiniteQuotient(spec, qspec,
+                              {"t": qspec.generator("q"), "s": qspec.generator("q")})
+    elems = quotient.elements()
+    killed = leaked = 0
+    for _ in range(40):
+        # 2-cochain values on the line through v, so the table lies on it
+        v = (rng.randint(-2, 2), rng.randint(-2, 2))
+        two = {}
+        for _ in range(rng.randint(1, 3)):
+            m = rng.randint(-2, 2)
+            two[(rng.choice(elems), rng.choice(elems))] = (m * v[0], m * v[1])
+        c = coboundary(quotient, a_mod, two)
+        w = rng.randint(1, 2)
+        row = [w * v[1], -w * v[0]] if rng.random() < 0.7 else [rng.randint(-2, 2),
+                                                               rng.randint(-2, 2)]
+        phi = ModuleMap(a_mod, b_mod, [row])
+        n = rng.choice([2, 3])
+        mats = [rand_invertible(rng, spec, n) for _ in range(3)]
+        try:
+            assert retraction_kills_chi(phi, c)
+        except RejectedError:
+            leaked += 1
+            assert any(b_mod.presentation.reduce(phi.matrix.apply(val))
+                       for val in c.table.values())
+            continue
+        killed += 1
+        assert chi_eval(pushforward(phi, c), *mats).is_zero
+    assert killed and leaked
 
 
 def test_chi_consistency_with_retracted_evaluation():

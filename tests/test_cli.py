@@ -1,5 +1,6 @@
 """CLI dispatch, exit statuses and byte-determinism of reports."""
 
+import collections
 import hashlib
 import json
 import os
@@ -8,8 +9,9 @@ import subprocess
 import sys
 
 import obkit
-from obkit import gmodules, obstruction, wh1
+from obkit import chi, cli, gmodules, obstruction, wh1
 from obkit.cli import MAX_ORACLE_PAIRS, main
+from obkit.scenario import load_scenario
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 F2 = str(SCENARIOS / "paper_f2.json")
@@ -255,6 +257,66 @@ def test_report_paper_checks_the_retraction_once(capsys, monkeypatch):
         status, _ = run_main(capsys, "--scenario", str(SCENARIOS / name), "report-paper")
         assert status == 0
         assert calls == ["r"], name
+
+
+def _count_calls(monkeypatch, module, name, layers, calls):
+    """Count calls of ``module.name`` in every layer that holds the name."""
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    for layer in layers:
+        if hasattr(layer, name):
+            monkeypatch.setattr(layer, name, counted)
+
+
+def test_report_paper_computes_each_value_once(capsys, monkeypatch):
+    calls = collections.Counter()
+    _count_calls(monkeypatch, obstruction, "retraction_invariant", (obstruction, cli), calls)
+    _count_calls(monkeypatch, chi, "chi_eval", (chi, cli), calls)
+    for name in PAPER_FIXTURES:
+        calls.clear()
+        status, _ = run_main(capsys, "--scenario", str(SCENARIOS / name), "report-paper")
+        assert status == 0
+        assert calls == {"retraction_invariant": 2, "chi_eval": 1}, name
+
+
+def test_report_paper_power_line_does_not_scale_with_powers(capsys, monkeypatch, tmp_path):
+    calls = collections.Counter()
+    real = wh1.WhElement.scale
+
+    def counted(self, n):
+        calls["scale"] += 1
+        return real(self, n)
+
+    monkeypatch.setattr(wh1.WhElement, "scale", counted)
+    data = json.loads(pathlib.Path(F2).read_text())
+    first = None
+    for powers, expected in ((0, "none"), (1, "1"), (2, "1..2"),
+                             (10**9, "1..1000000000")):
+        data["paper"]["powers"] = powers
+        path = tmp_path / f"powers_{powers}.json"
+        path.write_text(json.dumps(data))
+        calls.clear()
+        status, out = run_main(capsys, "--scenario", str(path), "report-paper")
+        assert status == 0
+        assert f"POWERS_NONTRIVIAL: {expected}\n" in out
+        first = calls["scale"] if first is None else first
+        assert calls["scale"] == first, powers
+
+
+def test_retraction_kills_chi_on_the_fixtures():
+    # the table check stands in for chi of the pushed cocycle, which vanishes
+    for name in PAPER_FIXTURES:
+        scenario = load_scenario(SCENARIOS / name)
+        cfg = scenario.paper
+        cocycle = scenario.cocycles[cfg.cocycle]
+        phi = scenario.maps[cfg.retraction]
+        mats = [scenario.matrices[m] for m in cfg.matrices]
+        assert chi.retraction_kills_chi(phi, cocycle), name
+        assert chi.chi_eval(chi.pushforward(phi, cocycle), *mats).is_zero, name
 
 
 def test_exit_status_oversized_input(tmp_path):

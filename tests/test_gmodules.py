@@ -1,5 +1,6 @@
 """G-module actions, validation and coefficient maps."""
 
+import math
 import random
 
 import pytest
@@ -14,8 +15,15 @@ from obkit.gmodules import (
     check_equivariant,
 )
 from obkit.groups import inverse, multiply
-from obkit.intlinalg import QuotientPresentation
-from support import NON_SMITH_LATTICES, rand_element, trivial_module, zz2_spec, zz6_spec
+from obkit.intlinalg import IntMatrix, QuotientPresentation
+from support import (
+    NON_SMITH_LATTICES,
+    rand_element,
+    trivial_module,
+    tu_spec,
+    zz2_spec,
+    zz6_spec,
+)
 
 SWAP = [[0, 1], [1, 0]]
 
@@ -183,3 +191,54 @@ def test_module_element_holds_its_canonical_representative(lattice, data):
              for i, x in enumerate(e.coords)]
     assert ModuleElement(mod, moved).coords == e.coords
     assert (e - e).is_zero
+
+
+@st.composite
+def _preserving_pairs(draw):
+    """A relation lattice L = P*D*Z^k of rank k <= 3 (P unimodular, D
+    diagonal) and a matrix m = P*N*P^-1 with N*D*Z^k inside D*Z^k, so
+    that m preserves L."""
+    k = draw(st.integers(1, 3))
+    d = draw(st.lists(st.sampled_from([0, 1, 2, 3, 4, 6]), min_size=k, max_size=k))
+    p = [[int(i == j) for j in range(k)] for i in range(k)]
+    p_inv = [row[:] for row in p]
+    for _ in range(draw(st.integers(0, 6)) if k > 1 else 0):
+        i = draw(st.integers(0, k - 1))
+        j = draw(st.integers(0, k - 1).filter(lambda x: x != i))
+        c = draw(st.integers(-2, 2))
+        # P <- (I + c*e_ij) P and P^-1 <- P^-1 (I - c*e_ij)
+        p[i] = [a + c * b for a, b in zip(p[i], p[j])]
+        for row in p_inv:
+            row[j] -= c * row[i]
+    n = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(k):
+            x = draw(st.integers(-3, 3))
+            if d[j] and not d[i]:
+                x = 0
+            elif d[j]:
+                x *= d[i] // math.gcd(d[i], d[j])
+            n[i][j] = x
+    relations = [tuple(p[i][j] * d[j] for i in range(k)) for j in range(k) if d[j]]
+    if len(relations) > 1:
+        relations.append(tuple(a + b for a, b in zip(relations[0], relations[1])))
+    m = IntMatrix(p) @ IntMatrix(n) @ IntMatrix(p_inv)
+    return k, relations, m
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_preserving_pairs())
+def test_inverse_on_quotient_is_two_sided(args):
+    # m preserves the lattice, so an inverse with m @ inv = I on the quotient
+    # is an inverse on both sides: action_violation checks only invertibility
+    k, relations, m = args
+    spec = tu_spec()
+    mod = GModule(spec, QuotientPresentation(k, relations), action={"t": m})
+    assert all(mod.presentation.is_zero(m.apply(r)) for r in relations)
+    inv = mod._invert_on_quotient(m)
+    assert (mod.validate() is None) == (inv is not None)
+    if inv is not None:
+        ident = IntMatrix.identity(k)
+        assert mod._congruent(m @ inv, ident)
+        assert mod._congruent(inv @ m, ident)
+        assert mod._congruent(mod._inverse["t"] @ m, ident)

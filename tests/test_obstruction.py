@@ -14,17 +14,22 @@ from obkit.obstruction import (
     PseudoisotopyClass,
     circle_conclusion,
     clam_double,
-    framing_module,
     involution,
     make_lens,
-    power_report,
     retraction_invariant,
     stable_obstruction,
     stable_sum,
     suspend,
 )
 from obkit.wh1 import WhElement
-from support import rand_element, trivial_module, tu_spec, zz2_spec
+from support import (
+    framing_module,
+    rand_element,
+    trivial_module,
+    tu_spec,
+    zero_framing,
+    zz2_spec,
+)
 
 
 def paper_setup(spec=None):
@@ -33,7 +38,7 @@ def paper_setup(spec=None):
     z = trivial_module(spec, 1, name="Z")
     r = ModuleMap(pi2, z, [[1, 0]], equivariant=True, name="r")
     sigma = spec.generator(spec.generator_names()[-1])
-    lens = make_lens(pi2.elements["alpha"], sigma)
+    lens = make_lens(pi2.elements["alpha"], sigma, zero_framing(spec))
     return spec, pi2, z, r, sigma, lens
 
 
@@ -66,16 +71,16 @@ def test_make_lens_paper_value():
 def test_make_lens_rejections():
     spec, pi2, _, _, sigma, _ = paper_setup()
     with pytest.raises(RejectedError):
-        make_lens(pi2.elements["alpha"], spec.identity())
+        make_lens(pi2.elements["alpha"], spec.identity(), zero_framing(spec))
     with pytest.raises(RejectedError):
-        make_lens(pi2.elements["alpha"], sigma, k=0, n=3)
+        make_lens(pi2.elements["alpha"], sigma, zero_framing(spec), k=0, n=3)
     with pytest.raises(RejectedError):
-        make_lens(pi2.elements["alpha"], sigma, k=3, n=3)
+        make_lens(pi2.elements["alpha"], sigma, zero_framing(spec), k=3, n=3)
 
 
 def test_make_lens_linear_coefficient():
-    _, pi2, _, _, sigma, _ = paper_setup()
-    doubled = make_lens(2 * pi2.elements["alpha"], sigma)
+    spec, pi2, _, _, sigma, _ = paper_setup()
+    doubled = make_lens(2 * pi2.elements["alpha"], sigma, zero_framing(spec))
     assert doubled.main == WhElement.build(pi2, [((2, 0), sigma)])
 
 
@@ -88,8 +93,7 @@ def test_involution_paper_case():
 
 def test_involution_zero_main():
     spec, pi2, _, _, sigma, _ = paper_setup()
-    lens = LensClass(n=3, k=1, framing=WhElement.zero(framing_module(spec)),
-                     main=WhElement.zero(pi2))
+    lens = LensClass(n=3, k=1, framing=zero_framing(spec), main=WhElement.zero(pi2))
     eps = involution(lens)
     assert eps.main.is_zero and eps.k == 2
 
@@ -107,7 +111,7 @@ def test_involution_flags_nontrivial_action():
     spec = zz2_spec()
     swap = GModule(spec, QuotientPresentation(2), action={"s": [[0, 1], [1, 0]]},
                    elements={"alpha": (1, 0)})
-    lens = make_lens(swap.elements["alpha"], spec.generator("s"))
+    lens = make_lens(swap.elements["alpha"], spec.generator("s"), zero_framing(spec))
     assert "paper-extrapolated" in involution(lens).note
     trivial_case = paper_setup()[5]
     assert "paper-extrapolated" not in involution(trivial_case).note
@@ -167,8 +171,7 @@ def test_clam_double_rejects_other_configurations():
 
 def test_clam_double_zero_alpha():
     spec, pi2, _, r, sigma, _ = paper_setup()
-    zero_lens = LensClass(n=3, k=1, framing=WhElement.zero(framing_module(spec)),
-                          main=WhElement.zero(pi2))
+    zero_lens = LensClass(n=3, k=1, framing=zero_framing(spec), main=WhElement.zero(pi2))
     _, main = stable_sum(clam_double(zero_lens))
     assert main.is_zero
 
@@ -176,7 +179,7 @@ def test_clam_double_zero_alpha():
 def test_order_two_sigma_combines():
     spec = zz2_spec()
     pi2 = GModule(spec, QuotientPresentation(2), elements={"alpha": (1, 0)}, name="pi2")
-    lens = make_lens(pi2.elements["alpha"], spec.generator("s"))
+    lens = make_lens(pi2.elements["alpha"], spec.generator("s"), zero_framing(spec))
     _, main = stable_sum(clam_double(lens))
     assert main == WhElement.build(pi2, [((-2, 0), spec.generator("s"))])
 
@@ -218,17 +221,44 @@ def test_retraction_additive_over_pieces():
 
 
 def test_power_report():
+    # the power verdict is read off rho; each power is checked here
     _, pi2, _, r, sigma, lens = paper_setup()
     double = clam_double(lens)
-    report = power_report(double, r, 64)
-    assert report.shortcut_nonzero
-    assert len(report.entries) == 64
-    assert report.all_nontrivial
+    report = circle_conclusion(double, r)
+    assert not report.rho.is_zero
+    assert report.all_powers_nontrivial
+    assert all(not report.rho.scale(n).is_zero for n in range(1, 65))
     zero_lens = LensClass(n=3, k=1, framing=lens.framing,
                           main=WhElement.zero(pi2))
-    zero_report = power_report(clam_double(zero_lens), r, 8)
-    assert not zero_report.shortcut_nonzero
-    assert not any(flag for _, flag in zero_report.entries)
+    zero_report = circle_conclusion(clam_double(zero_lens), r)
+    assert zero_report.rho.is_zero
+    assert not zero_report.all_powers_nontrivial
+    assert all(zero_report.rho.scale(n).is_zero for n in range(1, 9))
+
+
+def test_power_verdict_matches_every_power_randomized():
+    # rho lies in a free abelian group, so n*rho vanishes exactly when rho does
+    rng = random.Random(113)
+    spec = zz2_spec()
+    swap = GModule(spec, QuotientPresentation(3),
+                   action={"s": [[1, 0, 0], [0, 0, 1], [0, 1, 0]]}, name="pi2")
+    z = trivial_module(spec, 1)
+    zeros = 0
+    for _ in range(150):
+        mod = rng.choice([swap, trivial_module(spec, 2)])
+        if mod is swap:
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            row = [a, b, b]
+        else:
+            row = [rng.randint(-2, 2), rng.randint(-2, 2)]
+        r = ModuleMap(mod, z, [row], equivariant=True)
+        lenses = tuple(rand_lens(rng, spec, mod) for _ in range(rng.randint(1, 2)))
+        verdict = circle_conclusion(PseudoisotopyClass(lenses, boundary=True), r)
+        for n in range(1, 65):
+            assert verdict.rho.scale(n).is_zero == verdict.rho.is_zero
+        assert verdict.all_powers_nontrivial == (not verdict.rho.is_zero)
+        zeros += verdict.rho.is_zero
+    assert 0 < zeros < 150
 
 
 def test_power_scaling_torsion_free():
@@ -241,7 +271,7 @@ def test_power_scaling_torsion_free():
     pi2b = GModule(spec2, QuotientPresentation(2), elements={"alpha": (1, 0)})
     zb = trivial_module(spec2, 1)
     rb = ModuleMap(pi2b, zb, [[1, 0]], equivariant=True)
-    lens2 = make_lens(pi2b.elements["alpha"], spec2.generator("s"))
+    lens2 = make_lens(pi2b.elements["alpha"], spec2.generator("s"), zero_framing(spec2))
     rho2 = retraction_invariant(clam_double(lens2), rb)
     assert str(rho2) == "-2[s]"
     assert str(rho2.scale(3)) == "-6[s]"

@@ -30,6 +30,19 @@ def test_shipped_fixtures_parse():
         assert scenario.lenses["g"].main.terms
 
 
+def test_framing_module_is_state_on_the_scenario():
+    # built on first use, shared by one scenario's lenses, not across scenarios
+    first = parse_scenario(fixture_text("paper_z2.json"))
+    second = parse_scenario(fixture_text("paper_z2.json"))
+    assert first.lenses["g"].framing.module is first.framing
+    assert first.framing is not second.framing
+    data = json.loads(fixture_text("paper_z2.json"))
+    del data["lenses"], data["paper"]
+    no_lenses = parse_scenario(json.dumps(data))
+    assert "framing" not in vars(no_lenses)
+    assert no_lenses.framing is no_lenses.framing
+
+
 def test_fixture_round_trip_determinism():
     # re-serializing the parsed JSON and re-parsing yields the same objects
     text = fixture_text("paper_f2.json")
@@ -157,9 +170,9 @@ def test_shipped_modules_validate_and_torsion_mutations_reject():
                         power = IntMatrix.identity(k)
                         for _ in range(order):
                             power = power @ bumped
+                        reduce = module.presentation.reduce
                         breaks_torsion = any(
-                            module.reduce(power.apply(e)) != module.reduce(e)
-                            for e in module._basis()
+                            reduce(power.apply(e)) != reduce(e) for e in module._basis()
                         )
                         if not breaks_torsion:
                             continue

@@ -20,7 +20,6 @@ from obkit.wh1 import (
     induced_map,
     oracle_wh_presentation,
     wh_equal,
-    wh_normal_form,
 )
 from obkit.words import parse_wh
 from support import (
@@ -30,6 +29,7 @@ from support import (
     rand_unimodular,
     reference_oracle_rows,
     trivial_module,
+    wh_normal_form,
     zmod_spec,
     zz2_spec,
     zz3_spec,
