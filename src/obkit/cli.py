@@ -220,13 +220,12 @@ def _cmd_oracle(scenario: Scenario | None, args) -> Report:
         raise RejectedError(f"unknown module token {args.module!r} "
                             "(expected Ztrivial, Z<m>trivial or Z^<k>trivial)")
     oracle = oracle_wh_presentation(spec, module)
-    pres = oracle.presentation
-    invariants = pres.group_invariants()
+    invariants = oracle.group_invariants()
     lines = [
         ("GROUP_ORDER", str(spec.order())),
-        ("AMBIENT", str(pres.rank)),
+        ("AMBIENT", str(oracle.ambient)),
         ("INVARIANT_FACTORS", ", ".join(str(d) for d in invariants) or "trivial"),
-        ("FREE_RANK", str(pres.free_rank)),
+        ("FREE_RANK", str(oracle.free_rank)),
     ]
     if args.action == "agree":
         rng = random.Random(args.seed)
@@ -301,7 +300,7 @@ def _cmd_report_paper(scenario: Scenario, args) -> Report:
 
 def _power_range(nontrivial: bool, powers: int) -> str:
     """The powers n = 1..powers that are nontrivial: all of them or none."""
-    if not nontrivial or powers < 1:
+    if not nontrivial:
         return "none"
     return "1" if powers == 1 else f"1..{powers}"
 

@@ -160,11 +160,16 @@ class GroupElement:
         return inverse(self)
 
     def __pow__(self, exp: int) -> "GroupElement":
+        """By repeated squaring: at most 2*log2(exp) + 1 products."""
         if exp < 0:
             return inverse(self) ** (-exp)
-        out = self.spec.identity()
-        for _ in range(exp):
-            out = multiply(out, self)
+        out, base = self.spec.identity(), self
+        while exp:
+            if exp & 1:
+                out = multiply(out, base)
+            exp >>= 1
+            if exp:
+                base = multiply(base, base)
         return out
 
     def __str__(self) -> str:

@@ -621,6 +621,9 @@ class _Resolver:
                 names.append(item.value)
             matrices = tuple(names)
         powers = self.get_int(pobj, "powers", node, required=False, default=64)
+        if powers < 1:
+            self.diag(pobj["powers"], "E200", "field 'powers' must be at least 1")
+            return
         scenario.paper = PaperConfig(lens=lens_node.value, retraction=retr_node.value,
                                      cocycle=cocycle, matrices=matrices, powers=powers)
 

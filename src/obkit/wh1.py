@@ -7,13 +7,13 @@ representative conjugates the coefficient through the group action, an
 instance of the defining coinvariance relation a[h] ~ (g.a)[g h g^-1].
 
 For trivial coefficients the canonical form is complete: the group is a
-direct sum of copies of A over nontrivial conjugacy classes.  Over a
-finite group a literal presentation of the coinvariant quotient (via
-Smith normal form, with coinvariance relations for the group's
-generators only, which span the same lattice as those for all elements)
-decides equality for any action, up to an ambient rank of
-MAX_ORACLE_AMBIENT.  Over an infinite group with nontrivial action, or a
-finite one past that limit, only these sound reductions apply, and
+direct sum of copies of A over nontrivial conjugacy classes.  Every
+finite group obkit accepts is abelian, so there the coinvariant quotient
+is one copy of A_G = A / <(g-1)a> per nontrivial element, and a
+presentation of A_G by Smith normal form (``WhOracle``) decides equality
+for any action, up to an ambient rank k*|G| of MAX_ORACLE_AMBIENT.  Over
+an infinite group with nontrivial action, or a finite one past that
+limit, only the sound reductions of the canonical form apply, and
 ``wh_equal`` answers None rather than guess.
 """
 
@@ -28,7 +28,6 @@ from .groups import (
     element_sort_key,
     enumerate_elements,
     inverse,
-    multiply,
 )
 from .intlinalg import QuotientPresentation
 
@@ -41,8 +40,9 @@ __all__ = [
     "wh_equal",
 ]
 
-# Largest ambient rank k*|G| the finite oracle presents: its dense Smith
-# normal form grows with the cube of this.
+# Largest ambient rank k*|G| the finite oracle accepts.  Its Smith normal
+# form has only k columns; the limit bounds the enumeration of G, which
+# ``oracle agree`` draws from.  Raising it waits for a measured curve.
 MAX_ORACLE_AMBIENT = 512
 
 
@@ -184,42 +184,61 @@ def detect_nontrivial(x: WhElement, phi: ModuleMap) -> bool:
 
 
 class WhOracle:
-    """Literal coinvariant presentation of (A[G]/A[1])_G for finite G."""
+    """The coinvariants (A[G]/A[1])_G of a finite abelian G: one copy of
+    ``presentation``, A_G = A / <module relations, (g-1)a>, for each
+    nonidentity element of G."""
 
     def __init__(self, module: GModule, elements, presentation: QuotientPresentation):
         self.module = module
         self.elements = list(elements)
-        self.index = {g: i for i, g in enumerate(self.elements)}
         self.presentation = presentation
 
-    def coords(self, x: WhElement) -> tuple:
-        """Canonical coordinates of a Wh element in the oracle quotient."""
+    @property
+    def ambient(self) -> int:
+        return self.module.rank * len(self.elements)
+
+    @property
+    def free_rank(self) -> int:
+        return (len(self.elements) - 1) * self.presentation.free_rank
+
+    def group_invariants(self) -> tuple[int, ...]:
+        """Those of A_G, each repeated once per nonidentity slot: d_1 | d_2
+        | ... still holds, so this is the quotient's invariant-factor form."""
+        copies = len(self.elements) - 1
+        return tuple(d for d in self.presentation.group_invariants() for _ in range(copies))
+
+    def coords(self, x: WhElement) -> dict:
+        """Each nonidentity bracket's summed coefficient reduced in A_G,
+        keyed by element, zeros omitted; the terms of x may be raw."""
         if x.module is not self.module:
             raise ContextError("element uses a different coefficient module")
-        k = self.module.rank
-        vec = [0] * (k * len(self.elements))
+        slots: dict[GroupElement, list] = {}
         for coords, g in x.terms:
-            slot = self.index[g]
-            for i, c in enumerate(coords):
-                vec[slot * k + i] += c
-        return self.presentation.reduce(vec)
+            if not g.is_identity:
+                slot = slots.setdefault(g, [0] * self.module.rank)
+                for i, c in enumerate(coords):
+                    slot[i] += c
+        reduced = {g: self.presentation.reduce(vec) for g, vec in slots.items()}
+        return {g: vec for g, vec in reduced.items() if any(vec)}
 
 
 def oracle_wh_presentation(spec: GroupSpec, module: GModule) -> WhOracle:
-    """Present (A tensor Z[G]) / <A[1], coinvariance> by Smith normal form.
+    """Present (A tensor Z[G]) / <A[1], coinvariance> for finite G.
 
-    Relations: the module's own relations in every group slot, the whole
-    identity slot, and r(g, h, a) = a[h] - (g.a)[g h g^-1] for every
-    generator g of G, every h and every basis vector a.
+    A finite group here is a single abelian factor, so g h g^-1 = h and
+    the relation a[h] ~ (g.a)[g h g^-1] is ((g-1)a)[h] = 0: it stays in
+    the slot of h, the identity slot is killed by A[1], and every other
+    slot is the same quotient A_G.  Its relations are the module's own
+    rows and (g-1)e_j for every generator g and basis vector e_j.
 
-    The generators span the same lattice as all of G.  The relation of a
-    product splits as r(g1 g2, h, a) = r(g2, h, a) + r(g1, g2 h g2^-1, g2.a);
-    r is Z-linear in a, so r(g1, -, g2.a) is a sum of basis relations;
-    every element of a finite group is a positive word in its generators;
-    and the action laws (torsion orders, commuting generators) hold modulo
-    the module relations, which every slot carries.  So the invariant
-    factors and every equality of ``coords`` are those of the all-elements
-    presentation; only the Smith basis differs.
+    The generators span the same lattice as all of G: the relation of a
+    product splits as (g1 g2 - 1)a = (g1 - 1)(g2 a) + (g2 - 1)a; (g-1)a
+    is Z-linear in a, so (g1 - 1)(g2 a) is a sum of basis relations;
+    every element of a finite group is a positive word in its
+    generators; and the action laws (torsion orders, commuting
+    generators) hold modulo the module relations, which A_G carries.
+    So A_G, and every equality of ``coords``, are those of the
+    all-elements presentation.
 
     Raises UnsupportedError for an infinite group, or when the ambient
     rank k*|G| exceeds MAX_ORACLE_AMBIENT; the limit is checked from the
@@ -237,45 +256,13 @@ def oracle_wh_presentation(spec: GroupSpec, module: GModule) -> WhOracle:
     if report is not None:
         raise RejectedError(f"invalid module: {report}")
     elements = enumerate_elements(spec)  # raises UnsupportedError when infinite
-    n = len(elements)
-    ambient = k * n
-    index = {g: i for i, g in enumerate(elements)}
-    rows = []
-    for slot in range(n):
-        for rel in module.presentation.relations.entries:
-            row = [0] * ambient
-            for i, c in enumerate(rel):
-                row[slot * k + i] = c
-            rows.append(row)
-    ident_slot = index[spec.identity()]
-    for j in range(k):
-        row = [0] * ambient
-        row[ident_slot * k + j] = 1
-        rows.append(row)
-    basis = [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
-    for g in (spec.generator(name) for name in spec.generator_names()):
-        ginv = inverse(g)
-        acted = [module.act_vec(g, e) for e in basis]
-        for h in elements:
-            conj = multiply(multiply(g, h), ginv)
-            tgt = index[conj]
-            src = index[h]
-            for j in range(k):
-                row = [0] * ambient
-                row[src * k + j] += 1
-                for i, c in enumerate(acted[j]):
-                    row[tgt * k + i] -= c
-                if any(row):
-                    rows.append(row)
-    return WhOracle(module, elements, QuotientPresentation(ambient, rows))
-
-
-def _oracle_for(module: GModule) -> WhOracle:
-    oracle = getattr(module, "_wh_oracle", None)
-    if oracle is None:
-        oracle = oracle_wh_presentation(module.spec, module)
-        module._wh_oracle = oracle
-    return oracle
+    rows = list(module.presentation.relations.entries)
+    for m in module.action.values():  # one matrix per generator
+        for j in range(k):
+            row = [m.entries[i][j] - (i == j) for i in range(k)]  # (g-1)e_j
+            if any(row):
+                rows.append(row)
+    return WhOracle(module, elements, QuotientPresentation(k, rows))
 
 
 def wh_equal(x: WhElement, y: WhElement) -> bool | None:
@@ -292,7 +279,7 @@ def wh_equal(x: WhElement, y: WhElement) -> bool | None:
     if x.module.trivial_action:
         return False
     try:
-        oracle = _oracle_for(x.module)
+        oracle = oracle_wh_presentation(x.module.spec, x.module)
     except UnsupportedError:
         return None
     return oracle.coords(x) == oracle.coords(y)

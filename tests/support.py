@@ -1,7 +1,7 @@
 """Shared builders for the test suite: group specs, random elements,
 trivial-action modules, framing modules, random certified matrices,
-reference implementations (cocycle check, all-elements Wh oracle
-relations, dense row-vector product, character-by-character JSON parser)
+reference implementations (cocycle check, the dense all-elements Wh
+oracle, dense row-vector product, character-by-character JSON parser)
 that fast paths are checked against, and the identities Wh normalization
 and chi must satisfy."""
 
@@ -234,8 +234,9 @@ def reference_verify_cocycle(c):
 
 def reference_oracle_rows(spec: GroupSpec, module: GModule) -> list[list[int]]:
     """Relations of the Wh oracle with a coinvariance relation for every
-    pair of group elements: an independent oracle for the lattice of
-    ``wh1.oracle_wh_presentation``, which uses generators only.
+    pair of group elements: an independent oracle for
+    ``wh1.oracle_wh_presentation``, which presents one slot by the
+    generators only.
 
     Rows live in the ambient Z^(k*|G|), slot i holding the coefficient at
     the i-th element of ``enumerate_elements(spec)``: the module's
@@ -274,6 +275,20 @@ def reference_oracle_rows(spec: GroupSpec, module: GModule) -> list[list[int]]:
                 if any(row):
                     rows.append(row)
     return rows
+
+
+def reference_oracle_coords(presentation: QuotientPresentation, elements, x: WhElement) -> tuple:
+    """Coordinates of a Wh element in the dense quotient that
+    ``reference_oracle_rows`` presents: its terms, raw or not, summed into
+    the ambient Z^(k*|G|) slot of each bracket and reduced there."""
+    k = x.module.rank
+    index = {g: i for i, g in enumerate(elements)}
+    vec = [0] * (k * len(elements))
+    for coords, g in x.terms:
+        slot = index[g]
+        for i, c in enumerate(coords):
+            vec[slot * k + i] += c
+    return presentation.reduce(vec)
 
 
 def reference_row_apply(vec, m: IntMatrix) -> tuple:

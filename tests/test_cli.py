@@ -8,10 +8,14 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import obkit
 from obkit import chi, cli, gmodules, obstruction, wh1
 from obkit.cli import MAX_ORACLE_PAIRS, main
+from obkit.intlinalg import QuotientPresentation
 from obkit.scenario import load_scenario
+from support import reference_oracle_rows
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 F2 = str(SCENARIOS / "paper_f2.json")
@@ -117,6 +121,20 @@ def test_oracle_wh(capsys):
     assert "INVARIANT_FACTORS: 0\n" in out
     status, out = run_main(capsys, "oracle", "wh", "Z3", "Ztrivial")
     assert "INVARIANT_FACTORS: 0, 0" in out
+
+
+@pytest.mark.parametrize("module", ["Ztrivial", "Z2trivial", "Z^2trivial"])
+@pytest.mark.parametrize("group", ["Z2", "Z3", "Z6", "Z2xZ2", "Z2xZ3"])
+def test_oracle_wh_matches_the_dense_presentation(capsys, group, module):
+    # The lines the dense all-elements presentation of A[G]/<A[1], coinvariance> gives.
+    spec = cli.builtin_group(group)
+    mod = cli.builtin_module(spec, module)
+    dense = QuotientPresentation(mod.rank * spec.order(), reference_oracle_rows(spec, mod))
+    invariants = ", ".join(str(d) for d in dense.group_invariants()) or "trivial"
+    status, out = run_main(capsys, "oracle", "wh", group, module)
+    assert status == 0
+    assert out == (f"GROUP_ORDER: {spec.order()}\nAMBIENT: {dense.rank}\n"
+                   f"INVARIANT_FACTORS: {invariants}\nFREE_RANK: {dense.free_rank}\n")
 
 
 def test_oracle_agree_seeded(capsys):
@@ -294,13 +312,21 @@ def test_report_paper_power_line_does_not_scale_with_powers(capsys, monkeypatch,
     monkeypatch.setattr(wh1.WhElement, "scale", counted)
     data = json.loads(pathlib.Path(F2).read_text())
     first = None
-    for powers, expected in ((0, "none"), (1, "1"), (2, "1..2"),
+    for powers, expected in ((0, None), (-3, None), (1, "1"), (2, "1..2"),
                              (10**9, "1..1000000000")):
         data["paper"]["powers"] = powers
+        text = json.dumps(data)
         path = tmp_path / f"powers_{powers}.json"
-        path.write_text(json.dumps(data))
+        path.write_text(text)
         calls.clear()
-        status, out = run_main(capsys, "--scenario", str(path), "report-paper")
+        status = main(["--scenario", str(path), "report-paper"])
+        out, err = capsys.readouterr()
+        if expected is None:
+            # A power below 1 is refused at its value, not printed as "none".
+            col = text.index('"powers": ') + len('"powers": ') + 1
+            assert (status, out) == (2, "")
+            assert err == f"1:{col}: E200 field 'powers' must be at least 1\n"
+            continue
         assert status == 0
         assert f"POWERS_NONTRIVIAL: {expected}\n" in out
         first = calls["scale"] if first is None else first

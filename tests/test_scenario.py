@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from obkit import groups
 from obkit import scenario as scenario_module
 from obkit.chi import Cocycle
 from obkit.scenario import ScenarioError, load_scenario, parse_scenario
@@ -115,6 +116,36 @@ def test_invalid_cocycle_rejected_with_quadruple():
             parse_scenario(json.dumps(data))
         diags = [d.render() for d in err.value.diagnostics if d.code == "E243"]
         assert diags == [expected]
+
+
+def test_quotient_torsion_law_checked_by_repeated_squaring(monkeypatch):
+    # s of order 10^9 (or 10^9 + 1) onto q^3, of order 2 in Z/6: checking
+    # the law one product per unit of the order would take 10^9 products.
+    real = groups.multiply
+    calls = []
+
+    def budgeted(g, h):
+        calls.append(1)
+        assert len(calls) <= 200, "more than 200 group products"
+        return real(g, h)
+
+    monkeypatch.setattr(groups, "multiply", budgeted)
+    for order in (10**9, 10**9 + 1):
+        calls.clear()
+        text = json.dumps({
+            "name": "big-torsion",
+            "group": {"factors": [{"kind": "free", "names": ["t"]},
+                                  {"kind": "abelian", "names": ["s"], "torsion": [order]}]},
+            "quotients": {"Q": {"factors": [{"kind": "abelian", "names": ["q"], "torsion": [6]}],
+                                "images": {"t": "q", "s": "q^3"}}},
+        })
+        if order % 2 == 0:
+            assert "Q" in parse_scenario(text).quotients
+            continue
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(text)
+        assert [d.render() for d in err.value.diagnostics] == [
+            "1:164: E242 quotient 'Q': image of 's' does not satisfy its torsion relation"]
 
 
 def test_profile_violation_is_syntax():

@@ -8,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Matrix
 
-from obkit import wh1
+from obkit import groups, intlinalg, wh1
 from obkit.errors import RejectedError, UnsupportedError
 from obkit.gmodules import GModule, ModuleMap
 from obkit.groups import FactorSpec, GroupSpec, enumerate_elements, inverse, multiply
 from obkit.intlinalg import IntMatrix, QuotientPresentation
 from obkit.wh1 import (
     WhElement,
-    WhOracle,
     detect_nontrivial,
     induced_map,
     oracle_wh_presentation,
@@ -27,6 +26,7 @@ from support import (
     f2_spec,
     rand_element,
     rand_unimodular,
+    reference_oracle_coords,
     reference_oracle_rows,
     trivial_module,
     wh_normal_form,
@@ -162,10 +162,10 @@ def test_detect_nontrivial():
 def test_oracle_known_ranks():
     z2 = zmod_spec(2)
     oracle = oracle_wh_presentation(z2, trivial_module(z2, 1))
-    assert oracle.presentation.group_invariants() == (0,)
+    assert oracle.group_invariants() == (0,)
     z3 = zmod_spec(3)
     oracle3 = oracle_wh_presentation(z3, trivial_module(z3, 1))
-    assert oracle3.presentation.group_invariants() == (0, 0)
+    assert oracle3.group_invariants() == (0, 0)
 
 
 def test_oracle_swap_action():
@@ -180,6 +180,23 @@ def test_oracle_swap_action():
     assert x.terms != y.terms
     assert oracle.coords(x) == oracle.coords(y)
     assert wh_equal(x, y) is True
+
+
+def test_oracle_presents_the_action_on_columns():
+    # Z/2 acting on Z^2 by the shear involution s = [[1, 1], [0, -1]],
+    # which is neither symmetric nor orthogonal: (s-1)e_2 = (1,-2), so
+    # (1,0)[s] = (0,2)[s]; the rows of s-1 would give (1,0)[s] = (1,1)[s].
+    spec = zmod_spec(2)
+    module = GModule(spec, QuotientPresentation(2), action={"s": [[1, 1], [0, -1]]})
+    elements = enumerate_elements(spec)
+    ref = QuotientPresentation(4, reference_oracle_rows(spec, module))
+    oracle = oracle_wh_presentation(spec, module)
+    s = spec.generator("s")
+    x, y, z = (WhElement.build(module, [(a, s)]) for a in ((1, 0), (0, 2), (1, 1)))
+    for other, equal in ((y, True), (z, False)):
+        assert wh_equal(x, other) is equal
+        assert (reference_oracle_coords(ref, elements, x)
+                == reference_oracle_coords(ref, elements, other)) is equal
 
 
 def test_oracle_agreement_randomized():
@@ -376,37 +393,48 @@ def test_oracle_generators_span_reference_lattice(case):
     spec = zmod_spec(*orders)
     module = GModule(spec, QuotientPresentation(rank, relations), action=action)
     oracle = oracle_wh_presentation(spec, module)
-    pres = oracle.presentation
-    reference = WhOracle(module, enumerate_elements(spec),
-                         QuotientPresentation(pres.rank, reference_oracle_rows(spec, module)))
-    ref = reference.presentation
-    assert oracle.elements == reference.elements
-    assert all(ref.is_zero(row) for row in pres.relations.entries)
-    assert all(pres.is_zero(row) for row in ref.relations.entries)
-    assert pres.group_invariants() == ref.group_invariants()
+    elements = enumerate_elements(spec)
+    ref = QuotientPresentation(rank * len(elements), reference_oracle_rows(spec, module))
+    assert oracle.elements == elements
+    assert oracle.group_invariants() == ref.group_invariants()
+    # Both lattices, read in the dense ambient: every A_G relation in
+    # every nonidentity slot is a dense relation, and every dense
+    # relation, read as raw terms, has zero slot coordinates.
+    for slot in range(1, len(elements)):
+        for row in oracle.presentation.relations.entries:
+            assert ref.is_zero((0,) * (slot * rank) + row
+                               + (0,) * ((len(elements) - slot - 1) * rank))
+    for row in ref.relations.entries:
+        raw = [(row[i * rank:(i + 1) * rank], g) for i, g in enumerate(elements)]
+        assert oracle.coords(WhElement(module, tuple(raw))) == {}
 
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @given(wh_pairs(module, oracle.elements))
     def check(pair):
         x, y = pair
         assert ((oracle.coords(x) == oracle.coords(y))
-                == (reference.coords(x) == reference.coords(y)))
+                == (reference_oracle_coords(ref, elements, x)
+                    == reference_oracle_coords(ref, elements, y)))
 
     check()
 
 
 def test_oracle_cost_per_generator(monkeypatch):
-    # Z/16 acting on Z^3 by a quarter turn: one generator, so at most
-    # 2*|G|*|S| products and |G|*(k*|S| + r) + k relation rows.
+    # Z/16 x Z/4 acting on Z^3 / <(0,0,2)> by a quarter turn and a sign:
+    # no group product, and at most r + k*|S| relation rows on k columns.
     calls = []
-    real = wh1.multiply
-    monkeypatch.setattr(wh1, "multiply", lambda g, h: calls.append(1) or real(g, h))
-    spec = zmod_spec(16)
-    module = GModule(spec, QuotientPresentation(3), action={"s": _rot4(3)})
+    real = groups.multiply
+    for layer in (groups, wh1):
+        monkeypatch.setattr(layer, "multiply", lambda g, h: calls.append(1) or real(g, h),
+                            raising=False)
+    spec = zmod_spec(16, 4)
+    module = GModule(spec, QuotientPresentation(3, [(0, 0, 2)]),
+                     action={"s1": _rot4(3), "s2": _sign(3)})
     oracle = oracle_wh_presentation(spec, module)
-    order, gens, k, r = 16, 1, 3, 0
-    assert len(calls) <= 2 * order * gens
-    assert oracle.presentation.relations.rows <= order * (k * gens + r) + k
+    gens, k, r = 2, 3, 1
+    assert calls == []
+    assert oracle.presentation.relations.rows <= r + k * gens
+    assert oracle.presentation.rank == k
 
 
 def _fail_enumerate(spec):
@@ -431,8 +459,32 @@ def test_oracle_size_limit_rejects_before_enumerating(monkeypatch):
 def test_oracle_at_the_size_limit():
     spec = zmod_spec(wh1.MAX_ORACLE_AMBIENT)
     oracle = oracle_wh_presentation(spec, trivial_module(spec, 1))
-    assert oracle.presentation.rank == wh1.MAX_ORACLE_AMBIENT
-    assert oracle.presentation.free_rank == wh1.MAX_ORACLE_AMBIENT - 1
+    assert oracle.ambient == wh1.MAX_ORACLE_AMBIENT
+    assert oracle.free_rank == wh1.MAX_ORACLE_AMBIENT - 1
+    assert oracle.group_invariants() == (0,) * (wh1.MAX_ORACLE_AMBIENT - 1)
+
+
+def test_oracle_at_the_limit_needs_a_rank_k_smith_form(monkeypatch):
+    # Z/128 acting on Z^4 by two quarter turns: each turn r has
+    # Z^2 / (r - 1)Z^2 = Z/2, so A_G = (Z/2)^2 and the quotient (Z/2)^254.
+    # A dense presentation would put 512 columns through Smith normal form.
+    real = intlinalg.smith_normal_form
+
+    def at_most_four_columns(m):
+        assert m.cols <= 4, f"Smith normal form on {m.cols} columns"
+        return real(m)
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", at_most_four_columns)
+    spec = zmod_spec(128)
+    turns = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+    module = GModule(spec, QuotientPresentation(4), action={"s": turns})
+    oracle = oracle_wh_presentation(spec, module)
+    assert oracle.ambient == wh1.MAX_ORACLE_AMBIENT
+    assert oracle.group_invariants() == (2,) * 254
+    s = spec.generator("s")
+    x = WhElement.build(module, [((1, 0, 0, 0), s)])
+    assert wh_equal(x, WhElement.build(module, [((0, 1, 0, 0), s)])) is True
+    assert wh_equal(x, WhElement.build(module, [((0, 0, 1, 0), s)])) is False
 
 
 # -- coefficients on lattices whose Smith basis is not the module's -------
