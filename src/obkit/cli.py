@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedError,
 )
 from .gmodules import GModule, ModuleElement
-from .groups import FactorSpec, GroupSpec, conjugacy_canonical, are_conjugate
+from .groups import FactorSpec, GroupSpec, are_conjugate, conjugacy_canonical, enumerate_elements
 from .intlinalg import QuotientPresentation
 from .obstruction import (
     PseudoisotopyClass,
@@ -41,6 +41,9 @@ __all__ = ["Report", "run_command", "main"]
 
 # Largest ``oracle --pairs``: each pair builds and reduces two random elements.
 MAX_ORACLE_PAIRS = 100_000
+# Largest ambient rank k*|G| of the ``oracle`` command: it bounds the
+# enumeration of G, which ``oracle agree`` draws from.
+MAX_ORACLE_AMBIENT = 512
 
 
 @dataclass(frozen=True)
@@ -219,6 +222,11 @@ def _cmd_oracle(scenario: Scenario | None, args) -> Report:
     if module is None:
         raise RejectedError(f"unknown module token {args.module!r} "
                             "(expected Ztrivial, Z<m>trivial or Z^<k>trivial)")
+    ambient = module.rank * spec.order()
+    if ambient > MAX_ORACLE_AMBIENT:
+        raise UnsupportedError(
+            f"oracle ambient rank {ambient} exceeds the limit {MAX_ORACLE_AMBIENT}"
+        )
     oracle = oracle_wh_presentation(spec, module)
     invariants = oracle.group_invariants()
     lines = [
@@ -229,7 +237,7 @@ def _cmd_oracle(scenario: Scenario | None, args) -> Report:
     ]
     if args.action == "agree":
         rng = random.Random(args.seed)
-        elements = oracle.elements
+        elements = enumerate_elements(spec)
         pairs = args.pairs
         disagreements = 0
         for _ in range(pairs):

@@ -11,10 +11,9 @@ direct sum of copies of A over nontrivial conjugacy classes.  Every
 finite group obkit accepts is abelian, so there the coinvariant quotient
 is one copy of A_G = A / <(g-1)a> per nontrivial element, and a
 presentation of A_G by Smith normal form (``WhOracle``) decides equality
-for any action, up to an ambient rank k*|G| of MAX_ORACLE_AMBIENT.  Over
-an infinite group with nontrivial action, or a finite one past that
-limit, only the sound reductions of the canonical form apply, and
-``wh_equal`` answers None rather than guess.
+for any action without enumerating G.  Over an infinite group with
+nontrivial action only the sound reductions of the canonical form apply,
+and ``wh_equal`` answers None rather than guess.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from .groups import (
     GroupSpec,
     conjugacy_canonical_with_conjugator,
     element_sort_key,
-    enumerate_elements,
     inverse,
 )
 from .intlinalg import QuotientPresentation
@@ -39,12 +37,6 @@ __all__ = [
     "oracle_wh_presentation",
     "wh_equal",
 ]
-
-# Largest ambient rank k*|G| the finite oracle accepts.  Its Smith normal
-# form has only k columns; the limit bounds the enumeration of G, which
-# ``oracle agree`` draws from.  Raising it waits for a measured curve.
-MAX_ORACLE_AMBIENT = 512
-
 
 class WhElement:
     """A canonical-form element of (A[G]/A[1])_G.
@@ -188,23 +180,22 @@ class WhOracle:
     ``presentation``, A_G = A / <module relations, (g-1)a>, for each
     nonidentity element of G."""
 
-    def __init__(self, module: GModule, elements, presentation: QuotientPresentation):
+    def __init__(self, module: GModule, presentation: QuotientPresentation):
         self.module = module
-        self.elements = list(elements)
         self.presentation = presentation
 
     @property
     def ambient(self) -> int:
-        return self.module.rank * len(self.elements)
+        return self.module.rank * self.module.spec.order()
 
     @property
     def free_rank(self) -> int:
-        return (len(self.elements) - 1) * self.presentation.free_rank
+        return (self.module.spec.order() - 1) * self.presentation.free_rank
 
     def group_invariants(self) -> tuple[int, ...]:
         """Those of A_G, each repeated once per nonidentity slot: d_1 | d_2
         | ... still holds, so this is the quotient's invariant-factor form."""
-        copies = len(self.elements) - 1
+        copies = self.module.spec.order() - 1
         return tuple(d for d in self.presentation.group_invariants() for _ in range(copies))
 
     def coords(self, x: WhElement) -> dict:
@@ -240,37 +231,34 @@ def oracle_wh_presentation(spec: GroupSpec, module: GModule) -> WhOracle:
     So A_G, and every equality of ``coords``, are those of the
     all-elements presentation.
 
-    Raises UnsupportedError for an infinite group, or when the ambient
-    rank k*|G| exceeds MAX_ORACLE_AMBIENT; the limit is checked from the
-    group's order before the module is validated or any element is
-    enumerated.
+    The Smith form has k columns whatever |G| is, and no element of G is
+    enumerated.  Raises UnsupportedError for an infinite group, before
+    the module is validated.
     """
     if module.spec != spec:
         raise ContextError("module is over a different group")
-    k = module.rank
-    if spec.is_finite and k * spec.order() > MAX_ORACLE_AMBIENT:
-        raise UnsupportedError(
-            f"oracle ambient rank {k * spec.order()} exceeds the limit {MAX_ORACLE_AMBIENT}"
-        )
+    if not spec.is_finite:
+        raise UnsupportedError("the finite oracle needs a finite group")
     report = module.validate()
     if report is not None:
         raise RejectedError(f"invalid module: {report}")
-    elements = enumerate_elements(spec)  # raises UnsupportedError when infinite
+    k = module.rank
     rows = list(module.presentation.relations.entries)
     for m in module.action.values():  # one matrix per generator
         for j in range(k):
             row = [m.entries[i][j] - (i == j) for i in range(k)]  # (g-1)e_j
             if any(row):
                 rows.append(row)
-    return WhOracle(module, elements, QuotientPresentation(k, rows))
+    return WhOracle(module, QuotientPresentation(k, rows))
 
 
 def wh_equal(x: WhElement, y: WhElement) -> bool | None:
     """Decide equality where possible; None means undecided.
 
     Complete for trivial actions (canonical forms) and for finite groups
-    (oracle coordinates); otherwise equal canonical forms certify
-    equality and anything else is undecided.
+    of any order (oracle coordinates); over an infinite group with
+    nontrivial action, equal canonical forms certify equality and
+    anything else is undecided.
     """
     if x.module is not y.module:
         raise ContextError("Wh elements over different contexts")

@@ -1,20 +1,20 @@
 """Shared builders for the test suite: group specs, random elements,
 trivial-action modules, framing modules, random certified matrices,
-reference implementations (cocycle check, the dense all-elements Wh
-oracle, dense row-vector product, character-by-character JSON parser)
-that fast paths are checked against, and the identities Wh normalization
-and chi must satisfy."""
+reference implementations (cocycle check, chi by one linearization per
+index quadruple, the dense all-elements Wh oracle, dense row-vector
+product, character-by-character JSON parser) that fast paths are checked
+against, and the identities Wh normalization and chi must satisfy."""
 
 from __future__ import annotations
 
 import functools
 import random
 
-from obkit.chi import chi_eval, pushforward
-from obkit.gmodules import GModule
+from obkit.chi import _as_matrix, _resolve_inverse, chi_eval, pushforward
+from obkit.errors import ContextError, DimensionError
+from obkit.gmodules import GModule, ModuleElement
 from obkit.groupring import DiagonalGen, ElementaryGen, RingElement, build_invertible
 from obkit.groups import FactorSpec, GroupSpec, enumerate_elements, inverse, multiply
-from obkit.errors import DimensionError
 from obkit.intlinalg import IntMatrix, QuotientPresentation, smith_normal_form
 from obkit.restricted_json import MAX_DEPTH, MAX_INT_DIGITS, JsonError, Node
 from obkit.wh1 import WhElement, induced_map
@@ -194,7 +194,7 @@ def reference_verify_cocycle(c):
     """The cocycle identity checked quadruple by quadruple on group
     elements: an independent oracle for ``chi.verify_cocycle``.
 
-    Products come from ``multiply``, values from ``Cocycle.value`` and a
+    Products come from ``multiply``, values from the table and a
     quotient element acts by applying its generators' matrices one at a
     time.  Returns None or the first violated (g, h, q, l), with g
     slowest and l fastest over the quotient's elements.
@@ -211,6 +211,11 @@ def reference_verify_cocycle(c):
                     v = c._q_matrices[name].apply(v)
         return tuple(v)
 
+    zero = (0,) * k
+
+    def value(*key):
+        return c.table.get(key, zero)
+
     for g in elems:
         for h in elems:
             gh = multiply(g, h)
@@ -218,18 +223,75 @@ def reference_verify_cocycle(c):
                 hq = multiply(h, q)
                 for l in elems:
                     ql = multiply(q, l)
-                    acted = act(g, c.value(h, q, l))
+                    acted = act(g, value(h, q, l))
                     total = [
                         acted[i]
-                        - c.value(gh, q, l)[i]
-                        + c.value(g, hq, l)[i]
-                        - c.value(g, h, ql)[i]
-                        + c.value(g, h, q)[i]
+                        - value(gh, q, l)[i]
+                        + value(g, hq, l)[i]
+                        - value(g, h, ql)[i]
+                        + value(g, h, q)[i]
                         for i in range(k)
                     ]
                     if any(module.presentation.reduce(total)):
                         return (g, h, q, l)
     return None
+
+
+def linearize_eval(c, x: RingElement, y: RingElement, z: RingElement) -> ModuleElement:
+    """Trilinear extension of the pulled-back table over Z[G] supports,
+    projecting every support element of x, y and z afresh."""
+    module = c.module
+    for w in (x, y, z):
+        if w.spec != module.spec:
+            raise ContextError("ring element over a different group")
+    k = module.rank
+    zero = (0,) * k
+    total = [0] * k
+    proj = c.quotient.project
+    xs = [(proj(g), a) for g, a in x.terms.items()]
+    ys = [(proj(g), a) for g, a in y.terms.items()]
+    zs = [(proj(g), a) for g, a in z.terms.items()]
+    for qg, a in xs:
+        for qh, b in ys:
+            ab = a * b
+            for qk, cc in zs:
+                coeff = ab * cc
+                val = c.table.get((qg, qh, qk), zero)
+                for i in range(k):
+                    total[i] += coeff * val[i]
+    return ModuleElement(module, total)
+
+
+def reference_chi_eval(c, a, b, cm, d=None) -> WhElement:
+    """chi summed index quadruple by index quadruple: one
+    ``linearize_eval`` per nonzero (a_ij, b_jk, c_kl), each term of
+    d_li bracketing the value.  The reference for ``chi.chi_eval``,
+    which shares only its argument checks and inverse resolution."""
+    am, bm, cmm = _as_matrix(a), _as_matrix(b), _as_matrix(cm)
+    if not (am.n == bm.n == cmm.n):
+        raise DimensionError("matrix sizes differ")
+    d_mat = _resolve_inverse(a, b, cm, d)
+    n = am.n
+    raw = []
+    for i in range(n):
+        for j in range(n):
+            xij = am.entries[i][j]
+            if xij.is_zero:
+                continue
+            for k in range(n):
+                yjk = bm.entries[j][k]
+                if yjk.is_zero:
+                    continue
+                for l in range(n):
+                    zkl = cmm.entries[k][l]
+                    if zkl.is_zero:
+                        continue
+                    m = linearize_eval(c, xij, yjk, zkl)
+                    if m.is_zero:
+                        continue
+                    for h, coeff in d_mat.entries[l][i].terms.items():
+                        raw.append(([coeff * x for x in m.coords], h))
+    return WhElement.build(c.module, raw)
 
 
 def reference_oracle_rows(spec: GroupSpec, module: GModule) -> list[list[int]]:

@@ -1,4 +1,5 @@
-"""Cocycle verification, linearization, and the chain-level chi map."""
+"""Cocycle verification, the quotient-order limit, and the chain-level
+chi map against its index-by-index reference."""
 
 import random
 
@@ -10,23 +11,26 @@ from obkit import chi
 from obkit.chi import (
     Cocycle,
     FiniteQuotient,
+    MAX_QUOTIENT_ORDER,
     chi_eval,
     coboundary,
-    linearize_eval,
     pushforward,
     retraction_kills_chi,
     verify_cocycle,
 )
 from obkit.errors import RejectedError
 from obkit.gmodules import GModule, ModuleMap
-from obkit.groupring import RingElement, RingMatrix
+from obkit.groupring import InvertiblePair, RingElement, RingMatrix
 from obkit.groups import FactorSpec, GroupSpec
 from obkit.intlinalg import QuotientPresentation
 from obkit.wh1 import WhElement, induced_map
 from support import (
+    NON_SMITH_LATTICES,
     chi_naturality_check,
+    linearize_eval,
     rand_invertible,
     rand_ring,
+    reference_chi_eval,
     reference_verify_cocycle,
     trivial_module,
     zz2_spec,
@@ -35,6 +39,7 @@ from support import (
 
 SWAP3 = [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
 ROT4 = [[1, 0, 0], [0, 0, -1], [0, 1, 0]]
+NEG3 = [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]
 
 
 def z2_quotient(spec):
@@ -110,7 +115,7 @@ def _torsion_setting(orders, matrix=None, rank=3, relations=()):
     return quotient, module, q_action
 
 
-QUOTIENT_ACTIONS = {"trivial": None, "swap": SWAP3, "rot4": ROT4}
+QUOTIENT_ACTIONS = {"trivial": None, "swap": SWAP3, "rot4": ROT4, "sign": NEG3}
 
 # (quotient torsion orders, first generator's action, module rank, relations)
 ORACLE_CASES = (
@@ -216,6 +221,31 @@ def test_quotient_respects_torsion():
     FiniteQuotient(spec, qspec, {"t": qspec.identity(), "s": q * q})
 
 
+def _fail_enumerate(spec):
+    raise AssertionError("enumerated the elements of an oversized quotient")
+
+
+@pytest.mark.parametrize("orders", [(10**3,), (10**9,), (10, 10, 10)])
+def test_quotient_order_limit_rejects_before_enumerating(monkeypatch, orders):
+    monkeypatch.setattr(chi, "enumerate_elements", _fail_enumerate)
+    spec = zz2_spec()
+    qspec = GroupSpec((FactorSpec.abelian(tuple(f"q{i}" for i in range(len(orders))),
+                                          torsion=orders),))
+    order = 1
+    for m in orders:
+        order *= m
+    with pytest.raises(ValueError, match=f"quotient order {order} exceeds the limit 32"):
+        FiniteQuotient(spec, qspec, {"t": qspec.identity(), "s": qspec.identity()})
+
+
+def test_quotient_at_the_order_limit():
+    spec = zz2_spec()
+    qspec = GroupSpec((FactorSpec.abelian(("q",), torsion=[MAX_QUOTIENT_ORDER]),))
+    quotient = FiniteQuotient(spec, qspec, {"t": qspec.generator("q"),
+                                            "s": qspec.generator("q", MAX_QUOTIENT_ORDER // 2)})
+    assert len(quotient.elements()) == MAX_QUOTIENT_ORDER
+
+
 def test_linearize_single_term_and_zero():
     spec, pi2, _, _, quotient, q, cocycle = z2_setup()
     s = spec.generator("s")
@@ -243,6 +273,62 @@ def test_linearize_trilinear():
         assert mid == linearize_eval(cocycle, y, x1, z) + linearize_eval(cocycle, y, x2, z)
         last = linearize_eval(cocycle, y, z, x1 + x2)
         assert last == linearize_eval(cocycle, y, z, x1) + linearize_eval(cocycle, y, z, x2)
+
+
+# (quotient torsion orders, first generator's action, module rank, relations):
+# the quotients of ``ORACLE_CASES`` and a V != I lattice, trivially and by a sign.
+CHI_CASES = (
+    [((m,), "trivial", 3, ()) for m in range(2, 7)]
+    + [((m,), "swap", 3, ()) for m in (2, 4, 6)]
+    + [((4,), "rot4", 3, ()), ((2, 2), "trivial", 2, ()), ((2, 2), "swap", 3, ())]
+    + [((2,), "trivial", 3, NON_SMITH_LATTICES[1][1]),
+       ((4,), "sign", 3, NON_SMITH_LATTICES[1][1])]
+)
+
+
+@st.composite
+def chi_inputs(draw, case):
+    """A nonzero cocycle of ``oracle_cocycles``, a certified triple of
+    size 1..3, and D: omitted, the bare inverse, or a certified pair
+    holding the inverse as its matrix or as its inverse."""
+    c = draw(oracle_cocycles(*case).filter(lambda c: c.table))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(1, 3))
+    spec = c.module.spec
+    a, b, cm = (rand_invertible(rng, spec, n, max_gens=4, max_support=3) for _ in range(3))
+    inv = cm.inverse @ b.inverse @ a.inverse
+    abc = a.matrix @ b.matrix @ cm.matrix
+    d = draw(st.sampled_from([None, inv, InvertiblePair(inv, abc), InvertiblePair(abc, inv)]))
+    return c, a, b, cm, d
+
+
+@pytest.mark.parametrize("case", CHI_CASES, ids=_case_id)
+def test_chi_matches_the_reference(case):
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(chi_inputs(case))
+    def check(inputs):
+        assert chi_eval(*inputs) == reference_chi_eval(*inputs)
+
+    check()
+
+
+def test_chi_projects_each_support_term_once(monkeypatch):
+    # 49 support terms; one projection per nonzero (i, j, k, l) would
+    # make 397 calls.
+    rng = random.Random(62)
+    spec, *_, cocycle = z2_setup()
+    a, b, cm = (rand_invertible(rng, spec, 6, max_gens=12) for _ in range(3))
+    terms = sum(len(x.terms) for m in (a, b, cm) for row in m.matrix.entries for x in row)
+    assert terms == 49
+    calls = []
+    project = FiniteQuotient.project
+    monkeypatch.setattr(FiniteQuotient, "project",
+                        lambda self, g: calls.append(1) or project(self, g))
+    value = chi_eval(cocycle, a, b, cm)
+    assert len(calls) == terms
+    monkeypatch.undo()
+    assert not value.is_zero
+    assert value == reference_chi_eval(cocycle, a, b, cm)
 
 
 def test_chi_identity_matrices_and_zero_cocycle():

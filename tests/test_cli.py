@@ -11,8 +11,8 @@ import sys
 import pytest
 
 import obkit
-from obkit import chi, cli, gmodules, obstruction, wh1
-from obkit.cli import MAX_ORACLE_PAIRS, main
+from obkit import chi, cli, gmodules, groups, obstruction, wh1
+from obkit.cli import MAX_ORACLE_AMBIENT, MAX_ORACLE_PAIRS, main
 from obkit.intlinalg import QuotientPresentation
 from obkit.scenario import load_scenario
 from support import reference_oracle_rows
@@ -149,9 +149,14 @@ def _fail_enumerate(spec):
     raise AssertionError("enumerated the elements of an oversized group")
 
 
+def _forbid_enumeration(monkeypatch):
+    for layer in (groups, cli):
+        monkeypatch.setattr(layer, "enumerate_elements", _fail_enumerate)
+
+
 def test_oracle_input_bounds(capsys, monkeypatch):
     # Each rejection comes before any group element is enumerated.
-    monkeypatch.setattr(wh1, "enumerate_elements", _fail_enumerate)
+    _forbid_enumeration(monkeypatch)
     for pairs in ("-5", "0", str(MAX_ORACLE_PAIRS + 1)):
         assert main(["oracle", "agree", "Z2", "Ztrivial", "--pairs", pairs]) == 3
         out, err = capsys.readouterr()
@@ -161,10 +166,20 @@ def test_oracle_input_bounds(capsys, monkeypatch):
     assert out == "" and "exceeds the limit" in err
 
 
-def test_wh_equal_unknown_past_the_oracle_limit(capsys, tmp_path, monkeypatch):
+def test_oracle_size_limit_rejects_before_enumerating(capsys, monkeypatch):
+    _forbid_enumeration(monkeypatch)
+    for group, module in ((f"Z{MAX_ORACLE_AMBIENT + 1}", "Ztrivial"), ("Z100000", "Ztrivial"),
+                          ("Z2xZ2", f"Z^{MAX_ORACLE_AMBIENT // 4 + 1}trivial")):
+        for action in ("wh", "agree"):
+            assert main(["oracle", action, group, module]) == 3
+            out, err = capsys.readouterr()
+            assert out == "" and "exceeds the limit" in err
+
+
+def test_wh_equal_past_the_oracle_limit(capsys, tmp_path, monkeypatch):
     # Z/1024 acting on Z by a sign: (1)[s] = (-1)[s] in the coinvariants,
-    # but the oracle's ambient rank 1024 is past the limit.
-    monkeypatch.setattr(wh1, "enumerate_elements", _fail_enumerate)
+    # A_G = Z/2, decided without enumerating the 1024 elements.
+    _forbid_enumeration(monkeypatch)
     path = tmp_path / "big.json"
     path.write_text(json.dumps({
         "name": "big",
@@ -175,7 +190,7 @@ def test_wh_equal_unknown_past_the_oracle_limit(capsys, tmp_path, monkeypatch):
     status, out = run_main(capsys, "--scenario", str(path), "wh", "equal",
                            "(1)[s]", "(-1)[s]", "--module", "A")
     assert status == 0
-    assert out == "RESULT: unknown\n"
+    assert out == "RESULT: true\n"
 
 
 def test_report_paper_exact_lines(capsys):

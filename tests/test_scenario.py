@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from obkit import groups
+from obkit import chi, groups
+from obkit.cli import main
 from obkit import scenario as scenario_module
 from obkit.chi import Cocycle
 from obkit.scenario import ScenarioError, load_scenario, parse_scenario
@@ -146,6 +147,34 @@ def test_quotient_torsion_law_checked_by_repeated_squaring(monkeypatch):
             parse_scenario(text)
         assert [d.render() for d in err.value.diagnostics] == [
             "1:164: E242 quotient 'Q': image of 's' does not satisfy its torsion relation"]
+
+
+@pytest.mark.parametrize("order", [10**3, 10**9])
+def test_quotient_order_limit_is_a_positioned_error(monkeypatch, tmp_path, capsys, order):
+    # A cocycle over Z/order would ask for order^3 table slots and order^4
+    # checks; the quotient is refused from its torsion orders first.
+    def fail(spec):
+        raise AssertionError("enumerated an oversized quotient")
+
+    for layer in (groups, chi):
+        monkeypatch.setattr(layer, "enumerate_elements", fail)
+    text = json.dumps({
+        "name": "big-quotient",
+        "group": {"factors": [{"kind": "free", "names": ["t"]}]},
+        "modules": {"Z": {"rank": 1}},
+        "quotients": {"Q": {"factors": [{"kind": "abelian", "names": ["q"], "torsion": [order]}],
+                            "images": {"t": "q"}}},
+        "cocycles": {"c": {"quotient": "Q", "module": "Z",
+                           "entries": [{"args": ["q", "q", "q"], "value": [1]}]}},
+    })
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    diags = [d.render() for d in err.value.diagnostics if d.code == "E242"]
+    assert diags == [f"1:134: E242 quotient 'Q': quotient order {order} exceeds the limit 32"]
+    path = tmp_path / "big.json"
+    path.write_text(text)
+    assert main(["--scenario", str(path), "normalize", "t"]) == 2
+    assert "E242" in capsys.readouterr().err
 
 
 def test_profile_violation_is_syntax():

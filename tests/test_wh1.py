@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sympy import Matrix
 
 from obkit import groups, intlinalg, wh1
+from obkit.cli import MAX_ORACLE_AMBIENT
 from obkit.errors import RejectedError, UnsupportedError
 from obkit.gmodules import GModule, ModuleMap
 from obkit.groups import FactorSpec, GroupSpec, enumerate_elements, inverse, multiply
@@ -395,7 +396,7 @@ def test_oracle_generators_span_reference_lattice(case):
     oracle = oracle_wh_presentation(spec, module)
     elements = enumerate_elements(spec)
     ref = QuotientPresentation(rank * len(elements), reference_oracle_rows(spec, module))
-    assert oracle.elements == elements
+    assert (oracle.ambient, oracle.free_rank) == (ref.rank, ref.free_rank)
     assert oracle.group_invariants() == ref.group_invariants()
     # Both lattices, read in the dense ambient: every A_G relation in
     # every nonidentity slot is a dense relation, and every dense
@@ -409,7 +410,7 @@ def test_oracle_generators_span_reference_lattice(case):
         assert oracle.coords(WhElement(module, tuple(raw))) == {}
 
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
-    @given(wh_pairs(module, oracle.elements))
+    @given(wh_pairs(module, elements))
     def check(pair):
         x, y = pair
         assert ((oracle.coords(x) == oracle.coords(y))
@@ -438,30 +439,31 @@ def test_oracle_cost_per_generator(monkeypatch):
 
 
 def _fail_enumerate(spec):
-    raise AssertionError("enumerated the elements of an oversized group")
+    raise AssertionError("enumerated the elements of the group")
 
 
-def test_oracle_size_limit_rejects_before_enumerating(monkeypatch):
-    monkeypatch.setattr(wh1, "enumerate_elements", _fail_enumerate)
-    for orders, rank in (((wh1.MAX_ORACLE_AMBIENT + 1,), 1), ((100000,), 1),
-                         ((2, 2), wh1.MAX_ORACLE_AMBIENT // 4 + 1)):
-        spec = zmod_spec(*orders)
-        with pytest.raises(UnsupportedError, match="exceeds the limit"):
-            oracle_wh_presentation(spec, trivial_module(spec, rank))
-    # The limit also comes before validating the module: doubling is not
-    # invertible, but the size is refused first.
-    spec = zmod_spec(100000)
-    doubling = GModule(spec, QuotientPresentation(1), action={"s": [[2]]})
-    with pytest.raises(UnsupportedError, match="exceeds the limit"):
-        oracle_wh_presentation(spec, doubling)
+def test_oracle_presents_any_finite_group_without_enumerating(monkeypatch):
+    # Z/4096 acting on Z by a sign: A_G = Z/2 in each of 4095 slots.
+    monkeypatch.setattr(groups, "enumerate_elements", _fail_enumerate)
+    spec = zmod_spec(4096)
+    module = GModule(spec, QuotientPresentation(1), action={"s": [[-1]]})
+    oracle = oracle_wh_presentation(spec, module)
+    assert oracle.ambient == 4096
+    assert oracle.presentation.group_invariants() == (2,)
+    s = spec.generator("s")
+    x = WhElement.build(module, [((1,), s)])
+    assert wh_equal(x, WhElement.build(module, [((-1,), s)])) is True
+    assert wh_equal(x, WhElement.build(module, [((1,), s * s)])) is False
+    with pytest.raises(UnsupportedError, match="finite group"):
+        oracle_wh_presentation(zz2_spec(), trivial_module(zz2_spec(), 1))
 
 
 def test_oracle_at_the_size_limit():
-    spec = zmod_spec(wh1.MAX_ORACLE_AMBIENT)
+    spec = zmod_spec(MAX_ORACLE_AMBIENT)
     oracle = oracle_wh_presentation(spec, trivial_module(spec, 1))
-    assert oracle.ambient == wh1.MAX_ORACLE_AMBIENT
-    assert oracle.free_rank == wh1.MAX_ORACLE_AMBIENT - 1
-    assert oracle.group_invariants() == (0,) * (wh1.MAX_ORACLE_AMBIENT - 1)
+    assert oracle.ambient == MAX_ORACLE_AMBIENT
+    assert oracle.free_rank == MAX_ORACLE_AMBIENT - 1
+    assert oracle.group_invariants() == (0,) * (MAX_ORACLE_AMBIENT - 1)
 
 
 def test_oracle_at_the_limit_needs_a_rank_k_smith_form(monkeypatch):
@@ -479,7 +481,7 @@ def test_oracle_at_the_limit_needs_a_rank_k_smith_form(monkeypatch):
     turns = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
     module = GModule(spec, QuotientPresentation(4), action={"s": turns})
     oracle = oracle_wh_presentation(spec, module)
-    assert oracle.ambient == wh1.MAX_ORACLE_AMBIENT
+    assert oracle.ambient == MAX_ORACLE_AMBIENT
     assert oracle.group_invariants() == (2,) * 254
     s = spec.generator("s")
     x = WhElement.build(module, [((1, 0, 0, 0), s)])
