@@ -439,7 +439,7 @@ def test_oracle_cost_per_generator(monkeypatch):
 
 
 def _fail_enumerate(spec):
-    raise AssertionError("enumerated the elements of the group")
+    raise AssertionError("enumerated the elements of an oversized group")
 
 
 def test_oracle_presents_any_finite_group_without_enumerating(monkeypatch):
