@@ -1,5 +1,6 @@
 """Scenario resolution, validation and positioned diagnostics."""
 
+import copy
 import json
 import pathlib
 import random
@@ -10,6 +11,7 @@ from obkit import chi, groups
 from obkit.cli import main
 from obkit import scenario as scenario_module
 from obkit.chi import Cocycle
+from obkit.errors import DimensionError
 from obkit.scenario import ScenarioError, load_scenario, parse_scenario
 from obkit.words import parse_word
 
@@ -369,3 +371,410 @@ def test_load_scenario_reads_line_ends_as_text_mode_does(tmp_path):
         load_scenario(path)
     assert [d.render() for d in err.value.diagnostics] == [
         "3:2: E100 non-integer numbers are not allowed in this profile"]
+
+
+# -- every resolver diagnostic, pinned ---------------------------------------
+#
+# One small scenario that loads, and one row per resolver diagnostic site:
+# each row mutates the scenario (or replaces it) and pins the full rendered
+# list, so the code, message, position and order of every diagnostic the
+# resolver can emit are fixed, including the cascades a defect causes later.
+
+_DIAG_BASE = {
+    "name": "diagnostics",
+    "group": {"factors": [{"kind": "free", "names": ["t"]},
+                          {"kind": "abelian", "names": ["s"], "torsion": [2]}]},
+    "elements": {"sigma": "s", "one": "1"},
+    "modules": {"A": {"rank": 1, "action": {"s": [[-1]]}, "elements": {"a": [1]}},
+                "Z": {"rank": 1}},
+    "maps": {"r": {"source": "Z", "target": "Z", "matrix": [[1]], "equivariant": 1}},
+    "quotients": {"Q": {"factors": [{"kind": "abelian", "names": ["q"], "torsion": [2]}],
+                        "images": {"t": "1", "s": "q"}}},
+    "cocycles": {"c": {"quotient": "Q", "module": "A", "q_action": {"q": [[-1]]},
+                       "entries": [{"args": ["q", "q", "q"], "value": [0]}]}},
+    "matrices": {"M": {"size": 2, "generators": 'E(1,2,"t") ; D(2,"s")'}},
+    "lenses": {"g": {"module": "A", "alpha": "a", "sigma": "sigma", "framing": "(1)[s]"}},
+    "paper": {"lens": "g", "retraction": "r", "cocycle": "c", "matrices": ["M", "M", "M"]},
+    "assertions": ["kernel-of-first-invariant"],
+}
+_DROP = object()
+_FACTOR = "group.factors.1"
+_QF = "quotients.Q.factors"
+
+
+def _mutated(*changes):
+    """The base scenario as indented JSON after each (dotted path, value)
+    change; _DROP deletes the key and an index one past a list appends."""
+    data = copy.deepcopy(_DIAG_BASE)
+    for path, value in changes:
+        *parents, last = [int(k) if k.isdigit() else k for k in path.split(".")]
+        node = data
+        for key in parents:
+            node = node[key]
+        if value is _DROP:
+            del node[last]
+        elif last == len(node):
+            node.append(value)
+        else:
+            node[last] = value
+    return json.dumps(data, indent=1)
+
+
+DIAGNOSTIC_CASES = [
+    ("empty-input", " \n",
+     ["1:1: E210 no group declared"]),
+    ("syntax", '{"group": }',
+     ["1:11: E100 unexpected character '}'"]),
+    ("top-not-object", "[1]",
+     ["1:1: E200 scenario must be an object"]),
+    ("duplicate-key", _mutated()[:-2] + ',\n "name": "again"\n}',
+     ["129:2: E201 duplicate key 'name'"]),
+    ("unknown-section", _mutated(("extra", 1)),
+     ["129:2: E200 unknown section 'extra'"]),
+    ("name-not-string", _mutated(("name", 5)),
+     ["2:10: E200 field 'name' must be a string"]),
+    ("no-group", _mutated(("group", _DROP)),
+     ["1:1: E210 no group declared"]),
+    ("group-not-object", _mutated(("group", [1])),
+     ["3:11: E200 group must be an object"]),
+    ("no-factors", _mutated(("group.factors", [])),
+     ["3:11: E210 no group declared"]),
+    ("factor-not-object", _mutated((_FACTOR, "s")),
+     ["11:4: E200 factor must be an object"]),
+    ("factor-no-names", _mutated((_FACTOR + ".names", _DROP)),
+     ["11:4: E200 factor needs 'kind' and 'names'"]),
+    ("factor-no-kind", _mutated((_FACTOR + ".kind", _DROP)),
+     ["11:4: E200 missing required field 'kind'",
+      "11:4: E200 factor needs 'kind' and 'names'"]),
+    ("factor-kind-not-string", _mutated((_FACTOR + ".kind", 1)),
+     ["12:13: E200 field 'kind' must be a string",
+      "11:4: E200 factor needs 'kind' and 'names'"]),
+    ("factor-name-not-string", _mutated((_FACTOR + ".names", [1])),
+     ["14:6: E200 generator names must be strings"]),
+    ("factor-unknown-kind", _mutated((_FACTOR + ".kind", "cyclic")),
+     ["12:13: E200 unknown factor kind 'cyclic'"]),
+    ("factor-free-rank-not-int", _mutated((_FACTOR + ".free_rank", "0")),
+     ["19:18: E200 field 'free_rank' must be an integer"]),
+    ("factor-torsion-not-array", _mutated((_FACTOR + ".torsion", 2)),
+     ["16:16: E200 torsion must be an array of integers",
+      "11:4: E200 abelian factor needs one name per generator"]),
+    ("factor-torsion-entry", _mutated((_FACTOR + ".torsion", ["2"])),
+     ["17:6: E200 torsion entries must be integers",
+      "11:4: E200 abelian factor needs one name per generator"]),
+    ("factor-value-error", _mutated((_FACTOR + ".torsion", [1])),
+     ["11:4: E200 torsion orders must be at least 2"]),
+    ("group-value-error", _mutated((_FACTOR + ".names", ["t"])),
+     ["3:11: E200 generator names must be unique across factors"]),
+    ("elements-not-object", _mutated(("elements", ["s"])),
+     ["22:14: E200 elements must be an object",
+      "111:13: E220 unresolved element name 'sigma'",
+      "116:11: E220 unresolved lens name 'g'"]),
+    ("element-not-string", _mutated(("elements.sigma", 5), ("elements.one", 6)),
+     ["23:12: E200 element 'sigma' must be a word string",
+      "24:10: E200 element 'one' must be a word string",
+      "112:13: E220 unresolved element name 'sigma'",
+      "117:11: E220 unresolved lens name 'g'"]),
+    ("element-bad-word", _mutated(("elements.sigma", "w")),
+     ["23:12: E230 element 'sigma': unknown generator 'w'",
+      "112:13: E220 unresolved element name 'sigma'",
+      "117:11: E220 unresolved lens name 'g'"]),
+    ("modules-not-object", _mutated(("modules", 5)),
+     ["26:13: E200 modules must be an object",
+      "29:14: E220 unresolved module name 'Z'",
+      "30:14: E220 unresolved module name 'Z'",
+      "61:14: E220 unresolved module name 'A'",
+      "91:14: E220 unresolved module name 'A'",
+      "98:11: E220 unresolved lens name 'g'"]),
+    ("module-not-object", _mutated(("modules.A", 5)),
+     ["27:8: E200 module 'A' must be an object",
+      "66:14: E220 unresolved module name 'A'",
+      "96:14: E220 unresolved module name 'A'",
+      "103:11: E220 unresolved lens name 'g'"]),
+    ("module-no-rank", _mutated(("modules.A.rank", _DROP)),
+     ["27:8: E200 missing required field 'rank'",
+      "79:14: E220 unresolved module name 'A'",
+      "109:14: E220 unresolved module name 'A'",
+      "116:11: E220 unresolved lens name 'g'"]),
+    ("module-rank-not-int", _mutated(("modules.A.rank", "1")),
+     ["28:12: E200 field 'rank' must be an integer",
+      "80:14: E220 unresolved module name 'A'",
+      "110:14: E220 unresolved module name 'A'",
+      "117:11: E220 unresolved lens name 'g'"]),
+    ("relations-not-array", _mutated(("modules.Z.relations", 2)),
+     ["44:17: E200 relations must be an array of rows"]),
+    ("relations-row-not-array", _mutated(("modules.Z.relations", [2])),
+     ["45:5: E200 relations row must be an array of integers"]),
+    ("relations-entry", _mutated(("modules.Z.relations", [["2"]])),
+     ["46:6: E200 relations row entries must be integers"]),
+    ("action-not-object", _mutated(("modules.A.action", [[-1]])),
+     ["29:14: E200 action must be an object",
+      "78:14: E220 unresolved module name 'A'",
+      "108:14: E220 unresolved module name 'A'",
+      "115:11: E220 unresolved lens name 'g'"]),
+    ("action-matrix-bad", _mutated(("modules.A.action.t", 1)),
+     ["35:10: E200 action of 't' must be an array of rows",
+      "81:14: E220 unresolved module name 'A'",
+      "111:14: E220 unresolved module name 'A'",
+      "118:11: E220 unresolved lens name 'g'"]),
+    ("module-elements-not-object", _mutated(("modules.A.elements", [1])),
+     ["36:16: E200 module elements must be an object",
+      "78:14: E220 unresolved module name 'A'",
+      "108:14: E220 unresolved module name 'A'",
+      "115:11: E220 unresolved lens name 'g'"]),
+    ("module-element-bad", _mutated(("modules.A.elements.a", 1)),
+     ["37:10: E200 element 'a' must be an array of integers",
+      "78:14: E220 unresolved module name 'A'",
+      "108:14: E220 unresolved module name 'A'",
+      "115:11: E220 unresolved lens name 'g'"]),
+    ("module-build-error", _mutated(("modules.A.action.s", [[1, 0]])),
+     ["27:8: E240 module 'A': action matrix for 's' must be 1x1",
+      "81:14: E220 unresolved module name 'A'",
+      "111:14: E220 unresolved module name 'A'",
+      "118:11: E220 unresolved lens name 'g'"]),
+    ("module-unknown-generator", _mutated(("modules.A.action.u", [[1]])),
+     ["27:8: E240 module 'A': action names unknown generator 'u'",
+      "85:14: E220 unresolved module name 'A'",
+      "115:14: E220 unresolved module name 'A'",
+      "122:11: E220 unresolved lens name 'g'"]),
+    ("module-invalid", _mutated(("modules.A.action.s", [[2]])),
+     ["27:8: E240 module 'A': action of 's' is not invertible on the quotient",
+      "80:14: E220 unresolved module name 'A'",
+      "110:14: E220 unresolved module name 'A'",
+      "117:11: E220 unresolved lens name 'g'"]),
+    ("maps-not-object", _mutated(("maps", 5)),
+     ["46:10: E200 maps must be an object",
+      "107:17: E220 unresolved map name 'r'"]),
+    ("map-not-object", _mutated(("maps.r", 5)),
+     ["47:8: E200 map 'r' must be an object",
+      "109:17: E220 unresolved map name 'r'"]),
+    ("map-reference-not-string", _mutated(("maps.r.source", 5)),
+     ["48:14: E200 module reference must be a string",
+      "118:17: E220 unresolved map name 'r'"]),
+    ("map-unresolved", _mutated(("maps.r.source", "nosuch"), ("maps.r.target", "nosuch2")),
+     ["48:14: E220 unresolved module name 'nosuch'",
+      "49:14: E220 unresolved module name 'nosuch2'",
+      "118:17: E220 unresolved map name 'r'"]),
+    ("map-no-matrix", _mutated(("maps.r.matrix", _DROP)),
+     ["47:8: E200 map 'r' needs a 'matrix'",
+      "113:17: E220 unresolved map name 'r'"]),
+    ("map-no-source", _mutated(("maps.r.source", _DROP)),
+     ["117:17: E220 unresolved map name 'r'"]),
+    ("map-matrix-bad", _mutated(("maps.r.matrix", [1])),
+     ["51:5: E200 matrix row must be an array of integers",
+      "116:17: E220 unresolved map name 'r'"]),
+    ("map-equivariant-not-int", _mutated(("maps.r.equivariant", "1")),
+     ["55:19: E200 field 'equivariant' must be an integer"]),
+    ("map-build-error", _mutated(("maps.r.matrix", [[1, 0]])),
+     ["47:8: E241 map 'r': map matrix must be target_rank x source_rank",
+      "119:17: E220 unresolved map name 'r'"]),
+    ("map-invalid", _mutated(("maps.r.source", "A")),
+     ["47:8: E241 map 'r': map is flagged equivariant but does not commute with the action",
+      "118:17: E220 unresolved map name 'r'"]),
+    ("quotients-not-object", _mutated(("quotients", 5)),
+     ["58:15: E200 quotients must be an object",
+      "61:16: E220 unresolved quotient name 'Q'",
+      "101:14: E220 unresolved cocycle name 'c'"]),
+    ("quotient-not-object", _mutated(("quotients.Q", 5)),
+     ["59:8: E200 quotient 'Q' must be an object",
+      "63:16: E220 unresolved quotient name 'Q'",
+      "103:14: E220 unresolved cocycle name 'c'"]),
+    ("quotient-no-factors", _mutated(("quotients.Q.factors", _DROP)),
+     ["59:8: E200 quotient 'Q' needs 'factors'",
+      "68:16: E220 unresolved quotient name 'Q'",
+      "108:14: E220 unresolved cocycle name 'c'"]),
+    ("quotient-empty-factors", _mutated((_QF, [])),
+     ["59:8: E210 no group declared",
+      "69:16: E220 unresolved quotient name 'Q'",
+      "109:14: E220 unresolved cocycle name 'c'"]),
+    ("quotient-factor-bad", _mutated((_QF + ".0.names", _DROP)),
+     ["61:5: E200 factor needs 'kind' and 'names'",
+      "76:16: E220 unresolved quotient name 'Q'",
+      "116:14: E220 unresolved cocycle name 'c'"]),
+    ("quotient-group-error", _mutated((_QF, [{"kind": "free", "names": ["q"]},
+                                             {"kind": "free", "names": ["q"]}])),
+     ["59:8: E200 generator names must be unique across factors",
+      "82:16: E220 unresolved quotient name 'Q'",
+      "122:14: E220 unresolved cocycle name 'c'"]),
+    ("quotient-no-images", _mutated(("quotients.Q.images", _DROP)),
+     ["59:8: E200 quotient 'Q' needs 'images'",
+      "75:16: E220 unresolved quotient name 'Q'",
+      "115:14: E220 unresolved cocycle name 'c'"]),
+    ("quotient-images-not-object", _mutated(("quotients.Q.images", ["q"])),
+     ["71:14: E200 images must be an object",
+      "59:8: E200 quotient 'Q' needs 'images'",
+      "78:16: E220 unresolved quotient name 'Q'",
+      "118:14: E220 unresolved cocycle name 'c'"]),
+    ("quotient-image-bad", _mutated(("quotients.Q.images.s", "w"), ("quotients.Q.images.t", 1)),
+     ["72:10: E200 image of 't' must be a word string",
+      "79:16: E220 unresolved quotient name 'Q'",
+      "119:14: E220 unresolved cocycle name 'c'"]),
+    ("quotient-invalid", _mutated(("quotients.Q.images.t", "q"), ("quotients.Q.images.s", _DROP)),
+     ["59:8: E242 quotient 'Q': missing image for generator 's'",
+      "78:16: E220 unresolved quotient name 'Q'",
+      "118:14: E220 unresolved cocycle name 'c'"]),
+    ("cocycles-not-object", _mutated(("cocycles", 5)),
+     ["77:14: E200 cocycles must be an object",
+      "95:14: E220 unresolved cocycle name 'c'"]),
+    ("cocycle-not-object", _mutated(("cocycles.c", 5)),
+     ["78:8: E200 cocycle 'c' must be an object",
+      "97:14: E220 unresolved cocycle name 'c'"]),
+    ("cocycle-no-quotient", _mutated(("cocycles.c.quotient", _DROP)),
+     ["78:8: E200 cocycle 'c' needs 'quotient' and 'module'",
+      "118:14: E220 unresolved cocycle name 'c'"]),
+    ("cocycle-references-bad", _mutated(("cocycles.c.quotient", 5),
+                                        ("cocycles.c.module", "nosuch")),
+     ["79:16: E200 quotient reference must be a string",
+      "80:14: E220 unresolved module name 'nosuch'",
+      "119:14: E220 unresolved cocycle name 'c'"]),
+    ("entries-not-array", _mutated(("cocycles.c.entries", {})),
+     ["88:15: E200 entries must be an array",
+      "108:14: E220 unresolved cocycle name 'c'"]),
+    ("entry-not-object", _mutated(("cocycles.c.entries.0", 5)),
+     ["89:5: E200 cocycle entry must be an object",
+      "89:5: E200 entry needs 'args' and 'value'",
+      "110:14: E220 unresolved cocycle name 'c'"]),
+    ("entry-no-value", _mutated(("cocycles.c.entries.0.value", _DROP)),
+     ["89:5: E200 entry needs 'args' and 'value'",
+      "116:14: E220 unresolved cocycle name 'c'"]),
+    ("entry-args-short", _mutated(("cocycles.c.entries.0.args", ["q", "q"])),
+     ["90:14: E200 args must be three quotient words",
+      "118:14: E220 unresolved cocycle name 'c'"]),
+    ("entry-arg-not-string", _mutated(("cocycles.c.entries.0.args.1", 1)),
+     ["92:7: E200 cocycle argument must be a word string",
+      "119:14: E220 unresolved cocycle name 'c'"]),
+    ("entry-arg-bad-word", _mutated(("cocycles.c.entries.0.args.2", "w")),
+     ["93:7: E230 cocycle argument: unknown generator 'w'",
+      "119:14: E220 unresolved cocycle name 'c'"]),
+    ("entry-value-bad", _mutated(("cocycles.c.entries.0.value", 0)),
+     ["95:15: E200 entry value must be an array of integers",
+      "117:14: E220 unresolved cocycle name 'c'"]),
+    ("entry-duplicate", _mutated(("cocycles.c.entries.1",
+                                  {"args": ["q", "q", "q^3"], "value": [1]})),
+     ["99:5: E201 duplicate cocycle entry",
+      "129:14: E220 unresolved cocycle name 'c'"]),
+    ("q-action-not-object", _mutated(("cocycles.c.q_action", [[-1]])),
+     ["81:16: E200 q_action must be an object",
+      "117:14: E220 unresolved cocycle name 'c'"]),
+    ("q-action-matrix-bad", _mutated(("cocycles.c.q_action.q", [-1])),
+     ["83:6: E200 q_action of 'q' row must be an array of integers",
+      "117:14: E220 unresolved cocycle name 'c'"]),
+    ("cocycle-build-error", _mutated(("cocycles.c.entries.0.value", [0, 1])),
+     ["78:8: E243 cocycle 'c': table value has the wrong rank",
+      "120:14: E220 unresolved cocycle name 'c'"]),
+    ("cocycle-no-q-action", _mutated(("cocycles.c.q_action", _DROP)),
+     ["78:8: E243 cocycle 'c': module action is nontrivial and no quotient action was "
+      "supplied: cannot verify that the action factors through the quotient",
+      "112:14: E220 unresolved cocycle name 'c'"]),
+    ("cocycle-violated", _mutated(("cocycles.c.module", "Z"), ("cocycles.c.q_action", _DROP),
+                                  ("cocycles.c.entries.0.value", [1])),
+     ["78:8: E243 cocycle 'c': identity violated at (q, q, q, q)",
+      "112:14: E220 unresolved cocycle name 'c'"]),
+    ("matrices-not-object", _mutated(("matrices", 5)),
+     ["102:14: E200 matrices must be an object",
+      "116:4: E220 unresolved matrix name"]),
+    ("matrix-not-object", _mutated(("matrices.M", 5)),
+     ["103:8: E200 matrix 'M' must be an object",
+      "118:4: E220 unresolved matrix name"]),
+    ("matrix-no-size", _mutated(("matrices.M.size", _DROP), ("matrices.M.generators", 7)),
+     ["103:8: E200 missing required field 'size'",
+      "104:18: E200 field 'generators' must be a string",
+      "120:4: E220 unresolved matrix name"]),
+    ("matrix-bad-sequence", _mutated(("matrices.M.generators", 'E(1,3,"t")')),
+     ["105:18: E230 matrix 'M': index 3 out of range 1..2",
+      "121:4: E220 unresolved matrix name"]),
+    ("lenses-not-object", _mutated(("lenses", 5)),
+     ["108:12: E200 lenses must be an object",
+      "110:11: E220 unresolved lens name 'g'"]),
+    ("lens-not-object", _mutated(("lenses.g", 5)),
+     ["109:8: E200 lens 'g' must be an object",
+      "112:11: E220 unresolved lens name 'g'"]),
+    ("lens-no-module", _mutated(("lenses.g.module", _DROP)),
+     ["116:11: E220 unresolved lens name 'g'"]),
+    ("lens-module-unresolved", _mutated(("lenses.g.module", "nosuch")),
+     ["110:14: E220 unresolved module name 'nosuch'",
+      "117:11: E220 unresolved lens name 'g'"]),
+    ("lens-no-alpha", _mutated(("lenses.g.alpha", _DROP), ("lenses.g.sigma", 3)),
+     ["109:8: E200 missing required field 'alpha'",
+      "111:13: E200 field 'sigma' must be a string",
+      "116:11: E220 unresolved lens name 'g'"]),
+    ("lens-alpha-unresolved", _mutated(("lenses.g.alpha", "nosuch")),
+     ["111:13: E220 unresolved module element 'nosuch'",
+      "117:11: E220 unresolved lens name 'g'"]),
+    ("lens-sigma-unresolved", _mutated(("lenses.g.sigma", "nosuch")),
+     ["112:13: E220 unresolved element name 'nosuch'",
+      "117:11: E220 unresolved lens name 'g'"]),
+    ("lens-k-not-int", _mutated(("lenses.g.k", "1"), ("lenses.g.n", "3")),
+     ["114:9: E200 field 'k' must be an integer",
+      "115:9: E200 field 'n' must be an integer"]),
+    ("lens-framing-not-string", _mutated(("lenses.g.framing", 1)),
+     ["113:15: E200 framing must be a Wh string",
+      "117:11: E220 unresolved lens name 'g'"]),
+    ("lens-framing-bad", _mutated(("lenses.g.framing", "(1)[w]")),
+     ["113:15: E230 framing: unknown generator 'w'",
+      "117:11: E220 unresolved lens name 'g'"]),
+    ("lens-rejected", _mutated(("lenses.g.sigma", "one")),
+     ["109:8: E244 lens 'g': sigma must be nontrivial: the bracket at the identity "
+      "vanishes by definition",
+      "117:11: E220 unresolved lens name 'g'"]),
+    ("assertions-not-array", _mutated(("assertions", "x")),
+     ["126:16: E200 assertions must be an array of strings"]),
+    ("assertion-not-string", _mutated(("assertions", ["x", 1, 2])),
+     ["128:3: E200 assertions must be strings"]),
+    ("paper-not-object", _mutated(("paper", 5)),
+     ["116:11: E200 paper must be an object"]),
+    ("paper-no-lens", _mutated(("paper.lens", _DROP), ("paper.retraction", 5)),
+     ["116:11: E200 missing required field 'lens'",
+      "117:17: E200 field 'retraction' must be a string"]),
+    ("paper-lens-unresolved", _mutated(("paper.lens", "nosuch"), ("paper.retraction", "nosuch")),
+     ["117:11: E220 unresolved lens name 'nosuch'"]),
+    ("paper-map-unresolved", _mutated(("paper.retraction", "nosuch")),
+     ["118:17: E220 unresolved map name 'nosuch'"]),
+    ("paper-cocycle-not-string", _mutated(("paper.cocycle", 1)),
+     ["119:14: E200 field 'cocycle' must be a string"]),
+    ("paper-cocycle-unresolved", _mutated(("paper.cocycle", "nosuch")),
+     ["119:14: E220 unresolved cocycle name 'nosuch'"]),
+    ("paper-matrices-short", _mutated(("paper.matrices", ["M"])),
+     ["120:15: E200 paper matrices must name three matrices"]),
+    ("paper-matrix-unresolved", _mutated(("paper.matrices.1", 5)),
+     ["122:4: E220 unresolved matrix name"]),
+    ("paper-powers-not-int", _mutated(("paper.powers", "64")),
+     ["125:13: E200 field 'powers' must be an integer"]),
+    ("paper-powers-zero", _mutated(("paper.powers", 0)),
+     ["125:13: E200 field 'powers' must be at least 1"]),
+    ("independent-defects", _mutated(("elements.sigma", "w"), ("modules.Z.rank", _DROP),
+                                     ("assertions", 1)),
+     ["23:12: E230 element 'sigma': unknown generator 'w'",
+      "42:8: E200 missing required field 'rank'",
+      "46:14: E220 unresolved module name 'Z'",
+      "47:14: E220 unresolved module name 'Z'",
+      "110:13: E220 unresolved element name 'sigma'",
+      "124:16: E200 assertions must be an array of strings",
+      "115:11: E220 unresolved lens name 'g'"]),
+
+]
+
+
+def test_diagnostic_base_scenario_loads():
+    assert parse_scenario(_mutated()).paper is not None
+
+
+@pytest.mark.parametrize("text, expected", [case[1:] for case in DIAGNOSTIC_CASES],
+                         ids=[case[0] for case in DIAGNOSTIC_CASES])
+def test_every_resolver_diagnostic(text, expected):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert [d.render() for d in err.value.diagnostics] == expected
+
+
+def test_matrix_construction_error_is_e245(monkeypatch):
+    # parse_generator_sequence checks every index first, so no file reaches
+    # this site; a failing build_invertible stands in for one.
+    def fail(spec, n, gens):
+        raise DimensionError("matrix size mismatch")
+
+    monkeypatch.setattr(scenario_module, "build_invertible", fail)
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(_mutated())
+    assert [d.render() for d in err.value.diagnostics] == [
+        "103:8: E245 matrix 'M': matrix size mismatch",
+        "121:4: E220 unresolved matrix name"]
