@@ -25,9 +25,11 @@ from .words import WordError, parse_generator_sequence, parse_wh, parse_word
 
 __all__ = ["Diagnostic", "ScenarioError", "Scenario", "parse_scenario", "load_scenario"]
 
+# Sections after name and group are built in this order, each by its
+# build_<section> method.
 KNOWN_SECTIONS = (
     "name", "group", "elements", "modules", "maps", "quotients",
-    "cocycles", "matrices", "lenses", "paper", "assertions",
+    "cocycles", "matrices", "lenses", "assertions", "paper",
 )
 
 ASSERT_KERNEL = "kernel-of-first-invariant"
@@ -104,7 +106,9 @@ class _Resolver:
     def bail(self):
         raise ScenarioError(self.diags)
 
-    # -- typed accessors -------------------------------------------------
+    # -- readers, one per shape of input -----------------------------------
+    #
+    # Each returns None after diagnosing the first malformed part.
 
     def as_object(self, node: Node, what: str) -> dict[str, Node] | None:
         if node.kind != "object":
@@ -118,39 +122,69 @@ class _Resolver:
             out[key] = value
         return out
 
-    def get_string(self, obj: dict[str, Node], key: str, where: Node, required=True) -> Node | None:
+    def entries(self, node: Node, what: str, label: str):
+        """(name, node, object) for each entry of the section ``node`` whose
+        value is an object, diagnosing the section and each entry in turn."""
+        for name, enode in (self.as_object(node, what) or {}).items():
+            eobj = self.as_object(enode, f"{label} {name!r}")
+            if eobj is not None:
+                yield name, enode, eobj
+
+    def named(self, node: Node | None, what: str, label: str, read) -> dict | None:
+        """{name: read(value, "<label> 'name'")} for the object ``node``;
+        {} when it is absent."""
+        out = {}
+        if node is None:
+            return out
+        obj = self.as_object(node, what)
+        if obj is None:
+            return None
+        for name, value in obj.items():
+            out[name] = read(value, f"{label} {name!r}")
+            if out[name] is None:
+                return None
+        return out
+
+    def get_string(self, obj: dict[str, Node], key: str, where: Node) -> Node | None:
         node = obj.get(key)
         if node is None:
-            if required:
-                self.diag(where, "E200", f"missing required field {key!r}")
+            self.diag(where, "E200", f"missing required field {key!r}")
             return None
         if node.kind != "string":
             self.diag(node, "E200", f"field {key!r} must be a string")
             return None
         return node
 
-    def get_int(self, obj: dict[str, Node], key: str, where: Node, required=True, default=None):
+    def get_int(self, obj: dict[str, Node], key: str, where: Node, default=None, low=None):
+        """obj[key] as an int: ``default`` when absent or not an integer, a
+        required field when there is no default, and None below ``low``."""
         node = obj.get(key)
         if node is None:
-            if required:
+            if default is None:
                 self.diag(where, "E200", f"missing required field {key!r}")
             return default
         if node.kind != "int":
             self.diag(node, "E200", f"field {key!r} must be an integer")
             return default
+        if low is not None and node.value < low:
+            self.diag(node, "E200", f"field {key!r} must be at least {low}")
+            return None
         return node.value
 
-    def int_list(self, node: Node, what: str) -> list[int] | None:
+    def array(self, node: Node, kind: str, message: str, item_message: str) -> list | None:
+        """The values of an array of ``kind`` scalars."""
         if node.kind != "array":
-            self.diag(node, "E200", f"{what} must be an array of integers")
+            self.diag(node, "E200", message)
             return None
-        out = []
         for item in node.value:
-            if item.kind != "int":
-                self.diag(item, "E200", f"{what} entries must be integers")
+            if item.kind != kind:
+                self.diag(item, "E200", item_message)
                 return None
-            out.append(item.value)
-        return out
+        return [item.value for item in node.value]
+
+    def int_list(self, node: Node, what: str) -> list[int] | None:
+        return self.array(node, "int", f"{what} must be an array of integers",
+                          f"{what} entries must be integers")
 
     def int_matrix(self, node: Node, what: str) -> list[list[int]] | None:
         if node.kind != "array":
@@ -163,6 +197,29 @@ class _Resolver:
                 return None
             rows.append(r)
         return rows
+
+    def parse_word_node(self, spec: GroupSpec, node: Node, what: str) -> GroupElement | None:
+        if node.kind != "string":
+            self.diag(node, "E200", f"{what} must be a word string")
+            return None
+        try:
+            return parse_word(spec, node.value)
+        except WordError as err:
+            self.diag(node, "E230", f"{what}: {err.message}")
+            return None
+
+    def lookup(self, table: dict, node: Node | None, what: str):
+        """The entry of ``table`` named by a string node; None, silently,
+        when the node is absent."""
+        if node is None:
+            return None
+        if node.kind != "string":
+            self.diag(node, "E200", f"{what} reference must be a string")
+            return None
+        if node.value not in table:
+            self.diag(node, "E220", f"unresolved {what} name {node.value!r}")
+            return None
+        return table[node.value]
 
     # -- sections --------------------------------------------------------
 
@@ -189,58 +246,49 @@ class _Resolver:
         if "group" not in top:
             self.diag(root, "E210", "no group declared")
             self.bail()
-        spec = self.build_group(top["group"])
+        gobj = self.as_object(top["group"], "group")
+        spec = None if gobj is None else self.build_group(gobj.get("factors"), top["group"])
         if spec is None or self.diags:
             self.bail()
         scenario = Scenario(name=name, spec=spec)
-        self.build_elements(top.get("elements"), scenario)
-        self.build_modules(top.get("modules"), scenario)
-        self.build_maps(top.get("maps"), scenario)
-        self.build_quotients(top.get("quotients"), scenario)
-        self.build_cocycles(top.get("cocycles"), scenario)
-        self.build_matrices(top.get("matrices"), scenario)
-        self.build_lenses(top.get("lenses"), scenario)
-        self.build_assertions(top.get("assertions"), scenario)
-        self.build_paper(top.get("paper"), scenario)
+        for key in KNOWN_SECTIONS[2:]:
+            if key in top:
+                getattr(self, f"build_{key}")(top[key], scenario)
         if self.diags:
             self.bail()
         return scenario
 
-    def build_group(self, node: Node) -> GroupSpec | None:
-        obj = self.as_object(node, "group")
-        if obj is None:
-            return None
-        factors_node = obj.get("factors")
+    def build_group(self, factors_node: Node | None, where: Node) -> GroupSpec | None:
+        """The free product of a ``factors`` array; a missing or empty one,
+        and a clash between factors, are diagnosed at ``where``."""
         if factors_node is None or factors_node.kind != "array" or not factors_node.value:
-            self.diag(node, "E210", "no group declared")
+            self.diag(where, "E210", "no group declared")
             return None
         factors = []
         for fnode in factors_node.value:
             fobj = self.as_object(fnode, "factor")
             if fobj is None:
                 return None
-            kind_node = self.get_string(fobj, "kind", fnode)
-            names_node = fobj.get("names")
-            if kind_node is None or names_node is None or names_node.kind != "array":
+            kind = self.get_string(fobj, "kind", fnode)
+            names = fobj.get("names")
+            if kind is None or names is None or names.kind != "array":
                 self.diag(fnode, "E200", "factor needs 'kind' and 'names'")
                 return None
-            names = []
-            for item in names_node.value:
-                if item.kind != "string":
-                    self.diag(item, "E200", "generator names must be strings")
-                    return None
-                names.append(item.value)
+            names = self.array(names, "string", "generator names must be an array",
+                               "generator names must be strings")
+            if names is None:
+                return None
             try:
-                if kind_node.value == "free":
+                if kind.value == "free":
                     factors.append(FactorSpec.free(*names))
-                elif kind_node.value == "abelian":
-                    free_rank = self.get_int(fobj, "free_rank", fnode, required=False, default=0)
+                elif kind.value == "abelian":
+                    free_rank = self.get_int(fobj, "free_rank", fnode, default=0)
                     torsion = []
                     if "torsion" in fobj:
                         torsion = self.int_list(fobj["torsion"], "torsion") or []
                     factors.append(FactorSpec.abelian(names, free_rank=free_rank, torsion=torsion))
                 else:
-                    self.diag(kind_node, "E200", f"unknown factor kind {kind_node.value!r}")
+                    self.diag(kind, "E200", f"unknown factor kind {kind.value!r}")
                     return None
             except ValueError as err:
                 self.diag(fnode, "E200", str(err))
@@ -248,74 +296,30 @@ class _Resolver:
         try:
             return GroupSpec(tuple(factors))
         except ValueError as err:
-            self.diag(node, "E200", str(err))
+            self.diag(where, "E200", str(err))
             return None
 
-    def parse_word_node(self, spec: GroupSpec, node: Node, what: str) -> GroupElement | None:
-        if node.kind != "string":
-            self.diag(node, "E200", f"{what} must be a word string")
-            return None
-        try:
-            return parse_word(spec, node.value)
-        except WordError as err:
-            self.diag(node, "E230", f"{what}: {err.message}")
-            return None
-
-    def build_elements(self, node: Node | None, scenario: Scenario) -> None:
-        if node is None:
-            return
-        obj = self.as_object(node, "elements")
-        if obj is None:
-            return
-        for ename, enode in obj.items():
+    def build_elements(self, node: Node, scenario: Scenario) -> None:
+        for ename, enode in (self.as_object(node, "elements") or {}).items():
             word = self.parse_word_node(scenario.spec, enode, f"element {ename!r}")
             if word is not None:
                 scenario.elements[ename] = word
 
-    def build_modules(self, node: Node | None, scenario: Scenario) -> None:
-        if node is None:
-            return
-        obj = self.as_object(node, "modules")
-        if obj is None:
-            return
-        for mname, mnode in obj.items():
-            mobj = self.as_object(mnode, f"module {mname!r}")
-            if mobj is None:
-                continue
+    def build_modules(self, node: Node, scenario: Scenario) -> None:
+        for mname, mnode, mobj in self.entries(node, "modules", "module"):
             rank = self.get_int(mobj, "rank", mnode)
             if rank is None:
                 continue
             relations = []
             if "relations" in mobj:
                 relations = self.int_matrix(mobj["relations"], "relations") or []
-            action = {}
-            if "action" in mobj:
-                aobj = self.as_object(mobj["action"], "action")
-                if aobj is None:
-                    continue
-                bad = False
-                for gen, matnode in aobj.items():
-                    mat = self.int_matrix(matnode, f"action of {gen!r}")
-                    if mat is None:
-                        bad = True
-                        break
-                    action[gen] = mat
-                if bad:
-                    continue
-            elements = {}
-            if "elements" in mobj:
-                eobj = self.as_object(mobj["elements"], "module elements")
-                if eobj is None:
-                    continue
-                bad = False
-                for ename, vecnode in eobj.items():
-                    vec = self.int_list(vecnode, f"element {ename!r}")
-                    if vec is None:
-                        bad = True
-                        break
-                    elements[ename] = vec
-                if bad:
-                    continue
+            action = self.named(mobj.get("action"), "action", "action of", self.int_matrix)
+            if action is None:
+                continue
+            elements = self.named(mobj.get("elements"), "module elements", "element",
+                                  self.int_list)
+            if elements is None:
+                continue
             try:
                 module = GModule(scenario.spec, QuotientPresentation(rank, relations),
                                  action=action, elements=elements, name=mname)
@@ -328,41 +332,18 @@ class _Resolver:
                 continue
             scenario.modules[mname] = module
 
-    def lookup(self, table: dict, node: Node | None, what: str):
-        if node is None:
-            return None
-        if node.kind != "string":
-            self.diag(node, "E200", f"{what} reference must be a string")
-            return None
-        if node.value not in table:
-            self.diag(node, "E220", f"unresolved {what} name {node.value!r}")
-            return None
-        return table[node.value]
-
-    def build_maps(self, node: Node | None, scenario: Scenario) -> None:
-        if node is None:
-            return
-        obj = self.as_object(node, "maps")
-        if obj is None:
-            return
-        for name, mnode in obj.items():
-            mobj = self.as_object(mnode, f"map {name!r}")
-            if mobj is None:
-                continue
+    def build_maps(self, node: Node, scenario: Scenario) -> None:
+        for name, mnode, mobj in self.entries(node, "maps", "map"):
             source = self.lookup(scenario.modules, mobj.get("source"), "module")
             target = self.lookup(scenario.modules, mobj.get("target"), "module")
-            matrix_node = mobj.get("matrix")
-            if source is None or target is None or matrix_node is None:
-                if matrix_node is None:
-                    self.diag(mnode, "E200", f"map {name!r} needs a 'matrix'")
+            if "matrix" not in mobj:
+                self.diag(mnode, "E200", f"map {name!r} needs a 'matrix'")
+            if source is None or target is None or "matrix" not in mobj:
                 continue
-            matrix = self.int_matrix(matrix_node, "matrix")
+            matrix = self.int_matrix(mobj["matrix"], "matrix")
             if matrix is None:
                 continue
-            equivariant = False
-            if "equivariant" in mobj:
-                eq = self.get_int(mobj, "equivariant", mnode, required=False, default=0)
-                equivariant = bool(eq)
+            equivariant = bool(self.get_int(mobj, "equivariant", mnode, default=0))
             try:
                 phi = ModuleMap(source, target, matrix, equivariant=equivariant, name=name)
             except (DimensionError, ContextError) as err:
@@ -374,119 +355,44 @@ class _Resolver:
                 continue
             scenario.maps[name] = phi
 
-    def build_quotients(self, node: Node | None, scenario: Scenario) -> None:
-        if node is None:
-            return
-        obj = self.as_object(node, "quotients")
-        if obj is None:
-            return
-        for name, qnode in obj.items():
-            qobj = self.as_object(qnode, f"quotient {name!r}")
-            if qobj is None:
-                continue
+    def build_quotients(self, node: Node, scenario: Scenario) -> None:
+        for name, qnode, qobj in self.entries(node, "quotients", "quotient"):
             if "factors" not in qobj:
                 self.diag(qnode, "E200", f"quotient {name!r} needs 'factors'")
                 continue
-            target = self.build_group(Node("object", [("factors", qnode.line, qnode.col, qobj["factors"])],
-                                           qnode.line, qnode.col))
+            target = self.build_group(qobj["factors"], qnode)
             if target is None:
                 continue
             images_node = qobj.get("images")
-            iobj = self.as_object(images_node, "images") if images_node is not None else None
-            if iobj is None:
+            images = self.named(images_node, "images", "image of",
+                                lambda wnode, what: self.parse_word_node(target, wnode, what))
+            if images_node is None or images_node.kind != "object":
                 self.diag(qnode, "E200", f"quotient {name!r} needs 'images'")
                 continue
-            images = {}
-            bad = False
-            for gen, wnode in iobj.items():
-                img = self.parse_word_node(target, wnode, f"image of {gen!r}")
-                if img is None:
-                    bad = True
-                    break
-                images[gen] = img
-            if bad:
+            if images is None:
                 continue
             try:
                 scenario.quotients[name] = FiniteQuotient(scenario.spec, target, images)
             except ValueError as err:
                 self.diag(qnode, "E242", f"quotient {name!r}: {err}")
 
-    def build_cocycles(self, node: Node | None, scenario: Scenario) -> None:
-        if node is None:
-            return
-        obj = self.as_object(node, "cocycles")
-        if obj is None:
-            return
-        for name, cnode in obj.items():
-            cobj = self.as_object(cnode, f"cocycle {name!r}")
-            if cobj is None:
-                continue
+    def build_cocycles(self, node: Node, scenario: Scenario) -> None:
+        for name, cnode, cobj in self.entries(node, "cocycles", "cocycle"):
             quotient = self.lookup(scenario.quotients, cobj.get("quotient"), "quotient")
             module = self.lookup(scenario.modules, cobj.get("module"), "module")
             if quotient is None or module is None:
                 if "quotient" not in cobj or "module" not in cobj:
                     self.diag(cnode, "E200", f"cocycle {name!r} needs 'quotient' and 'module'")
                 continue
-            table = {}
-            # Each distinct argument string is parsed once per cocycle;
-            # only successful parses are kept, so a bad word is still
-            # diagnosed at its own node.
-            words: dict[str, GroupElement] = {}
-            bad = False
-            entries_node = cobj.get("entries")
-            if entries_node is not None:
-                if entries_node.kind != "array":
-                    self.diag(entries_node, "E200", "entries must be an array")
-                    continue
-                for entry in entries_node.value:
-                    eobj = self.as_object(entry, "cocycle entry")
-                    if eobj is None or "args" not in eobj or "value" not in eobj:
-                        self.diag(entry, "E200", "entry needs 'args' and 'value'")
-                        bad = True
-                        break
-                    args_node = eobj["args"]
-                    if args_node.kind != "array" or len(args_node.value) != 3:
-                        self.diag(args_node, "E200", "args must be three quotient words")
-                        bad = True
-                        break
-                    args = []
-                    for wnode in args_node.value:
-                        w = words.get(wnode.value) if wnode.kind == "string" else None
-                        if w is None:
-                            w = self.parse_word_node(quotient.target, wnode, "cocycle argument")
-                            if w is None:
-                                bad = True
-                                break
-                            words[wnode.value] = w
-                        args.append(w)
-                    if bad:
-                        break
-                    value = self.int_list(eobj["value"], "entry value")
-                    if value is None:
-                        bad = True
-                        break
-                    key = tuple(args)
-                    if key in table:
-                        self.diag(entry, "E201", "duplicate cocycle entry")
-                        bad = True
-                        break
-                    table[key] = value
-            if bad:
+            table = self.cocycle_table(cobj.get("entries"), quotient.target)
+            if table is None:
                 continue
             q_action = None
             if "q_action" in cobj:
-                aobj = self.as_object(cobj["q_action"], "q_action")
-                if aobj is None:
+                q_action = self.named(cobj["q_action"], "q_action", "q_action of",
+                                      self.int_matrix)
+                if q_action is None:
                     continue
-                q_action = {}
-                for gen, matnode in aobj.items():
-                    mat = self.int_matrix(matnode, f"q_action of {gen!r}")
-                    if mat is None:
-                        bad = True
-                        break
-                    q_action[gen] = mat
-            if bad:
-                continue
             try:
                 cocycle = Cocycle(quotient, module, table, q_action=q_action, name=name)
             except (RejectedError, DimensionError, ContextError) as err:
@@ -500,16 +406,49 @@ class _Resolver:
                 continue
             scenario.cocycles[name] = cocycle
 
-    def build_matrices(self, node: Node | None, scenario: Scenario) -> None:
+    def cocycle_table(self, node: Node | None, target: GroupSpec) -> dict | None:
+        """The table of a cocycle's ``entries`` array.
+
+        Each distinct argument string is parsed once per cocycle; only
+        successful parses are kept, so a bad word is still diagnosed at
+        its own node."""
+        table = {}
         if node is None:
-            return
-        obj = self.as_object(node, "matrices")
-        if obj is None:
-            return
-        for name, mnode in obj.items():
-            mobj = self.as_object(mnode, f"matrix {name!r}")
-            if mobj is None:
-                continue
+            return table
+        if node.kind != "array":
+            self.diag(node, "E200", "entries must be an array")
+            return None
+        words: dict[str, GroupElement] = {}
+        for entry in node.value:
+            eobj = self.as_object(entry, "cocycle entry")
+            if eobj is None or "args" not in eobj or "value" not in eobj:
+                self.diag(entry, "E200", "entry needs 'args' and 'value'")
+                return None
+            args_node = eobj["args"]
+            if args_node.kind != "array" or len(args_node.value) != 3:
+                self.diag(args_node, "E200", "args must be three quotient words")
+                return None
+            args = []
+            for wnode in args_node.value:
+                w = words.get(wnode.value) if wnode.kind == "string" else None
+                if w is None:
+                    w = self.parse_word_node(target, wnode, "cocycle argument")
+                    if w is None:
+                        return None
+                    words[wnode.value] = w
+                args.append(w)
+            value = self.int_list(eobj["value"], "entry value")
+            if value is None:
+                return None
+            key = tuple(args)
+            if key in table:
+                self.diag(entry, "E201", "duplicate cocycle entry")
+                return None
+            table[key] = value
+        return table
+
+    def build_matrices(self, node: Node, scenario: Scenario) -> None:
+        for name, mnode, mobj in self.entries(node, "matrices", "matrix"):
             size = self.get_int(mobj, "size", mnode)
             gens_node = self.get_string(mobj, "generators", mnode)
             if size is None or gens_node is None:
@@ -522,16 +461,8 @@ class _Resolver:
             except (DimensionError, ContextError) as err:
                 self.diag(mnode, "E245", f"matrix {name!r}: {err}")
 
-    def build_lenses(self, node: Node | None, scenario: Scenario) -> None:
-        if node is None:
-            return
-        obj = self.as_object(node, "lenses")
-        if obj is None:
-            return
-        for name, lnode in obj.items():
-            lobj = self.as_object(lnode, f"lens {name!r}")
-            if lobj is None:
-                continue
+    def build_lenses(self, node: Node, scenario: Scenario) -> None:
+        for name, lnode, lobj in self.entries(node, "lenses", "lens"):
             module = self.lookup(scenario.modules, lobj.get("module"), "module")
             if module is None:
                 continue
@@ -544,13 +475,11 @@ class _Resolver:
                 self.diag(alpha_node, "E220",
                           f"unresolved module element {alpha_node.value!r}")
                 continue
-            sigma = scenario.elements.get(sigma_node.value)
+            sigma = self.lookup(scenario.elements, sigma_node, "element")
             if sigma is None:
-                self.diag(sigma_node, "E220",
-                          f"unresolved element name {sigma_node.value!r}")
                 continue
-            k = self.get_int(lobj, "k", lnode, required=False, default=1)
-            n = self.get_int(lobj, "n", lnode, required=False, default=3)
+            k = self.get_int(lobj, "k", lnode, default=1)
+            n = self.get_int(lobj, "n", lnode, default=3)
             framing = WhElement.zero(scenario.framing)
             if "framing" in lobj:
                 fnode = lobj["framing"]
@@ -568,64 +497,44 @@ class _Resolver:
             except (RejectedError, ContextError) as err:
                 self.diag(lnode, "E244", f"lens {name!r}: {err}")
 
-    def build_assertions(self, node: Node | None, scenario: Scenario) -> None:
-        if node is None:
-            return
-        if node.kind != "array":
-            self.diag(node, "E200", "assertions must be an array of strings")
-            return
-        out = []
-        for item in node.value:
-            if item.kind != "string":
-                self.diag(item, "E200", "assertions must be strings")
-                return
-            out.append(item.value)
-        scenario.assertions = tuple(out)
+    def build_assertions(self, node: Node, scenario: Scenario) -> None:
+        items = self.array(node, "string", "assertions must be an array of strings",
+                           "assertions must be strings")
+        if items is not None:
+            scenario.assertions = tuple(items)
 
-    def build_paper(self, node: Node | None, scenario: Scenario) -> None:
-        if node is None:
-            return
+    def build_paper(self, node: Node, scenario: Scenario) -> None:
         pobj = self.as_object(node, "paper")
         if pobj is None:
             return
-        lens_node = self.get_string(pobj, "lens", node)
-        retr_node = self.get_string(pobj, "retraction", node)
-        if lens_node is None or retr_node is None:
-            return
-        if lens_node.value not in scenario.lenses:
-            self.diag(lens_node, "E220", f"unresolved lens name {lens_node.value!r}")
-            return
-        if retr_node.value not in scenario.maps:
-            self.diag(retr_node, "E220", f"unresolved map name {retr_node.value!r}")
+        lens = self.get_string(pobj, "lens", node)
+        retraction = self.get_string(pobj, "retraction", node)
+        if (lens is None or retraction is None
+                or self.lookup(scenario.lenses, lens, "lens") is None
+                or self.lookup(scenario.maps, retraction, "map") is None):
             return
         cocycle = None
         if "cocycle" in pobj:
-            cnode = self.get_string(pobj, "cocycle", node)
-            if cnode is None:
+            cocycle = self.get_string(pobj, "cocycle", node)
+            if cocycle is None or self.lookup(scenario.cocycles, cocycle, "cocycle") is None:
                 return
-            if cnode.value not in scenario.cocycles:
-                self.diag(cnode, "E220", f"unresolved cocycle name {cnode.value!r}")
-                return
-            cocycle = cnode.value
         matrices = None
         if "matrices" in pobj:
             mats_node = pobj["matrices"]
             if mats_node.kind != "array" or len(mats_node.value) != 3:
                 self.diag(mats_node, "E200", "paper matrices must name three matrices")
                 return
-            names = []
             for item in mats_node.value:
                 if item.kind != "string" or item.value not in scenario.matrices:
                     self.diag(item, "E220", "unresolved matrix name")
                     return
-                names.append(item.value)
-            matrices = tuple(names)
-        powers = self.get_int(pobj, "powers", node, required=False, default=64)
-        if powers < 1:
-            self.diag(pobj["powers"], "E200", "field 'powers' must be at least 1")
+            matrices = tuple(item.value for item in mats_node.value)
+        powers = self.get_int(pobj, "powers", node, default=64, low=1)
+        if powers is None:
             return
-        scenario.paper = PaperConfig(lens=lens_node.value, retraction=retr_node.value,
-                                     cocycle=cocycle, matrices=matrices, powers=powers)
+        scenario.paper = PaperConfig(lens=lens.value, retraction=retraction.value,
+                                     cocycle=cocycle.value if cocycle else None,
+                                     matrices=matrices, powers=powers)
 
 
 def parse_scenario(text: str) -> Scenario:
