@@ -153,14 +153,8 @@ class GModule:
         sys_rows = [
             list(m.entries[i]) + [r[i] for r in rel] for i in range(k)
         ]
-        sys = IntMatrix(sys_rows, cols=k + len(rel))
-        cols = []
-        for e in self._basis():
-            w = solve(sys, e)
-            if w is None:
-                return None
-            cols.append(w[:k])
-        return IntMatrix([[cols[j][i] for j in range(k)] for i in range(k)])
+        x = solve(IntMatrix(sys_rows, cols=k + len(rel)), IntMatrix.identity(k))
+        return None if x is None else IntMatrix(x.entries[:k], cols=k)
 
     def validate(self) -> str | None:
         """Check the module invariants; None when they hold.

@@ -59,6 +59,8 @@ class FactorSpec:
                 raise ValueError("free factors carry no torsion data")
             object.__setattr__(self, "free_rank", len(self.names))
         else:
+            if self.free_rank < 0:
+                raise ValueError("free_rank must be at least 0")
             if any(m < 2 for m in self.torsion):
                 raise ValueError("torsion orders must be at least 2")
             if len(self.names) != self.free_rank + len(self.torsion):

@@ -144,26 +144,20 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return IntMatrix(u, cols=R), IntMatrix(a, cols=C), IntMatrix(v, cols=C)
 
 
-def solve(a: IntMatrix, b) -> tuple | None:
-    """An integer solution x of a @ x == b, or None if none exists."""
-    if len(b) != a.rows:
-        raise DimensionError("right-hand side length mismatch")
+def solve(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
+    """An integer matrix x with a @ x == b, or None if some column of b has
+    no integer solution.  One Smith form of a serves every column."""
+    if b.rows != a.rows:
+        raise DimensionError("right-hand side row count mismatch")
     u, s, v = smith_normal_form(a)
-    c = u.apply(b)
-    y = [0] * a.cols
-    rank = min(a.rows, a.cols)
-    for i in range(rank):
-        d = s.entries[i][i]
+    y = [[0] * b.cols for _ in range(a.cols)]
+    for i, row in enumerate((u @ b).entries):
+        d = s.entries[i][i] if i < a.cols else 0
+        if any(x % d for x in row) if d else any(row):
+            return None
         if d:
-            if c[i] % d:
-                return None
-            y[i] = c[i] // d
-        elif c[i]:
-            return None
-    for i in range(rank, a.rows):
-        if c[i]:
-            return None
-    return v.apply(y)
+            y[i] = [x // d for x in row]
+    return v @ IntMatrix(y, cols=b.cols)
 
 
 class QuotientPresentation:

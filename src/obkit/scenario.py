@@ -34,6 +34,12 @@ KNOWN_SECTIONS = (
 
 ASSERT_KERNEL = "kernel-of-first-invariant"
 
+# Largest module rank and certified-matrix size accepted, four times what
+# the fixtures and the benchmark use (rank 3, size 6); checked before
+# anything of that size is allocated (load times in the README).
+MAX_MODULE_RANK = 12
+MAX_MATRIX_SIZE = 24
+
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -155,9 +161,11 @@ class _Resolver:
             return None
         return node
 
-    def get_int(self, obj: dict[str, Node], key: str, where: Node, default=None, low=None):
+    def get_int(self, obj: dict[str, Node], key: str, where: Node, default=None,
+                low=None, high=None):
         """obj[key] as an int: ``default`` when absent or not an integer, a
-        required field when there is no default, and None below ``low``."""
+        required field when there is no default, and None outside
+        [low, high]."""
         node = obj.get(key)
         if node is None:
             if default is None:
@@ -166,8 +174,9 @@ class _Resolver:
         if node.kind != "int":
             self.diag(node, "E200", f"field {key!r} must be an integer")
             return default
-        if low is not None and node.value < low:
-            self.diag(node, "E200", f"field {key!r} must be at least {low}")
+        if (low is not None and node.value < low) or (high is not None and node.value > high):
+            bound = f"at least {low}" if high is None else f"between {low} and {high}"
+            self.diag(node, "E200", f"field {key!r} must be {bound}")
             return None
         return node.value
 
@@ -307,7 +316,7 @@ class _Resolver:
 
     def build_modules(self, node: Node, scenario: Scenario) -> None:
         for mname, mnode, mobj in self.entries(node, "modules", "module"):
-            rank = self.get_int(mobj, "rank", mnode)
+            rank = self.get_int(mobj, "rank", mnode, low=0, high=MAX_MODULE_RANK)
             if rank is None:
                 continue
             relations = []
@@ -343,9 +352,11 @@ class _Resolver:
             matrix = self.int_matrix(mobj["matrix"], "matrix")
             if matrix is None:
                 continue
-            equivariant = bool(self.get_int(mobj, "equivariant", mnode, default=0))
+            equivariant = self.get_int(mobj, "equivariant", mnode, default=0, low=0, high=1)
+            if equivariant is None:
+                continue
             try:
-                phi = ModuleMap(source, target, matrix, equivariant=equivariant, name=name)
+                phi = ModuleMap(source, target, matrix, equivariant=bool(equivariant), name=name)
             except (DimensionError, ContextError) as err:
                 self.diag(mnode, "E241", f"map {name!r}: {err}")
                 continue
@@ -449,7 +460,7 @@ class _Resolver:
 
     def build_matrices(self, node: Node, scenario: Scenario) -> None:
         for name, mnode, mobj in self.entries(node, "matrices", "matrix"):
-            size = self.get_int(mobj, "size", mnode)
+            size = self.get_int(mobj, "size", mnode, low=0, high=MAX_MATRIX_SIZE)
             gens_node = self.get_string(mobj, "generators", mnode)
             if size is None or gens_node is None:
                 continue

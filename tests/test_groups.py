@@ -6,6 +6,7 @@ import pytest
 
 from obkit.errors import ContextError, UnsupportedError
 from obkit.groups import (
+    FactorSpec,
     GroupElement,
     are_conjugate,
     conjugacy_canonical,
@@ -32,6 +33,12 @@ def test_torsion_exponents():
     s = spec.generator("s")
     assert (s * s) * (s * s) == s
     assert str(s ** 2) == "s^2"
+
+
+def test_negative_free_rank_is_refused():
+    # one name = -1 + two torsion orders would otherwise pass the name count
+    with pytest.raises(ValueError, match="free_rank must be at least 0"):
+        FactorSpec.abelian(["s"], free_rank=-1, torsion=[2, 3])
 
 
 def test_cross_factor_cancellation():

@@ -80,10 +80,15 @@ def test_snf_randomized_properties():
 
 def test_solve():
     a = IntMatrix([[2, 0], [0, 3]])
-    x = solve(a, (4, 9))
-    assert x is not None and a.apply(x) == (4, 9)
-    assert solve(a, (1, 0)) is None
-    assert solve(IntMatrix([[2, 3]]), (1,)) is not None
+    b = IntMatrix([[4], [9]])
+    x = solve(a, b)
+    assert x is not None and a @ x == b
+    assert solve(a, IntMatrix([[1], [0]])) is None
+    assert solve(IntMatrix([[2, 3]]), IntMatrix([[1]])) is not None
+    # every column from one Smith form; one unsolvable column is None
+    b = IntMatrix([[4, 2, 0], [9, -3, 6]])
+    assert a @ solve(a, b) == b
+    assert solve(a, IntMatrix([[4, 1], [9, 3]])) is None
 
 
 def test_coset_reduce_examples():

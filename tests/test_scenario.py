@@ -12,7 +12,10 @@ from obkit.cli import main
 from obkit import scenario as scenario_module
 from obkit.chi import Cocycle
 from obkit.errors import DimensionError
-from obkit.scenario import ScenarioError, load_scenario, parse_scenario
+from obkit.groupring import RingMatrix
+from obkit.intlinalg import IntMatrix
+from obkit.scenario import (MAX_MATRIX_SIZE, MAX_MODULE_RANK, ScenarioError, load_scenario,
+                            parse_scenario)
 from obkit.words import parse_word
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -463,6 +466,9 @@ DIAGNOSTIC_CASES = [
       "11:4: E200 abelian factor needs one name per generator"]),
     ("factor-value-error", _mutated((_FACTOR + ".torsion", [1])),
      ["11:4: E200 torsion orders must be at least 2"]),
+    ("factor-negative-free-rank", _mutated((_FACTOR + ".free_rank", -1),
+                                           (_FACTOR + ".torsion", [2, 3])),
+     ["11:4: E200 free_rank must be at least 0"]),
     ("group-value-error", _mutated((_FACTOR + ".names", ["t"])),
      ["3:11: E200 generator names must be unique across factors"]),
     ("elements-not-object", _mutated(("elements", ["s"])),
@@ -497,6 +503,16 @@ DIAGNOSTIC_CASES = [
       "116:11: E220 unresolved lens name 'g'"]),
     ("module-rank-not-int", _mutated(("modules.A.rank", "1")),
      ["28:12: E200 field 'rank' must be an integer",
+      "80:14: E220 unresolved module name 'A'",
+      "110:14: E220 unresolved module name 'A'",
+      "117:11: E220 unresolved lens name 'g'"]),
+    ("module-rank-negative", _mutated(("modules.A.rank", -1)),
+     ["28:12: E200 field 'rank' must be between 0 and 12",
+      "80:14: E220 unresolved module name 'A'",
+      "110:14: E220 unresolved module name 'A'",
+      "117:11: E220 unresolved lens name 'g'"]),
+    ("module-rank-over-limit", _mutated(("modules.A.rank", 13)),
+     ["28:12: E200 field 'rank' must be between 0 and 12",
       "80:14: E220 unresolved module name 'A'",
       "110:14: E220 unresolved module name 'A'",
       "117:11: E220 unresolved lens name 'g'"]),
@@ -564,6 +580,9 @@ DIAGNOSTIC_CASES = [
       "116:17: E220 unresolved map name 'r'"]),
     ("map-equivariant-not-int", _mutated(("maps.r.equivariant", "1")),
      ["55:19: E200 field 'equivariant' must be an integer"]),
+    ("map-equivariant-not-0-or-1", _mutated(("maps.r.equivariant", 5)),
+     ["55:19: E200 field 'equivariant' must be between 0 and 1",
+      "118:17: E220 unresolved map name 'r'"]),
     ("map-build-error", _mutated(("maps.r.matrix", [[1, 0]])),
      ["47:8: E241 map 'r': map matrix must be target_rank x source_rank",
       "119:17: E220 unresolved map name 'r'"]),
@@ -679,6 +698,12 @@ DIAGNOSTIC_CASES = [
      ["103:8: E200 missing required field 'size'",
       "104:18: E200 field 'generators' must be a string",
       "120:4: E220 unresolved matrix name"]),
+    ("matrix-size-negative", _mutated(("matrices.M.size", -1)),
+     ["104:12: E200 field 'size' must be between 0 and 24",
+      "121:4: E220 unresolved matrix name"]),
+    ("matrix-size-over-limit", _mutated(("matrices.M.size", 25)),
+     ["104:12: E200 field 'size' must be between 0 and 24",
+      "121:4: E220 unresolved matrix name"]),
     ("matrix-bad-sequence", _mutated(("matrices.M.generators", 'E(1,3,"t")')),
      ["105:18: E230 matrix 'M': index 3 out of range 1..2",
       "121:4: E220 unresolved matrix name"]),
@@ -778,3 +803,71 @@ def test_matrix_construction_error_is_e245(monkeypatch):
     assert [d.render() for d in err.value.diagnostics] == [
         "103:8: E245 matrix 'M': matrix size mismatch",
         "121:4: E220 unresolved matrix name"]
+
+
+def test_oversized_rank_and_size_are_refused_before_allocating(monkeypatch, tmp_path, capsys):
+    def fail(*args):
+        raise AssertionError("built an identity matrix")
+
+    monkeypatch.setattr(IntMatrix, "identity", staticmethod(fail))
+    monkeypatch.setattr(RingMatrix, "identity", staticmethod(fail))
+    path = tmp_path / "big.json"
+    path.write_text(GROUP_T + ' "modules": {"A": {"rank": 1000000}},\n'
+                    ' "matrices": {"M": {"size": 1000000, "generators": ""}}}')
+    assert main(["--scenario", str(path), "normalize", "t"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "2:28: E200 field 'rank' must be between 0 and 12",
+        "3:29: E200 field 'size' must be between 0 and 24"]
+
+
+# Every JSON kind, small integers and the first value past each size limit.
+_FUZZ_POOL = (0, 1, -1, 2, 3, MAX_MODULE_RANK + 1, MAX_MATRIX_SIZE + 1, "", "x", "t", "q",
+              "1", "sigma", "t^2*s", [], [1], [[1]], ["q", "q", "q"], {}, {"x": 1},
+              None, True, 1.5)
+
+
+def _slots(node):
+    """(container, key) for every value below node."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        return
+    for key, value in items:
+        yield node, key
+        yield from _slots(value)
+
+
+def _fuzz_case(rng, fixtures):
+    """A fixture with one value deleted or replaced from the pool, or with
+    an unknown key added to one of its objects."""
+    data = copy.deepcopy(rng.choice(fixtures))
+    slots = list(_slots(data))
+    op = rng.randrange(3)
+    if op == 2:
+        objects = [data] + [c[k] for c, k in slots if isinstance(c[k], dict)]
+        rng.choice(objects)["zz_unknown"] = copy.deepcopy(rng.choice(_FUZZ_POOL))
+    else:
+        container, key = rng.choice(slots)
+        if op == 0:
+            del container[key]
+        else:
+            container[key] = copy.deepcopy(rng.choice(_FUZZ_POOL))
+    return json.dumps(data, indent=2)
+
+
+def test_mutated_fixtures_exit_cleanly(tmp_path, capsys):
+    fixtures = [json.loads(fixture_text(name))
+                for name in ("paper_f2.json", "paper_z2.json", "paper_z6.json")]
+    rng = random.Random(15)
+    path = tmp_path / "s.json"
+    statuses = set()
+    for case in range(300):
+        path.write_text(_fuzz_case(rng, fixtures))
+        for command in (["report-paper"], ["obstruct", "g"], ["chi", "c", "A", "B", "C"]):
+            status = main(["--scenario", str(path)] + command)
+            err = capsys.readouterr().err
+            assert status in (0, 2, 3) and "Traceback" not in err, (case, command, err)
+            statuses.add(status)
+    assert statuses == {0, 2, 3}
