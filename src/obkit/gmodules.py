@@ -121,10 +121,6 @@ class GModule:
     def zero(self) -> ModuleElement:
         return ModuleElement(self, (0,) * self.rank)
 
-    def _basis(self):
-        k = self.rank
-        return [tuple(1 if i == j else 0 for j in range(k)) for i in range(k)]
-
     @property
     def trivial_action(self) -> bool:
         """True when every generator acts as the identity on the quotient."""

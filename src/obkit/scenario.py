@@ -114,7 +114,8 @@ class _Resolver:
 
     # -- readers, one per shape of input -----------------------------------
     #
-    # Each returns None after diagnosing the first malformed part.
+    # Each diagnoses the first malformed part it meets and returns None;
+    # get_int returns its default for a missing or non-integer field.
 
     def as_object(self, node: Node, what: str) -> dict[str, Node] | None:
         if node.kind != "object":
@@ -138,7 +139,7 @@ class _Resolver:
 
     def named(self, node: Node | None, what: str, label: str, read) -> dict | None:
         """{name: read(value, "<label> 'name'")} for the object ``node``;
-        {} when it is absent."""
+        {} when it is absent, None at the first value ``read`` refuses."""
         out = {}
         if node is None:
             return out
