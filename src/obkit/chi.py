@@ -155,7 +155,6 @@ class Cocycle:
                 "module action is nontrivial and no quotient action was supplied: "
                 "cannot verify that the action factors through the quotient"
             )
-        module._ensure_valid()
         mats = {}
         for n in names:
             if n not in q_action:
@@ -328,8 +327,8 @@ def chi_eval(c: Cocycle, a, b, cm, d=None) -> WhElement:
     supplied inverse d (either reading of a certified pair) is verified
     two-sided against A*B*C, and a failed verification rejects the call.
     When d is omitted, C^-1 B^-1 A^-1 is composed from the three
-    certified pairs and trusted without a check: ``InvertiblePair``
-    verified each inverse when it was built.
+    certified pairs without a check: ``build_invertible`` makes each
+    inverse exact by construction.
 
     f is trilinear and sees an entry only through its image in the
     quotient, so each matrix is split once by quotient element and d_li

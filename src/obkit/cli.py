@@ -2,8 +2,8 @@
 deterministic key/value reports.
 
 Exit statuses: 0 success, 2 parse or validation failure (including
-usage errors), 3 computation rejected by a precondition, 4 internal
-invariant violation.
+usage errors), 3 computation rejected by a precondition, 4 a
+disagreement found by ``oracle agree``.
 """
 
 from __future__ import annotations
@@ -14,13 +14,7 @@ import sys
 from dataclasses import dataclass
 
 from .chi import chi_eval, retraction_kills_chi
-from .errors import (
-    ContextError,
-    DimensionError,
-    InternalError,
-    RejectedError,
-    UnsupportedError,
-)
+from .errors import ContextError, DimensionError, RejectedError, UnsupportedError
 from .gmodules import GModule, ModuleElement
 from .groups import FactorSpec, GroupSpec, are_conjugate, conjugacy_canonical, enumerate_elements
 from .intlinalg import QuotientPresentation
@@ -401,9 +395,6 @@ def main(argv=None) -> int:
     except (RejectedError, UnsupportedError, ContextError, DimensionError) as err:
         print(f"REJECTED: {err}", file=sys.stderr)
         return 3
-    except InternalError as err:
-        print(f"INTERNAL: {err}", file=sys.stderr)
-        return 4
     except OSError as err:
         print(f"ERROR: {err}", file=sys.stderr)
         return 2

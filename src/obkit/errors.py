@@ -19,7 +19,3 @@ class UnsupportedError(ObkitError):
 
 class RejectedError(ObkitError):
     """A precondition of the requested operation does not hold."""
-
-
-class InternalError(ObkitError):
-    """An internal consistency check failed; indicates a defect."""

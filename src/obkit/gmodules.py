@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .errors import ContextError, DimensionError, RejectedError
+from .errors import ContextError, DimensionError
 from .groups import FactorSpec, GroupElement, GroupSpec
 from .intlinalg import IntMatrix, QuotientPresentation, solve
 
@@ -19,7 +19,6 @@ __all__ = [
     "GModule",
     "ModuleElement",
     "ModuleMap",
-    "check_equivariant",
 ]
 
 
@@ -79,9 +78,12 @@ class GModule:
     """A finitely presented abelian group with the group acting by matrices.
 
     ``action`` maps generator names to k x k integer matrices; omitted
-    generators act as the identity.  ``validate`` checks the module
-    invariants and, on success, caches inverse matrices for every
-    generator so that negative letters can act.
+    generators act as the identity.  Construction checks the action, one
+    factor at a time (``action_violation``), and raises ValueError naming
+    the first violated constraint, so every GModule is a valid module.
+    It keeps each generator's inverse on the quotient for negative
+    letters, and ``trivial_action`` is True when every generator acts as
+    the identity on the quotient.
     """
 
     def __init__(self, spec: GroupSpec, presentation: QuotientPresentation,
@@ -107,9 +109,13 @@ class GModule:
         self.elements = {}
         for ename, coords in (elements or {}).items():
             self.elements[ename] = ModuleElement(self, coords)
-        self._inverse = None
-        self._validation = False
-        self._trivial = None
+        self._inverse = {}
+        for factor in spec.factors:
+            report = self.action_violation(factor, full, self._inverse)
+            if report is not None:
+                raise ValueError(report)
+        ident = IntMatrix.identity(k)
+        self.trivial_action = all(self._congruent(m, ident) for m in full.values())
 
     @property
     def rank(self) -> int:
@@ -120,14 +126,6 @@ class GModule:
 
     def zero(self) -> ModuleElement:
         return ModuleElement(self, (0,) * self.rank)
-
-    @property
-    def trivial_action(self) -> bool:
-        """True when every generator acts as the identity on the quotient."""
-        if self._trivial is None:
-            ident = IntMatrix.identity(self.rank)
-            self._trivial = all(self._congruent(m, ident) for m in self.action.values())
-        return self._trivial
 
     def _congruent(self, m1: IntMatrix, m2: IntMatrix) -> bool:
         """True iff two maps into this module agree on the quotient: each
@@ -151,28 +149,6 @@ class GModule:
         ]
         x = solve(IntMatrix(sys_rows, cols=k + len(rel)), IntMatrix.identity(k))
         return None if x is None else IntMatrix(x.entries[:k], cols=k)
-
-    def validate(self) -> str | None:
-        """Check the module invariants; None when they hold.
-
-        On the first violation returns a message naming the generator and
-        the failed constraint.  Successful validation caches the inverse
-        action matrices.
-        """
-        if self._validation is not False:
-            return self._validation
-        report = self._run_validation()
-        self._validation = report
-        return report
-
-    def _run_validation(self) -> str | None:
-        inverses = {}
-        for factor in self.spec.factors:
-            report = self.action_violation(factor, self.action, inverses)
-            if report is not None:
-                return report
-        self._inverse = inverses
-        return None
 
     def action_violation(self, factor: FactorSpec, mats: dict,
                          inverses: dict | None = None) -> str | None:
@@ -211,16 +187,10 @@ class GModule:
                         return f"actions of {x!r} and {y!r} do not commute on the quotient"
         return None
 
-    def _ensure_valid(self) -> None:
-        report = self.validate()
-        if report is not None:
-            raise RejectedError(f"invalid module{' ' + self.name if self.name else ''}: {report}")
-
     def act_vec(self, g: GroupElement, coords) -> tuple:
         """Raw coordinates of g acting on coords (left action), unreduced."""
         if g.spec != self.spec:
             raise ContextError("element and module live over different groups")
-        self._ensure_valid()
         letters = []
         for fi, payload in g.syllables:
             factor = self.spec.factors[fi]
@@ -256,7 +226,12 @@ def _power(m: IntMatrix, n: int) -> IntMatrix:
 
 
 class ModuleMap:
-    """An additive map between GModules given by an integer matrix."""
+    """An additive map between GModules given by an integer matrix.
+
+    Construction raises ValueError for a matrix that does not send
+    relations into relations, and for a map flagged ``equivariant`` that
+    does not commute with the action.
+    """
 
     def __init__(self, source: GModule, target: GModule, matrix, equivariant: bool = False,
                  name: str = ""):
@@ -269,21 +244,21 @@ class ModuleMap:
         if m.rows != target.rank or m.cols != source.rank:
             raise DimensionError("map matrix must be target_rank x source_rank")
         self.matrix = m
-        self.equivariant = equivariant
+        relations = source.presentation.relations.entries
+        if not all(target.presentation.is_zero(m.apply(r)) for r in relations):
+            raise ValueError("map does not send relations into relations")
+        if equivariant and not self.is_equivariant:
+            raise ValueError("map is flagged equivariant but does not commute with the action")
 
     @cached_property
     def is_equivariant(self) -> bool:
-        """``check_equivariant``'s verdict, computed once per map."""
-        return check_equivariant(self)
-
-    def validate(self) -> str | None:
-        """None when well-defined (and equivariant, if flagged)."""
-        relations = self.source.presentation.relations.entries
-        if not all(self.target.presentation.is_zero(self.matrix.apply(r)) for r in relations):
-            return "map does not send relations into relations"
-        if self.equivariant and not self.is_equivariant:
-            return "map is flagged equivariant but does not commute with the action"
-        return None
+        """True iff the map commutes with every generator action on the
+        quotients; checked once per map."""
+        return all(
+            self.target._congruent(self.matrix @ self.source.action[gen],
+                                   self.target.action[gen] @ self.matrix)
+            for gen in self.source.spec.generator_names()
+        )
 
     def __call__(self, a: ModuleElement) -> ModuleElement:
         if a.module is not self.source:
@@ -292,15 +267,3 @@ class ModuleMap:
 
     def __repr__(self):
         return f"ModuleMap({self.name or 'phi'})"
-
-
-def check_equivariant(phi: ModuleMap) -> bool:
-    """True iff phi commutes with every generator action on the quotients.
-    ``phi.is_equivariant`` runs this check once per map."""
-    phi.source._ensure_valid()
-    phi.target._ensure_valid()
-    return all(
-        phi.target._congruent(phi.matrix @ phi.source.action[gen],
-                              phi.target.action[gen] @ phi.matrix)
-        for gen in phi.source.spec.generator_names()
-    )

@@ -1,15 +1,17 @@
 """Arithmetic in the integral group ring Z[G] and square matrices over it.
 
 Matrix inverses are never computed: invertible matrices are built from
-elementary and diagonal-unit generators, which invert symbolically, and
-the resulting pair is verified by multiplication on construction.
+elementary and diagonal-unit generators, which invert symbolically, so
+each certified pair is exact by construction and is not multiplied out
+again.  ``verify_inverse`` checks an inverse that was supplied rather
+than built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ContextError, DimensionError, InternalError
+from .errors import ContextError, DimensionError
 from .groups import GroupElement, GroupSpec, element_sort_key, inverse, multiply
 
 __all__ = [
@@ -223,13 +225,14 @@ class DiagonalGen:
 
 
 class InvertiblePair:
-    """A matrix with a certified two-sided inverse and its generator history."""
+    """A matrix with a two-sided inverse and its generator history.
+
+    The pair is taken as given; ``build_invertible`` makes pairs that are
+    inverse by construction."""
 
     __slots__ = ("matrix", "inverse", "provenance")
 
     def __init__(self, matrix: RingMatrix, inv: RingMatrix, provenance=()):
-        if not verify_inverse(matrix, inv):
-            raise InternalError("inverse verification failed on construction")
         self.matrix = matrix
         self.inverse = inv
         self.provenance = tuple(provenance)
@@ -241,9 +244,8 @@ class InvertiblePair:
 def build_invertible(spec: GroupSpec, n: int, gens) -> InvertiblePair:
     """Product of generators in order, with the symbolically built inverse.
 
-    The inverse is the product of inverted generators in reverse order; the
-    pair is verified by multiplication, and a failure is a defect rather
-    than a user error.
+    The inverse is the product of inverted generators in reverse order,
+    which is exact: E_ij(x) E_ij(-x) = I and D_i(+-g) D_i(+-g^-1) = I.
     """
     gens = tuple(gens)
     m = RingMatrix.identity(spec, n)

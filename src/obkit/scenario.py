@@ -74,8 +74,9 @@ class Scenario:
     Every entry of ``cocycles`` passed ``verify_cocycle`` when the file
     was loaded (a violated table is diagnosed E243 and nothing loads), so
     commands report such a cocycle as verified without checking it again.
-    Every entry of ``matrices`` is an ``InvertiblePair`` whose inverse was
-    verified on construction.
+    Every module and map passed its constructor's checks, and every entry
+    of ``matrices`` is an ``InvertiblePair`` from ``build_invertible``,
+    inverse by construction.
     """
 
     name: str
@@ -336,10 +337,6 @@ class _Resolver:
             except (ValueError, DimensionError) as err:
                 self.diag(mnode, "E240", f"module {mname!r}: {err}")
                 continue
-            report = module.validate()
-            if report is not None:
-                self.diag(mnode, "E240", f"module {mname!r}: {report}")
-                continue
             scenario.modules[mname] = module
 
     def build_maps(self, node: Node, scenario: Scenario) -> None:
@@ -357,15 +354,10 @@ class _Resolver:
             if equivariant is None:
                 continue
             try:
-                phi = ModuleMap(source, target, matrix, equivariant=bool(equivariant), name=name)
-            except (DimensionError, ContextError) as err:
+                scenario.maps[name] = ModuleMap(source, target, matrix,
+                                                equivariant=bool(equivariant), name=name)
+            except (ValueError, DimensionError, ContextError) as err:
                 self.diag(mnode, "E241", f"map {name!r}: {err}")
-                continue
-            report = phi.validate()
-            if report is not None:
-                self.diag(mnode, "E241", f"map {name!r}: {report}")
-                continue
-            scenario.maps[name] = phi
 
     def build_quotients(self, node: Node, scenario: Scenario) -> None:
         for name, qnode, qobj in self.entries(node, "quotients", "quotient"):

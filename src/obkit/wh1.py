@@ -232,16 +232,13 @@ def oracle_wh_presentation(spec: GroupSpec, module: GModule) -> WhOracle:
     all-elements presentation.
 
     The Smith form has k columns whatever |G| is, and no element of G is
-    enumerated.  Raises UnsupportedError for an infinite group, before
-    the module is validated.
+    enumerated.  The module was checked when it was built, so the action
+    laws hold; an infinite group raises UnsupportedError.
     """
     if module.spec != spec:
         raise ContextError("module is over a different group")
     if not spec.is_finite:
         raise UnsupportedError("the finite oracle needs a finite group")
-    report = module.validate()
-    if report is not None:
-        raise RejectedError(f"invalid module: {report}")
     k = module.rank
     rows = list(module.presentation.relations.entries)
     for m in module.action.values():  # one matrix per generator

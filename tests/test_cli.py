@@ -1,6 +1,7 @@
 """CLI dispatch, exit statuses and byte-determinism of reports."""
 
 import collections
+import functools
 import hashlib
 import json
 import os
@@ -277,14 +278,13 @@ def test_report_paper_bytes_match_the_benchmark_digests(capsys):
 
 
 def test_report_paper_checks_the_retraction_once(capsys, monkeypatch):
+    # Each evaluation of the cached ModuleMap.is_equivariant is counted,
+    # at load and in the command alike.
     calls = []
-    real = gmodules.check_equivariant
-    # Patched in every layer that holds the name, so that a caller which
-    # imported it directly is counted too.
-    for layer in (gmodules, wh1, obstruction):
-        if hasattr(layer, "check_equivariant"):
-            monkeypatch.setattr(layer, "check_equivariant",
-                                lambda phi: calls.append(phi.name) or real(phi))
+    real = gmodules.ModuleMap.is_equivariant.func
+    counted = functools.cached_property(lambda phi: calls.append(phi.name) or real(phi))
+    counted.__set_name__(gmodules.ModuleMap, "is_equivariant")
+    monkeypatch.setattr(gmodules.ModuleMap, "is_equivariant", counted)
     for name in PAPER_FIXTURES:
         calls.clear()
         status, _ = run_main(capsys, "--scenario", str(SCENARIOS / name), "report-paper")

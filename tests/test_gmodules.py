@@ -8,12 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obkit.errors import ContextError, DimensionError
-from obkit.gmodules import (
-    GModule,
-    ModuleElement,
-    ModuleMap,
-    check_equivariant,
-)
+from obkit.gmodules import GModule, ModuleElement, ModuleMap
 from obkit.groups import inverse, multiply
 from obkit.intlinalg import IntMatrix, QuotientPresentation
 from support import (
@@ -55,7 +50,6 @@ def test_action_composition_randomized():
     spec = zz6_spec()
     rotation = [[0, -1], [1, 1]]
     mod = GModule(spec, QuotientPresentation(2), action={"s": rotation})
-    assert mod.validate() is None
     for _ in range(500):
         g = rand_element(rng, spec)
         h = rand_element(rng, spec)
@@ -66,28 +60,26 @@ def test_action_composition_randomized():
 
 
 def test_validate_examples():
+    # A module is checked when it is built: it exists only if valid.
     spec = zz2_spec()
-    assert trivial_module(spec, 1).validate() is None
-    doubling = GModule(spec, QuotientPresentation(1), action={"s": [[2]]})
-    report = doubling.validate()
-    assert report is not None and "invertible" in report
+    assert trivial_module(spec, 1).trivial_action
+    with pytest.raises(ValueError, match="invertible"):
+        GModule(spec, QuotientPresentation(1), action={"s": [[2]]})
     negation = GModule(spec, QuotientPresentation(1), action={"s": [[-1]]})
-    assert negation.validate() is None
+    assert not negation.trivial_action
 
 
 def test_validate_torsion_constraint():
     spec = zz2_spec()
     # order 3 matrix on a generator of order 2 violates the torsion rule
-    bad = GModule(spec, QuotientPresentation(2), action={"s": [[0, -1], [1, -1]]})
-    report = bad.validate()
-    assert report is not None and "torsion" in report
+    with pytest.raises(ValueError, match="torsion"):
+        GModule(spec, QuotientPresentation(2), action={"s": [[0, -1], [1, -1]]})
 
 
 def test_validate_inverts_mod_torsion():
     # multiplication by 2 is invertible on Z/5 even though det != +-1
     spec = zz2_spec()
     mod = GModule(spec, QuotientPresentation(1, [(5,)]), action={"t": [[2]]})
-    assert mod.validate() is None
     a = mod.element((1,))
     t = spec.generator("t")
     assert mod.act(t, a) == mod.element((2,))
@@ -99,7 +91,6 @@ def test_apply_map_examples():
     pi2 = GModule(spec, QuotientPresentation(2), elements={"alpha": (1, 0)})
     z = trivial_module(spec, 1, name="Z")
     r = ModuleMap(pi2, z, [[1, 0]], equivariant=True)
-    assert r.validate() is None
     assert r(pi2.elements["alpha"]) == z.element((1,))
     zero = ModuleMap(pi2, z, [[0, 0]])
     assert zero(pi2.elements["alpha"]).is_zero
@@ -124,11 +115,11 @@ def test_check_equivariant():
     src = swap_module(spec)
     dst = trivial_module(spec, 1)
     total = ModuleMap(src, dst, [[1, 1]])
-    assert check_equivariant(total)
+    assert total.is_equivariant
     projection = ModuleMap(src, dst, [[1, 0]])
-    assert not check_equivariant(projection)
+    assert not projection.is_equivariant
     trivial_pair = ModuleMap(trivial_module(spec, 1), dst, [[3]])
-    assert check_equivariant(trivial_pair)
+    assert trivial_pair.is_equivariant
 
 
 def test_equivariant_commutes_with_act():
@@ -137,7 +128,6 @@ def test_equivariant_commutes_with_act():
     src = swap_module(spec)
     dst = trivial_module(spec, 1)
     phi = ModuleMap(src, dst, [[1, 1]], equivariant=True)
-    assert phi.validate() is None
     for _ in range(100):
         g = rand_element(rng, spec)
         a = src.element([rng.randint(-4, 4) for _ in range(2)])
@@ -148,10 +138,10 @@ def test_map_well_definedness():
     spec = zz2_spec()
     z2 = GModule(spec, QuotientPresentation(1, [(2,)]))
     z = trivial_module(spec, 1)
-    bad = ModuleMap(z2, z, [[1]])
-    assert bad.validate() is not None
+    with pytest.raises(ValueError, match="relations into relations"):
+        ModuleMap(z2, z, [[1]])
     good = ModuleMap(z, z2, [[1]])
-    assert good.validate() is None
+    assert good(z.element((3,))) == z2.element((1,))
 
 
 def test_context_and_dimension_errors():
@@ -233,12 +223,15 @@ def test_inverse_on_quotient_is_two_sided(args):
     # is an inverse on both sides: action_violation checks only invertibility
     k, relations, m = args
     spec = tu_spec()
+    lattice = trivial_module(spec, k, relations)
+    assert all(lattice.presentation.is_zero(m.apply(r)) for r in relations)
+    inv = lattice._invert_on_quotient(m)
+    if inv is None:
+        with pytest.raises(ValueError, match="not invertible on the quotient"):
+            GModule(spec, QuotientPresentation(k, relations), action={"t": m})
+        return
     mod = GModule(spec, QuotientPresentation(k, relations), action={"t": m})
-    assert all(mod.presentation.is_zero(m.apply(r)) for r in relations)
-    inv = mod._invert_on_quotient(m)
-    assert (mod.validate() is None) == (inv is not None)
-    if inv is not None:
-        ident = IntMatrix.identity(k)
-        assert mod._congruent(m @ inv, ident)
-        assert mod._congruent(inv @ m, ident)
-        assert mod._congruent(mod._inverse["t"] @ m, ident)
+    ident = IntMatrix.identity(k)
+    assert mod._congruent(m @ inv, ident)
+    assert mod._congruent(inv @ m, ident)
+    assert mod._congruent(mod._inverse["t"] @ m, ident)

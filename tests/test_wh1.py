@@ -356,10 +356,11 @@ def _oracle_cases():
     valid = []
     for case in cases:
         _, orders, rank, relations, action = case
-        module = GModule(zmod_spec(*orders), QuotientPresentation(rank, relations),
-                         action=action)
-        if module.validate() is None:
-            valid.append(case)
+        try:
+            GModule(zmod_spec(*orders), QuotientPresentation(rank, relations), action=action)
+        except ValueError:
+            continue
+        valid.append(case)
     return valid
 
 
@@ -523,7 +524,6 @@ def test_normal_form_canonical_on_non_smith_lattices(lattice, data):
     matrix = IntMatrix(data.draw(st.lists(coeff, min_size=rank, max_size=rank)))
     target = trivial_module(spec, rank, [matrix.apply(r) for r in relations], name="B")
     phi = ModuleMap(module, target, matrix)
-    assert phi.validate() is None
     assert induced_map(phi, x) == WhElement.build(
         target, [(matrix.apply(c), g) for c, g in raw])
 
@@ -559,7 +559,6 @@ def test_normal_form_sound_against_the_oracle_on_non_smith_lattices(case):
         p_inv = _inverse(p)
         module = GModule(spec, QuotientPresentation(rank, [p.apply(r) for r in relations]),
                          action={g: p @ IntMatrix(m) @ p_inv for g, m in action.items()})
-        assert module.validate() is None
         oracle = oracle_wh_presentation(spec, module)
         raw = data.draw(st.lists(st.tuples(coeff, st.sampled_from(elements)), max_size=5))
         x = WhElement.build(module, raw)
@@ -570,7 +569,6 @@ def test_normal_form_sound_against_the_oracle_on_non_smith_lattices(case):
         # A generator's action commutes with the abelian group's action.
         phi = ModuleMap(module, module, module.action[spec.generator_names()[0]],
                         equivariant=True)
-        assert phi.validate() is None
         assert induced_map(phi, x) == WhElement.build(
             module, [(phi.matrix.apply(c), g) for c, g in raw])
 
