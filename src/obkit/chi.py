@@ -26,10 +26,8 @@ from .wh1 import WhElement
 __all__ = [
     "FiniteQuotient",
     "Cocycle",
-    "coboundary",
     "verify_cocycle",
     "chi_eval",
-    "pushforward",
     "retraction_kills_chi",
 ]
 
@@ -198,46 +196,6 @@ class Cocycle:
         return tuple(out)
 
 
-def coboundary(quotient: FiniteQuotient, module: GModule, two_cochain,
-               q_action=None, name: str = "") -> Cocycle:
-    """The 3-cocycle that is the coboundary of an explicit 2-cochain.
-
-    Useful for building tables that pass ``verify_cocycle`` by
-    construction.  The 2-cochain maps pairs of quotient elements to
-    coordinate vectors; omitted pairs are zero.
-    """
-    probe = Cocycle(quotient, module, {}, q_action=q_action)
-    k = module.rank
-    elems = quotient.elements()
-    index = quotient.index
-    sums = quotient.sums
-    n = len(elems)
-    b = [(0,) * k] * (n * n)
-    for (q1, q2), coords in two_cochain.items():
-        coords = tuple(int(x) for x in coords)
-        if len(coords) != k:
-            raise DimensionError("2-cochain value has the wrong rank")
-        if q1 not in index or q2 not in index:
-            raise ContextError("2-cochain key outside the quotient group")
-        b[index[q1] * n + index[q2]] = coords
-
-    table = {}
-    for gi, act in enumerate(probe._element_matrices):
-        g_sums = sums[gi]
-        for hi in range(n):
-            gh = g_sums[hi] * n
-            b_gh = b[gi * n + hi]
-            for ki, hk in enumerate(sums[hi]):
-                total = [
-                    x - y + z - w
-                    for x, y, z, w in zip(act.apply(b[hi * n + ki]), b[gh + ki],
-                                          b[gi * n + hk], b_gh)
-                ]
-                if any(total) and any(module.presentation.reduce(total)):
-                    table[(elems[gi], elems[hi], elems[ki])] = tuple(total)
-    return Cocycle(quotient, module, table, q_action=q_action, name=name)
-
-
 def verify_cocycle(c: Cocycle):
     """Exhaustively check the inhomogeneous 3-cocycle identity
 
@@ -369,27 +327,16 @@ def chi_eval(c: Cocycle, a, b, cm, d=None) -> WhElement:
     return WhElement.build(c.module, raw)
 
 
-def pushforward(phi: ModuleMap, c: Cocycle, q_action=None, name: str = "") -> Cocycle:
-    """Compose the table with a coefficient map, producing a target cocycle."""
-    if phi.source is not c.module:
-        raise ContextError("map source does not match the cocycle module")
-    table = {key: phi.matrix.apply(val) for key, val in c.table.items()}
-    if q_action is None and not phi.target.trivial_action:
-        raise RejectedError(
-            "cannot derive a quotient action for a nontrivial-action target"
-        )
-    return Cocycle(c.quotient, phi.target, table, q_action=q_action, name=name)
-
-
 def retraction_kills_chi(r: ModuleMap, c: Cocycle) -> bool:
     """Execute the vanishing argument: the pushed table is zero, so chi is.
 
-    Every table value must map to zero in the target.  Then
-    ``pushforward`` would drop every value, and chi of an empty table is
-    zero on every matrix triple ``chi_eval`` accepts, so neither is run.
-    When the pushed table is not identically zero the chain-level check
-    does not cover the scenario and the call is rejected; a
-    nontrivial-action target is rejected as ``pushforward`` rejects it.
+    Every table value must map to zero in the target.  Then the
+    pushed-forward cocycle has an empty table, and chi of an empty table
+    is zero on every matrix triple ``chi_eval`` accepts, so neither is
+    built or run.  When the pushed table is not identically zero the
+    chain-level check does not cover the scenario and the call is
+    rejected; so is a nontrivial-action target, for which no quotient
+    action of the pushed cocycle can be derived.
     """
     if r.source is not c.module:
         raise ContextError("map source does not match the cocycle module")

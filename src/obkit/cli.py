@@ -36,7 +36,8 @@ __all__ = ["Report", "run_command", "main"]
 # Largest ``oracle --pairs``: each pair builds and reduces two random elements.
 MAX_ORACLE_PAIRS = 100_000
 # Largest ambient rank k*|G| of the ``oracle`` command: it bounds the
-# enumeration of G, which ``oracle agree`` draws from.
+# enumeration of G, which ``oracle agree`` draws from.  It is checked
+# from the tokens alone, before the module is built.
 MAX_ORACLE_AMBIENT = 512
 
 
@@ -70,18 +71,19 @@ def builtin_group(token: str) -> GroupSpec | None:
     return GroupSpec((FactorSpec.abelian(names, torsion=orders),))
 
 
-def builtin_module(spec: GroupSpec, token: str) -> GModule | None:
-    """Trivial-action shorthands: Ztrivial, Z2trivial, Z^2trivial."""
+def builtin_module(token: str) -> tuple[int, list] | None:
+    """The rank and relations of a trivial-action shorthand: Ztrivial,
+    Z2trivial, Z^2trivial.  Nothing is built, so the caller can bound the
+    rank first."""
     if not token.endswith("trivial"):
         return None
     body = token[: -len("trivial")]
     if body == "Z":
-        return GModule(spec, QuotientPresentation(1), name=token)
+        return 1, []
     if body.startswith("Z^") and body[2:].isdigit():
-        return GModule(spec, QuotientPresentation(int(body[2:])), name=token)
+        return int(body[2:]), []
     if body.startswith("Z") and body[1:].isdigit():
-        m = int(body[1:])
-        return GModule(spec, QuotientPresentation(1, [(m,)]), name=token)
+        return 1, [(int(body[1:]),)]
     return None
 
 
@@ -212,15 +214,17 @@ def _cmd_oracle(scenario: Scenario | None, args) -> Report:
     if spec is None:
         raise RejectedError(f"unknown group token {args.group!r} "
                             "(expected Z<m> or products like Z2xZ2)")
-    module = builtin_module(spec, args.module)
-    if module is None:
+    shape = builtin_module(args.module)
+    if shape is None:
         raise RejectedError(f"unknown module token {args.module!r} "
                             "(expected Ztrivial, Z<m>trivial or Z^<k>trivial)")
-    ambient = module.rank * spec.order()
+    rank, relations = shape
+    ambient = rank * spec.order()
     if ambient > MAX_ORACLE_AMBIENT:
         raise UnsupportedError(
             f"oracle ambient rank {ambient} exceeds the limit {MAX_ORACLE_AMBIENT}"
         )
+    module = GModule(spec, QuotientPresentation(rank, relations), name=args.module)
     oracle = oracle_wh_presentation(spec, module)
     invariants = oracle.group_invariants()
     lines = [

@@ -1,7 +1,7 @@
 """Index-tagged lens obstruction classes and their sign calculus: the
-upside-down involution, positive/negative suspension, the stabilized
-invariant (-1)^k * lambda, retraction values, and the mapping-circle
-conclusion rule with its verdict on every power.
+upside-down involution, the stabilized invariant (-1)^k * lambda,
+retraction values, and the mapping-circle conclusion rule with its
+verdict on every power.
 
 The framing component (Z/2 coefficients) is carried through every
 operation with the same sign rules but only ever set from scenario
@@ -23,7 +23,6 @@ __all__ = [
     "make_lens",
     "involution",
     "stable_obstruction",
-    "suspend",
     "clam_double",
     "stable_sum",
     "retraction_invariant",
@@ -103,18 +102,6 @@ def stable_obstruction(lens: LensClass) -> tuple[WhElement, WhElement]:
     """The stabilized invariant (-1)^k * lambda as (framing, main)."""
     sign = -1 if lens.k % 2 else 1
     return lens.framing.scale(sign), lens.main.scale(sign)
-
-
-def suspend(lens: LensClass, sign: str) -> LensClass:
-    """Suspension: '+' keeps k, '-' shifts k by one (flipping the stable sign)."""
-    if sign == "+":
-        k = lens.k
-    elif sign == "-":
-        k = lens.k + 1
-    else:
-        raise ValueError("suspension sign must be '+' or '-'")
-    return LensClass(n=lens.n + 1, k=k, framing=lens.framing, main=lens.main,
-                     note=lens.note)
 
 
 def clam_double(lens: LensClass) -> PseudoisotopyClass:

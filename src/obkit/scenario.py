@@ -343,6 +343,8 @@ class _Resolver:
         for name, mnode, mobj in self.entries(node, "maps", "map"):
             source = self.lookup(scenario.modules, mobj.get("source"), "module")
             target = self.lookup(scenario.modules, mobj.get("target"), "module")
+            if "source" not in mobj or "target" not in mobj:
+                self.diag(mnode, "E200", f"map {name!r} needs 'source' and 'target'")
             if "matrix" not in mobj:
                 self.diag(mnode, "E200", f"map {name!r} needs a 'matrix'")
             if source is None or target is None or "matrix" not in mobj:
@@ -469,6 +471,8 @@ class _Resolver:
         for name, lnode, lobj in self.entries(node, "lenses", "lens"):
             module = self.lookup(scenario.modules, lobj.get("module"), "module")
             if module is None:
+                if "module" not in lobj:
+                    self.diag(lnode, "E200", f"lens {name!r} needs 'module'")
                 continue
             alpha_node = self.get_string(lobj, "alpha", lnode)
             sigma_node = self.get_string(lobj, "sigma", lnode)

@@ -1,5 +1,6 @@
 """Shared builders for the test suite: group specs, random elements,
 trivial-action modules, framing modules, random certified matrices,
+coboundary cocycles, pushed-forward cocycles, suspended lenses,
 reference implementations (cocycle check, chi by one linearization per
 index quadruple, the dense all-elements Wh oracle, dense row-vector
 product, character-by-character JSON parser) that fast paths are checked
@@ -10,12 +11,13 @@ from __future__ import annotations
 import functools
 import random
 
-from obkit.chi import _as_matrix, _resolve_inverse, chi_eval, pushforward
-from obkit.errors import ContextError, DimensionError
-from obkit.gmodules import GModule, ModuleElement
+from obkit.chi import Cocycle, FiniteQuotient, _as_matrix, _resolve_inverse, chi_eval
+from obkit.errors import ContextError, DimensionError, RejectedError
+from obkit.gmodules import GModule, ModuleElement, ModuleMap
 from obkit.groupring import DiagonalGen, ElementaryGen, RingElement, build_invertible
 from obkit.groups import FactorSpec, GroupSpec, enumerate_elements, inverse, multiply
 from obkit.intlinalg import IntMatrix, QuotientPresentation, smith_normal_form
+from obkit.obstruction import LensClass
 from obkit.restricted_json import MAX_DEPTH, MAX_INT_DIGITS, JsonError, Node
 from obkit.wh1 import WhElement, induced_map
 
@@ -96,6 +98,70 @@ def zero_framing(spec: GroupSpec) -> WhElement:
 def wh_normal_form(x: WhElement) -> WhElement:
     """Renormalize; idempotent on already-canonical elements."""
     return WhElement.build(x.module, x.terms)
+
+
+def coboundary(quotient: FiniteQuotient, module: GModule, two_cochain,
+               q_action=None, name: str = "") -> Cocycle:
+    """The 3-cocycle that is the coboundary of an explicit 2-cochain.
+
+    Builds tables that pass ``verify_cocycle`` by construction.  The 2-cochain maps pairs of quotient elements to
+    coordinate vectors; omitted pairs are zero.
+    """
+    probe = Cocycle(quotient, module, {}, q_action=q_action)
+    k = module.rank
+    elems = quotient.elements()
+    index = quotient.index
+    sums = quotient.sums
+    n = len(elems)
+    b = [(0,) * k] * (n * n)
+    for (q1, q2), coords in two_cochain.items():
+        coords = tuple(int(x) for x in coords)
+        if len(coords) != k:
+            raise DimensionError("2-cochain value has the wrong rank")
+        if q1 not in index or q2 not in index:
+            raise ContextError("2-cochain key outside the quotient group")
+        b[index[q1] * n + index[q2]] = coords
+
+    table = {}
+    for gi, act in enumerate(probe._element_matrices):
+        g_sums = sums[gi]
+        for hi in range(n):
+            gh = g_sums[hi] * n
+            b_gh = b[gi * n + hi]
+            for ki, hk in enumerate(sums[hi]):
+                total = [
+                    x - y + z - w
+                    for x, y, z, w in zip(act.apply(b[hi * n + ki]), b[gh + ki],
+                                          b[gi * n + hk], b_gh)
+                ]
+                if any(total) and any(module.presentation.reduce(total)):
+                    table[(elems[gi], elems[hi], elems[ki])] = tuple(total)
+    return Cocycle(quotient, module, table, q_action=q_action, name=name)
+
+
+def pushforward(phi: ModuleMap, c: Cocycle, q_action=None, name: str = "") -> Cocycle:
+    """Compose the table with a coefficient map, producing a target cocycle:
+    the cocycle whose chi ``chi_naturality_check`` compares."""
+    if phi.source is not c.module:
+        raise ContextError("map source does not match the cocycle module")
+    table = {key: phi.matrix.apply(val) for key, val in c.table.items()}
+    if q_action is None and not phi.target.trivial_action:
+        raise RejectedError(
+            "cannot derive a quotient action for a nontrivial-action target"
+        )
+    return Cocycle(c.quotient, phi.target, table, q_action=q_action, name=name)
+
+
+def suspend(lens: LensClass, sign: str) -> LensClass:
+    """Suspension: '+' keeps k, '-' shifts k by one (flipping the stable sign)."""
+    if sign == "+":
+        k = lens.k
+    elif sign == "-":
+        k = lens.k + 1
+    else:
+        raise ValueError("suspension sign must be '+' or '-'")
+    return LensClass(n=lens.n + 1, k=k, framing=lens.framing, main=lens.main,
+                     note=lens.note)
 
 
 def chi_naturality_check(phi, c, a, b, cm, d=None, q_action=None) -> bool:

@@ -9,7 +9,7 @@ import pathlib
 import random
 import time
 
-from obkit.chi import Cocycle, chi_eval, coboundary, verify_cocycle
+from obkit.chi import Cocycle, chi_eval, verify_cocycle
 from obkit.cli import main as cli_main
 from obkit.gmodules import GModule, ModuleMap
 from obkit.groupring import ElementaryGen, RingElement, RingMatrix, build_invertible
@@ -22,11 +22,12 @@ from obkit.groups import (
     multiply,
 )
 from obkit.intlinalg import IntMatrix, QuotientPresentation, smith_normal_form
-from obkit.obstruction import involution, make_lens, stable_obstruction, suspend
+from obkit.obstruction import involution, make_lens, stable_obstruction
 from obkit.scenario import load_scenario
 from obkit.wh1 import WhElement, oracle_wh_presentation
 from support import (
     chi_naturality_check,
+    coboundary,
     det,
     f2_spec,
     invariant_factors,
@@ -34,6 +35,7 @@ from support import (
     rand_element,
     rand_invertible,
     rand_unimodular,
+    suspend,
     trivial_module,
     zero_framing,
     zmod_spec,

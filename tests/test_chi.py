@@ -13,8 +13,6 @@ from obkit.chi import (
     FiniteQuotient,
     MAX_QUOTIENT_ORDER,
     chi_eval,
-    coboundary,
-    pushforward,
     retraction_kills_chi,
     verify_cocycle,
 )
@@ -27,7 +25,9 @@ from obkit.wh1 import WhElement, induced_map
 from support import (
     NON_SMITH_LATTICES,
     chi_naturality_check,
+    coboundary,
     linearize_eval,
+    pushforward,
     rand_invertible,
     rand_ring,
     reference_chi_eval,

@@ -16,7 +16,7 @@ from obkit import chi, cli, gmodules, groups, obstruction, wh1
 from obkit.cli import MAX_ORACLE_AMBIENT, MAX_ORACLE_PAIRS, main
 from obkit.intlinalg import QuotientPresentation
 from obkit.scenario import load_scenario
-from support import reference_oracle_rows
+from support import pushforward, reference_oracle_rows
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 F2 = str(SCENARIOS / "paper_f2.json")
@@ -129,7 +129,8 @@ def test_oracle_wh(capsys):
 def test_oracle_wh_matches_the_dense_presentation(capsys, group, module):
     # The lines the dense all-elements presentation of A[G]/<A[1], coinvariance> gives.
     spec = cli.builtin_group(group)
-    mod = cli.builtin_module(spec, module)
+    rank, relations = cli.builtin_module(module)
+    mod = gmodules.GModule(spec, QuotientPresentation(rank, relations), name=module)
     dense = QuotientPresentation(mod.rank * spec.order(), reference_oracle_rows(spec, mod))
     invariants = ", ".join(str(d) for d in dense.group_invariants()) or "trivial"
     status, out = run_main(capsys, "oracle", "wh", group, module)
@@ -175,6 +176,22 @@ def test_oracle_size_limit_rejects_before_enumerating(capsys, monkeypatch):
             assert main(["oracle", action, group, module]) == 3
             out, err = capsys.readouterr()
             assert out == "" and "exceeds the limit" in err
+
+
+@pytest.mark.parametrize("group, module", [("Z2", "Z^100000trivial"), ("Z2", "Z^3000trivial"),
+                                           ("Z100000", "Z^12trivial")])
+def test_oracle_size_limit_is_checked_before_building_the_module(capsys, monkeypatch,
+                                                                 group, module):
+    # The limit is read off the tokens: no presentation is allocated and
+    # no torsion law is checked for a module the command refuses.
+    def fail(*args, **kwargs):
+        raise AssertionError("module built before the size check")
+
+    monkeypatch.setattr(cli, "QuotientPresentation", fail)
+    _forbid_enumeration(monkeypatch)
+    assert main(["oracle", "wh", group, module]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "exceeds the limit" in err
 
 
 def test_wh_equal_past_the_oracle_limit(capsys, tmp_path, monkeypatch):
@@ -357,7 +374,7 @@ def test_retraction_kills_chi_on_the_fixtures():
         phi = scenario.maps[cfg.retraction]
         mats = [scenario.matrices[m] for m in cfg.matrices]
         assert chi.retraction_kills_chi(phi, cocycle), name
-        assert chi.chi_eval(chi.pushforward(phi, cocycle), *mats).is_zero, name
+        assert chi.chi_eval(pushforward(phi, cocycle), *mats).is_zero, name
 
 
 def test_exit_status_oversized_input(tmp_path):

@@ -16,6 +16,7 @@ from support import (
     rand_element,
     trivial_module,
     tu_spec,
+    zmod_spec,
     zz2_spec,
     zz6_spec,
 )
@@ -86,6 +87,27 @@ def test_validate_inverts_mod_torsion():
     assert mod.act(inverse(t), mod.act(t, a)) == a
 
 
+MODULE_VIOLATIONS = [
+    ("relations", zz2_spec(), QuotientPresentation(2, [(2, 0)]), {"s": SWAP},
+     "action of 's' does not preserve the relation lattice"),
+    ("invertibility", zz2_spec(), QuotientPresentation(1), {"s": [[2]]},
+     "action of 's' is not invertible on the quotient"),
+    ("torsion", zz2_spec(), QuotientPresentation(2), {"s": [[0, -1], [1, -1]]},
+     "action of 's' violates the torsion constraint (order 2)"),
+    ("commuting", zmod_spec(2, 2), QuotientPresentation(2), {"s1": [[-1, 0], [0, 1]], "s2": SWAP},
+     "actions of 's1' and 's2' do not commute on the quotient"),
+]
+
+
+@pytest.mark.parametrize("spec, presentation, action, message",
+                         [case[1:] for case in MODULE_VIOLATIONS],
+                         ids=[case[0] for case in MODULE_VIOLATIONS])
+def test_module_constructor_raises_each_violation(spec, presentation, action, message):
+    with pytest.raises(ValueError) as err:
+        GModule(spec, presentation, action=action)
+    assert str(err.value) == message
+
+
 def test_apply_map_examples():
     spec = zz2_spec()
     pi2 = GModule(spec, QuotientPresentation(2), elements={"alpha": (1, 0)})
@@ -138,10 +160,16 @@ def test_map_well_definedness():
     spec = zz2_spec()
     z2 = GModule(spec, QuotientPresentation(1, [(2,)]))
     z = trivial_module(spec, 1)
-    with pytest.raises(ValueError, match="relations into relations"):
+    with pytest.raises(ValueError) as err:
         ModuleMap(z2, z, [[1]])
+    assert str(err.value) == "map does not send relations into relations"
     good = ModuleMap(z, z2, [[1]])
     assert good(z.element((3,))) == z2.element((1,))
+    # A map flagged equivariant is checked too; unflagged, it only reports.
+    with pytest.raises(ValueError) as err:
+        ModuleMap(swap_module(spec), z, [[1, 0]], equivariant=True)
+    assert str(err.value) == "map is flagged equivariant but does not commute with the action"
+    assert not ModuleMap(swap_module(spec), z, [[1, 0]]).is_equivariant
 
 
 def test_context_and_dimension_errors():

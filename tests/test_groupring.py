@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obkit.errors import ContextError, DimensionError
 from obkit.groupring import (
@@ -13,7 +15,7 @@ from obkit.groupring import (
     build_invertible,
     verify_inverse,
 )
-from support import f2_spec, rand_invertible, rand_ring, zz2_spec
+from support import f2_spec, rand_element, rand_invertible, rand_ring, zz2_spec
 
 
 def ring(g, c=1):
@@ -145,6 +147,43 @@ def test_invertible_pairs_randomized():
         for _ in range(25):
             pair = rand_invertible(rng, spec, rng.choice([1, 2, 3]))
             assert verify_inverse(pair.matrix, pair.inverse)
+
+
+@st.composite
+def _generator_sequences(draw):
+    """A group, a size n in 1..4 and up to six generators: E_ij(x) with x
+    a sum of up to three terms, the identity among them, and D_i(+-g)
+    with either sign."""
+    spec = draw(st.sampled_from([f2_spec(), zz2_spec()]))
+    n = draw(st.integers(1, 4))
+    element = st.one_of(
+        st.just(spec.identity()),
+        st.integers(0, 10**6).map(lambda seed: rand_element(random.Random(seed), spec, 2)))
+    coeff = st.sampled_from([-2, -1, 1, 2])
+    gens = []
+    for _ in range(draw(st.integers(0, 6))):
+        i = draw(st.integers(0, n - 1))
+        if n > 1 and draw(st.booleans()):
+            j = draw(st.integers(0, n - 2))
+            terms = draw(st.lists(st.tuples(element, coeff), min_size=1, max_size=3))
+            x = RingElement.zero(spec)
+            for g, c in terms:
+                x = x + ring(g, c)
+            gens.append(ElementaryGen(i, j + (j >= i), x))
+        else:
+            gens.append(DiagonalGen(i, draw(st.sampled_from([1, -1])), draw(element)))
+    return spec, n, gens
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_generator_sequences())
+def test_built_pairs_are_inverse_by_construction(case):
+    # InvertiblePair does not multiply its pair out; build_invertible's
+    # symbolic inverse must be exact on its own.
+    spec, n, gens = case
+    pair = build_invertible(spec, n, gens)
+    assert verify_inverse(pair.matrix, pair.inverse)
+    assert pair.provenance == tuple(gens)
 
 
 def test_errors():

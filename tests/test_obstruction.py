@@ -19,12 +19,12 @@ from obkit.obstruction import (
     retraction_invariant,
     stable_obstruction,
     stable_sum,
-    suspend,
 )
 from obkit.wh1 import WhElement
 from support import (
     framing_module,
     rand_element,
+    suspend,
     trivial_module,
     tu_spec,
     zero_framing,

@@ -28,3 +28,32 @@ def test_public_names_resolve(name):
     namespace = {}
     exec(f"from obkit.{name} import *", namespace)
     assert set(public) <= set(namespace)
+
+
+# The public surface, layer by layer, in declaration order: a change to
+# any layer's __all__ shows up as a diff of this table.
+PUBLIC_NAMES = {
+    "restricted_json": ["Node", "JsonError", "parse_json"],
+    "scenario": ["Diagnostic", "ScenarioError", "Scenario", "parse_scenario", "load_scenario"],
+    "words": ["WordError", "parse_word", "parse_ring", "parse_wh", "parse_generator_sequence"],
+    "groups": ["FactorSpec", "GroupSpec", "GroupElement", "multiply", "inverse",
+               "cyclically_reduce", "conjugacy_canonical", "conjugacy_canonical_with_conjugator",
+               "are_conjugate", "enumerate_elements", "element_sort_key"],
+    "intlinalg": ["IntMatrix", "smith_normal_form", "solve", "QuotientPresentation"],
+    "groupring": ["RingElement", "RingMatrix", "ElementaryGen", "DiagonalGen", "InvertiblePair",
+                  "build_invertible", "verify_inverse"],
+    "gmodules": ["GModule", "ModuleElement", "ModuleMap"],
+    "wh1": ["WhElement", "induced_map", "detect_nontrivial", "WhOracle",
+            "oracle_wh_presentation", "wh_equal"],
+    "chi": ["FiniteQuotient", "Cocycle", "verify_cocycle", "chi_eval", "retraction_kills_chi"],
+    "obstruction": ["LensClass", "PseudoisotopyClass", "make_lens", "involution",
+                    "stable_obstruction", "clam_double", "stable_sum", "retraction_invariant",
+                    "CircleReport", "circle_conclusion"],
+    "cli": ["Report", "run_command", "main"],
+}
+
+
+def test_public_names_match_the_snapshot():
+    assert sorted(PUBLIC_NAMES) == sorted(LAYERS)
+    for layer, names in PUBLIC_NAMES.items():
+        assert list(importlib.import_module(f"obkit.{layer}").__all__) == names, layer

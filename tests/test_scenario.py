@@ -572,7 +572,10 @@ DIAGNOSTIC_CASES = [
      ["47:8: E200 map 'r' needs a 'matrix'",
       "113:17: E220 unresolved map name 'r'"]),
     ("map-no-source", _mutated(("maps.r.source", _DROP)),
-     ["117:17: E220 unresolved map name 'r'"]),
+     ["47:8: E200 map 'r' needs 'source' and 'target'",
+      "117:17: E220 unresolved map name 'r'"]),
+    ("unused-map-no-source", _mutated(("maps.r2", {"target": "Z", "matrix": [[1]]})),
+     ["57:9: E200 map 'r2' needs 'source' and 'target'"]),
     ("map-matrix-bad", _mutated(("maps.r.matrix", [1])),
      ["51:5: E200 matrix row must be an array of integers",
       "116:17: E220 unresolved map name 'r'"]),
@@ -712,7 +715,10 @@ DIAGNOSTIC_CASES = [
      ["109:8: E200 lens 'g' must be an object",
       "112:11: E220 unresolved lens name 'g'"]),
     ("lens-no-module", _mutated(("lenses.g.module", _DROP)),
-     ["116:11: E220 unresolved lens name 'g'"]),
+     ["109:8: E200 lens 'g' needs 'module'",
+      "116:11: E220 unresolved lens name 'g'"]),
+    ("unused-lens-no-module", _mutated(("lenses.g2", {"alpha": "a", "sigma": "sigma"})),
+     ["115:9: E200 lens 'g2' needs 'module'"]),
     ("lens-module-unresolved", _mutated(("lenses.g.module", "nosuch")),
      ["110:14: E220 unresolved module name 'nosuch'",
       "117:11: E220 unresolved lens name 'g'"]),
