@@ -7,8 +7,11 @@ indexed by triples of quotient elements; omitted triples are zero.
 When the coefficient module carries a nontrivial action it must be
 shown to factor through the quotient: the scenario supplies matrices
 for the quotient generators and the pullback compatibility is checked
-generator by generator, which makes the exhaustive cocycle identity
-decidable.
+generator by generator, which makes the cocycle identity decidable.
+It is decided on the rows whose first argument is 1 or a quotient
+generator, (1 + #generators)·|Q|^3 quadruples; the first violated
+quadruple among them is the first in full enumeration order, so a
+failing table is reported without a separate full scan.
 """
 
 from __future__ import annotations
@@ -31,8 +34,9 @@ __all__ = [
     "retraction_kills_chi",
 ]
 
-# Largest quotient order accepted.  The cocycle check loops over |Q|^4
-# quadruples: about 0.03 s at |Q| = 8 and 2 s at |Q| = 24 (README).
+# Largest quotient order accepted.  The cocycle check loops over
+# (1 + #generators)·|Q|^3 quadruples: about 0.004 s at |Q| = 8 and
+# 0.3 s at |Q| = 32 on a cyclic quotient (README).
 MAX_QUOTIENT_ORDER = 32
 
 
@@ -197,18 +201,36 @@ class Cocycle:
 
 
 def verify_cocycle(c: Cocycle):
-    """Exhaustively check the inhomogeneous 3-cocycle identity
+    """Decide the inhomogeneous 3-cocycle identity
 
-        g.c(h,q,l) - c(gh,q,l) + c(g,hq,l) - c(g,h,ql) + c(g,h,q) = 0
+        D(g,h,q,l) = g.c(h,q,l) - c(gh,q,l) + c(g,hq,l) - c(g,h,ql) + c(g,h,q) = 0
 
-    in the coefficient module, over all |Q|^4 quadruples.
+    in the coefficient module for every quadruple of quotient elements,
+    by checking only the rows g = 1 and g = a quotient generator:
+    (1 + #generators)·|Q|^3 quadruples instead of |Q|^4.
+
+    This is exact.  D = δc, so δD = 0, and δD at (s, g, x, y, z) reads
+
+        s.D(g,x,y,z) - D(sg,x,y,z) + D(s,gx,y,z) - D(s,g,xy,z)
+            + D(s,g,x,yz) - D(s,g,x,y) = 0.
+
+    When the row of s is zero this gives D(sg,...) = s.D(g,...).  Every
+    element of a finite group is a positive word in its generators, so
+    zero rows at 1 and at the generators of a subgroup force D to vanish
+    on every row of that subgroup (K. S. Brown, Cohomology of Groups,
+    GTM 87).  The identity row is what decides a trivial quotient, which
+    has no generators.
 
     Returns None when the identity holds, else the first violated
     quadruple (g, h, q, l) in enumeration order: each coordinate runs
     over ``FiniteQuotient.elements()``, g slowest and l fastest.  The
-    scenario loader prints this quadruple in its E243 diagnostic, and
-    tracing reads its position in that order as the number of quadruples
-    checked, so the order is part of the contract.
+    scenario loader prints it in its E243 diagnostic, so the order is
+    part of the contract.  The checked rows run in index order, and the
+    first violation among them is that quadruple: elements are numbered
+    in mixed radix over their exponent vectors, so the rows before the
+    generator q_i are exactly the subgroup of the later generators,
+    whose rows come earlier and held.  A failing table therefore costs
+    no more than the scan up to its witness.
 
     The loop works on quotient indices: the table is copied into a flat
     list indexed by (i*n + j)*n + l, products come from
@@ -224,10 +246,13 @@ def verify_cocycle(c: Cocycle):
     vals = [(0,) * c.module.rank] * (n * n * n)
     for (g, h, q), v in c.table.items():
         vals[(index[g] * n + index[h]) * n + index[q]] = v
+    target = quotient.target
+    rows = sorted({index[target.identity()]}
+                  | {index[target.generator(name)] for name in target.generator_names()})
     reduce = c.module.presentation.reduce
     # c(x, y, l) sits at row_xy + (index of l) in vals.
-    for gi, act in enumerate(c._element_matrices):
-        apply = act.apply
+    for gi in rows:
+        apply = c._element_matrices[gi].apply
         g_sums = sums[gi]
         for hi in range(n):
             h_sums = sums[hi]

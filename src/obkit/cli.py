@@ -27,6 +27,7 @@ from .obstruction import (
     stable_obstruction,
     stable_sum,
 )
+from .restricted_json import MAX_INT_DIGITS
 from .scenario import ASSERT_KERNEL, Scenario, ScenarioError, load_scenario
 from .wh1 import WhElement, detect_nontrivial, induced_map, oracle_wh_presentation, wh_equal
 from .words import WordError, parse_wh, parse_word
@@ -55,14 +56,19 @@ class Report:
 # -- builtin tokens for the oracle command -------------------------------
 
 
+def _number(text: str) -> int | None:
+    """The value of at most MAX_INT_DIGITS ASCII digits, else None."""
+    if text.isascii() and text.isdigit() and len(text) <= MAX_INT_DIGITS:
+        return int(text)
+    return None
+
+
 def builtin_group(token: str) -> GroupSpec | None:
     """Cyclic and product shorthands: Z2, Z6, Z2xZ2, ..."""
     orders = []
     for part in token.split("x"):
-        if not (part.startswith("Z") and part[1:].isdigit()):
-            return None
-        m = int(part[1:])
-        if m < 2:
+        m = _number(part[1:]) if part.startswith("Z") else None
+        if m is None or m < 2:
             return None
         orders.append(m)
     if not orders:
@@ -80,11 +86,11 @@ def builtin_module(token: str) -> tuple[int, list] | None:
     body = token[: -len("trivial")]
     if body == "Z":
         return 1, []
-    if body.startswith("Z^") and body[2:].isdigit():
-        return int(body[2:]), []
-    if body.startswith("Z") and body[1:].isdigit():
-        return 1, [(int(body[1:]),)]
-    return None
+    if body.startswith("Z^"):
+        rank = _number(body[2:])
+        return None if rank is None else (rank, [])
+    order = _number(body[1:]) if body.startswith("Z") else None
+    return None if order is None else (1, [(order,)])
 
 
 def _random_wh(rng: random.Random, module: GModule, elements) -> WhElement:

@@ -72,7 +72,9 @@ class Scenario:
     """A fully resolved scenario.
 
     Every entry of ``cocycles`` passed ``verify_cocycle`` when the file
-    was loaded (a violated table is diagnosed E243 and nothing loads), so
+    was loaded, which decides the identity on every quadruple from the
+    rows at 1 and at the quotient generators (a violated table is
+    diagnosed E243 at its first violated quadruple and nothing loads), so
     commands report such a cocycle as verified without checking it again.
     Every module and map passed its constructor's checks, and every entry
     of ``matrices`` is an ``InvertiblePair`` from ``build_invertible``,

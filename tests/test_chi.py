@@ -20,7 +20,7 @@ from obkit.errors import RejectedError
 from obkit.gmodules import GModule, ModuleMap
 from obkit.groupring import InvertiblePair, RingElement, RingMatrix
 from obkit.groups import FactorSpec, GroupSpec
-from obkit.intlinalg import QuotientPresentation
+from obkit.intlinalg import IntMatrix, QuotientPresentation
 from obkit.wh1 import WhElement, induced_map
 from support import (
     NON_SMITH_LATTICES,
@@ -66,7 +66,7 @@ def test_zero_table_is_cocycle():
 
 def test_single_entry_trivial_coefficients_rejected():
     # c(s,s,s) = 1 with trivial Z coefficients: delta c at (s,s,s,s) is 2,
-    # so the exhaustive check must reject exactly there.
+    # so the check must reject exactly there.
     spec, *_ , quotient, q, _ = z2_setup()
     z = trivial_module(spec, 1)
     c = Cocycle(quotient, z, {(q, q, q): (1,)})
@@ -123,12 +123,14 @@ ORACLE_CASES = (
     + [((m,), "swap", 3, ()) for m in (2, 4, 6)]
     + [((4,), "rot4", 3, ()), ((2, 2), "trivial", 2, ()), ((2, 2), "swap", 3, ())]
     + [((m,), "trivial", 1, ([2],)) for m in (2, 3, 4)]
+    + [((), "trivial", 1, ())]
 )
 
 
 def _case_id(case):
     orders, action, _, relations = case
-    return "x".join(f"Z{m}" for m in orders) + f"-{action}" + ("-mod2" if relations else "")
+    group = "x".join(f"Z{m}" for m in orders) or "Z1"
+    return group + f"-{action}" + ("-mod2" if relations else "")
 
 
 @st.composite
@@ -178,6 +180,23 @@ def test_cocycle_check_multiplies_at_most_q_squared_times(monkeypatch):
     assert len(c.table) > 0
     assert verify_cocycle(c) is None
     assert len(calls) <= 8 ** 2
+
+
+@pytest.mark.parametrize("orders, matrix, applies", [((8,), ROT4, 2 * 8 ** 3),
+                                                     ((2, 2), SWAP3, 3 * 4 ** 3)])
+def test_cocycle_check_reads_the_generator_rows_only(monkeypatch, orders, matrix, applies):
+    # A passing table is decided on the rows g = 1 and g = a generator:
+    # one action per quadruple, (1 + #generators)·|Q|^3 of them.
+    quotient, module, q_action = _torsion_setting(orders, matrix)
+    elems = quotient.elements()
+    rng = random.Random(0)
+    two = {(g, h): tuple(rng.randint(-2, 2) for _ in range(3)) for g in elems for h in elems}
+    c = coboundary(quotient, module, two, q_action=q_action)
+    calls = []
+    apply = IntMatrix.apply
+    monkeypatch.setattr(IntMatrix, "apply", lambda m, v: calls.append(1) or apply(m, v))
+    assert verify_cocycle(c) is None
+    assert len(calls) == applies
 
 
 def test_action_must_factor_through_quotient():

@@ -194,6 +194,21 @@ def test_oracle_size_limit_is_checked_before_building_the_module(capsys, monkeyp
     assert out == "" and "exceeds the limit" in err
 
 
+@pytest.mark.parametrize("group, module, kind", [
+    ("Z2", "Z^\u00b2trivial", "module"),
+    ("Z2", "Z^\u0663trivial", "module"),
+    ("Z2", "Z\u0663trivial", "module"),
+    ("Z\u0663", "Ztrivial", "group"),
+    ("Z" + "9" * 5000, "Ztrivial", "group"),
+    ("Z2", "Z^" + "9" * 5000 + "trivial", "module"),
+], ids=["superscript-rank", "arabic-indic-rank", "arabic-indic-order", "arabic-indic-group",
+        "5000-digit-group", "5000-digit-rank"])
+def test_builtin_tokens_read_ascii_digits_only(capsys, group, module, kind):
+    assert main(["oracle", "wh", group, module]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and f"unknown {kind} token" in err
+
+
 def test_wh_equal_past_the_oracle_limit(capsys, tmp_path, monkeypatch):
     # Z/1024 acting on Z by a sign: (1)[s] = (-1)[s] in the coinvariants,
     # A_G = Z/2, decided without enumerating the 1024 elements.

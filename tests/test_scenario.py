@@ -689,6 +689,13 @@ DIAGNOSTIC_CASES = [
                                   ("cocycles.c.entries.0.value", [1])),
      ["78:8: E243 cocycle 'c': identity violated at (q, q, q, q)",
       "112:14: E220 unresolved cocycle name 'c'"]),
+    ("cocycle-violated-trivial-quotient",
+     _mutated((_QF, [{"kind": "abelian", "names": [], "torsion": []}]),
+              ("quotients.Q.images.s", "1"), ("cocycles.c.module", "Z"),
+              ("cocycles.c.q_action", _DROP),
+              ("cocycles.c.entries.0", {"args": ["1", "1", "1"], "value": [1]})),
+     ["74:8: E243 cocycle 'c': identity violated at (1, 1, 1, 1)",
+      "108:14: E220 unresolved cocycle name 'c'"]),
     ("matrices-not-object", _mutated(("matrices", 5)),
      ["102:14: E200 matrices must be an object",
       "116:4: E220 unresolved matrix name"]),
