@@ -21,7 +21,7 @@ from functools import cached_property
 
 from .errors import ContextError, DimensionError, RejectedError
 from .gmodules import GModule, ModuleMap
-from .groupring import InvertiblePair, RingMatrix, verify_inverse
+from .groupring import InvertiblePair, RingMatrix, _right_multiply, verify_inverse
 from .groups import GroupElement, GroupSpec, enumerate_elements, multiply
 from .intlinalg import IntMatrix
 from .wh1 import WhElement
@@ -283,7 +283,8 @@ def _resolve_inverse(a, b, cm, d) -> RingMatrix:
             raise RejectedError(
                 "no inverse supplied and the factors are not certified invertible"
             )
-        return cm.inverse @ b.inverse @ a.inverse
+        return _right_multiply(cm.inverse, [gen.inverted() for p in (b, a)
+                                            for gen in reversed(p.provenance)])
     abc = _as_matrix(a) @ _as_matrix(b) @ _as_matrix(cm)
     for d_mat in (d.matrix, d.inverse) if isinstance(d, InvertiblePair) else (d,):
         if verify_inverse(abc, d_mat):
@@ -309,9 +310,10 @@ def chi_eval(c: Cocycle, a, b, cm, d=None) -> WhElement:
     The bracket extends Z-bilinearly over the support of d_li.  A
     supplied inverse d (either reading of a certified pair) is verified
     two-sided against A*B*C, and a failed verification rejects the call.
-    When d is omitted, C^-1 B^-1 A^-1 is composed from the three
-    certified pairs without a check: ``build_invertible`` makes each
-    inverse exact by construction.
+    When d is omitted, C^-1 B^-1 A^-1 is built by applying the inverted
+    generators of B and A to C's inverse, by column operations and
+    without a check: ``build_invertible`` makes each inverse exact by
+    construction.  It is rejected past ``MAX_MATRIX_TERMS`` terms.
 
     f is trilinear and sees an entry only through its image in the
     quotient, so each matrix is split once by quotient element and d_li

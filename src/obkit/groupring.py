@@ -3,15 +3,17 @@
 Matrix inverses are never computed: invertible matrices are built from
 elementary and diagonal-unit generators, which invert symbolically, so
 each certified pair is exact by construction and is not multiplied out
-again.  ``verify_inverse`` checks an inverse that was supplied rather
-than built.
+again.  A matrix is built by column operations, one per generator, and
+holds at most MAX_MATRIX_TERMS terms over all its entries.
+``verify_inverse`` checks an inverse that was supplied rather than
+built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ContextError, DimensionError
+from .errors import ContextError, DimensionError, RejectedError
 from .groups import GroupElement, GroupSpec, element_sort_key, inverse, multiply
 
 __all__ = [
@@ -23,6 +25,12 @@ __all__ = [
     "build_invertible",
     "verify_inverse",
 ]
+
+# Largest number of terms, summed over the entries, that a built matrix
+# or its inverse may hold.  The fixtures and the benchmark stay under 20
+# per matrix; n generators E(i, i mod n + 1, "t - s") reach the limit at
+# n = 14, and without it one entry at n = 24 holds about 200,000 terms.
+MAX_MATRIX_TERMS = 10_000
 
 
 class RingElement:
@@ -185,13 +193,6 @@ class ElementaryGen:
     j: int
     x: RingElement
 
-    def matrix(self, spec: GroupSpec, n: int) -> RingMatrix:
-        if self.i == self.j or not (0 <= self.i < n and 0 <= self.j < n):
-            raise DimensionError("elementary generator indices out of range")
-        m = [list(row) for row in RingMatrix.identity(spec, n).entries]
-        m[self.i][self.j] = m[self.i][self.j] + self.x
-        return RingMatrix(spec, m)
-
     def inverted(self) -> "ElementaryGen":
         return ElementaryGen(self.i, self.j, -self.x)
 
@@ -207,15 +208,6 @@ class DiagonalGen:
     sign: int
     g: GroupElement
 
-    def matrix(self, spec: GroupSpec, n: int) -> RingMatrix:
-        if not (0 <= self.i < n):
-            raise DimensionError("diagonal generator index out of range")
-        if self.sign not in (1, -1):
-            raise DimensionError("diagonal unit sign must be +1 or -1")
-        m = [list(row) for row in RingMatrix.identity(spec, n).entries]
-        m[self.i][self.i] = RingElement.from_element(self.g, self.sign)
-        return RingMatrix(spec, m)
-
     def inverted(self) -> "DiagonalGen":
         return DiagonalGen(self.i, self.sign, inverse(self.g))
 
@@ -228,7 +220,8 @@ class InvertiblePair:
     """A matrix with a two-sided inverse and its generator history.
 
     The pair is taken as given; ``build_invertible`` makes pairs that are
-    inverse by construction."""
+    inverse by construction.  ``provenance`` holds the generators whose
+    product is the matrix: ``chi_eval`` composes inverses from it."""
 
     __slots__ = ("matrix", "inverse", "provenance")
 
@@ -241,19 +234,68 @@ class InvertiblePair:
         return f"InvertiblePair(n={self.matrix.n}, gens={len(self.provenance)})"
 
 
+def _right_multiply(m: RingMatrix, gens) -> RingMatrix:
+    """m times the generators in order, one column operation each.
+
+    Right-multiplying by D_i(+-g) scales column i by +-g, and by E_ij(x)
+    adds (column i)*x to column j.  Each column is one dict from row to
+    that entry's terms, and one RingElement is built per entry at the
+    end.  An E_ij(x) is refused before it runs when the matrix's terms
+    plus the products it would form exceed MAX_MATRIX_TERMS, so the
+    result stays within the limit and no step costs more than it.
+    """
+    spec, n = m.spec, m.n
+    cols = [{r: dict(m.entries[r][c].terms) for r in range(n) if m.entries[r][c].terms}
+            for c in range(n)]
+    total = sum(len(terms) for col in cols for terms in col.values())
+    for gen in gens:
+        i = gen.i
+        if isinstance(gen, DiagonalGen):
+            if not (0 <= i < n):
+                raise DimensionError("diagonal generator index out of range")
+            if gen.sign not in (1, -1):
+                raise DimensionError("diagonal unit sign must be +1 or -1")
+            g, sign = gen.g, gen.sign
+            cols[i] = {r: {multiply(h, g): sign * c for h, c in terms.items()}
+                       for r, terms in cols[i].items()}
+            continue
+        j, x = gen.j, gen.x.terms
+        if i == j or not (0 <= i < n and 0 <= j < n):
+            raise DimensionError("elementary generator indices out of range")
+        source, target = cols[i], cols[j]
+        if total + sum(map(len, source.values())) * len(x) > MAX_MATRIX_TERMS:
+            raise RejectedError(f"matrix would exceed the limit of {MAX_MATRIX_TERMS} terms")
+        for r, terms in source.items():
+            acc = target.get(r, {})
+            total -= len(acc)
+            for g, a in terms.items():
+                for h, b in x.items():
+                    gh = multiply(g, h)
+                    acc[gh] = acc.get(gh, 0) + a * b
+            acc = {g: c for g, c in acc.items() if c}
+            total += len(acc)
+            if acc:
+                target[r] = acc
+            else:
+                target.pop(r, None)
+    zero = RingElement.zero(spec)
+    return RingMatrix(spec, [[RingElement(spec, col[r]) if r in col else zero for col in cols]
+                             for r in range(n)])
+
+
 def build_invertible(spec: GroupSpec, n: int, gens) -> InvertiblePair:
     """Product of generators in order, with the symbolically built inverse.
 
-    The inverse is the product of inverted generators in reverse order,
-    which is exact: E_ij(x) E_ij(-x) = I and D_i(+-g) D_i(+-g^-1) = I.
+    Both are built from the identity by column operations: the matrix
+    applies the generators, and the inverse applies the inverted
+    generators in reverse order, which is exact: E_ij(x) E_ij(-x) = I and
+    D_i(+-g) D_i(+-g^-1) = I.  Each holds at most MAX_MATRIX_TERMS terms
+    (RejectedError past it); the number of generators is not bounded.
     """
     gens = tuple(gens)
-    m = RingMatrix.identity(spec, n)
-    for gen in gens:
-        m = m @ gen.matrix(spec, n)
-    inv = RingMatrix.identity(spec, n)
-    for gen in reversed(gens):
-        inv = inv @ gen.inverted().matrix(spec, n)
+    ident = RingMatrix.identity(spec, n)
+    m = _right_multiply(ident, gens)
+    inv = _right_multiply(ident, [gen.inverted() for gen in reversed(gens)])
     return InvertiblePair(m, inv, gens)
 
 

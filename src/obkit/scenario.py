@@ -36,7 +36,8 @@ ASSERT_KERNEL = "kernel-of-first-invariant"
 
 # Largest module rank and certified-matrix size accepted, four times what
 # the fixtures and the benchmark use (rank 3, size 6); checked before
-# anything of that size is allocated (load times in the README).
+# anything of that size is allocated (load times in the README).  A
+# matrix's terms are bounded by groupring.MAX_MATRIX_TERMS as it is built.
 MAX_MODULE_RANK = 12
 MAX_MATRIX_SIZE = 24
 
@@ -78,7 +79,9 @@ class Scenario:
     commands report such a cocycle as verified without checking it again.
     Every module and map passed its constructor's checks, and every entry
     of ``matrices`` is an ``InvertiblePair`` from ``build_invertible``,
-    inverse by construction.
+    built by column operations and inverse by construction; the matrix
+    and its inverse each hold at most ``groupring.MAX_MATRIX_TERMS``
+    terms (a sequence past it is diagnosed E245 at ``generators``).
     """
 
     name: str
@@ -466,6 +469,8 @@ class _Resolver:
                 scenario.matrices[name] = build_invertible(scenario.spec, size, gens)
             except WordError as err:
                 self.diag(gens_node, "E230", f"matrix {name!r}: {err.message}")
+            except RejectedError as err:
+                self.diag(gens_node, "E245", f"matrix {name!r}: {err}")
             except (DimensionError, ContextError) as err:
                 self.diag(mnode, "E245", f"matrix {name!r}: {err}")
 

@@ -4,6 +4,8 @@ string grammars used by scenario files and the CLI.
 Words follow ``ident ('^' int)? ('*' ...)*`` with ``1`` for the identity;
 integers are written with the ASCII digits ``0-9`` only, and at most
 ``restricted_json.MAX_INT_DIGITS`` of them, the limit scenario files have.
+A word writes at most MAX_WORD_LETTERS letters of free generators, the
+sum of their exponents' absolute values, checked before each is built.
 Ring elements are integer combinations like ``2*g + -1*h`` or ``1 - t``.
 Wh elements look like ``(1,0)[s*t] + (0,2)[t]`` or ``-2[s]``, with plain
 integer coefficients allowed for rank-one modules.  Generator sequences
@@ -26,6 +28,10 @@ __all__ = [
     "parse_wh",
     "parse_generator_sequence",
 ]
+
+# Largest number of free-generator letters one word may write, four
+# times the longest word of the fixtures and the benchmark (t^24).
+MAX_WORD_LETTERS = 96
 
 
 class WordError(ObkitError):
@@ -118,6 +124,7 @@ def _parse_signed_int(toks: _Tokens) -> int:
 
 def _parse_word_body(spec: GroupSpec, toks: _Tokens) -> GroupElement:
     out = spec.identity()
+    letters = 0
     while True:
         tok = toks.next()
         if tok[0] == "num":
@@ -125,13 +132,18 @@ def _parse_word_body(spec: GroupSpec, toks: _Tokens) -> GroupElement:
                 raise WordError("only '1' may appear as a word atom", tok[2])
         elif tok[0] == "ident":
             try:
-                spec.locate(tok[1])
+                fi, _ = spec.locate(tok[1])
             except ValueError:
                 raise WordError(f"unknown generator {tok[1]!r}", tok[2]) from None
             exp = 1
             if toks.peek()[0] == "^":
                 toks.next()
                 exp = _parse_signed_int(toks)
+            if spec.factors[fi].kind == "free":
+                letters += abs(exp)
+                if letters > MAX_WORD_LETTERS:
+                    raise WordError(
+                        f"word has more than {MAX_WORD_LETTERS} free letters", tok[2])
             out = multiply(out, spec.generator(tok[1], exp))
         else:
             raise WordError(f"expected a generator, found {tok[1] or 'end of input'!r}", tok[2])

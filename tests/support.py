@@ -1,7 +1,8 @@
 """Shared builders for the test suite: group specs, random elements,
 trivial-action modules, framing modules, random certified matrices,
-coboundary cocycles, pushed-forward cocycles, suspended lenses,
-reference implementations (cocycle check, chi by one linearization per
+generator matrices, coboundary cocycles, pushed-forward cocycles,
+suspended lenses, reference implementations (certified pairs by full
+matrix products, cocycle check, chi by one linearization per
 index quadruple, the dense all-elements Wh oracle, dense row-vector
 product, character-by-character JSON parser) that fast paths are checked
 against, and the identities Wh normalization and chi must satisfy."""
@@ -14,7 +15,14 @@ import random
 from obkit.chi import Cocycle, FiniteQuotient, _as_matrix, _resolve_inverse, chi_eval
 from obkit.errors import ContextError, DimensionError, RejectedError
 from obkit.gmodules import GModule, ModuleElement, ModuleMap
-from obkit.groupring import DiagonalGen, ElementaryGen, RingElement, build_invertible
+from obkit.groupring import (
+    DiagonalGen,
+    ElementaryGen,
+    InvertiblePair,
+    RingElement,
+    RingMatrix,
+    build_invertible,
+)
 from obkit.groups import FactorSpec, GroupSpec, enumerate_elements, inverse, multiply
 from obkit.intlinalg import IntMatrix, QuotientPresentation, smith_normal_form
 from obkit.obstruction import LensClass
@@ -205,6 +213,37 @@ def rand_invertible(rng: random.Random, spec: GroupSpec, n: int, max_gens: int =
         supports += [len(e.terms) for row in pair.inverse.entries for e in row]
         if max(supports) <= max_support:
             return pair
+
+
+def gen_matrix(gen, spec: GroupSpec, n: int) -> RingMatrix:
+    """The n x n matrix of one generator: the identity plus x at (i, j) for
+    E_ij(x), or with the unit +-g at (i, i) for D_i(+-g); 0-based."""
+    m = [list(row) for row in RingMatrix.identity(spec, n).entries]
+    if isinstance(gen, ElementaryGen):
+        if gen.i == gen.j or not (0 <= gen.i < n and 0 <= gen.j < n):
+            raise DimensionError("elementary generator indices out of range")
+        m[gen.i][gen.j] = m[gen.i][gen.j] + gen.x
+    else:
+        if not (0 <= gen.i < n):
+            raise DimensionError("diagonal generator index out of range")
+        if gen.sign not in (1, -1):
+            raise DimensionError("diagonal unit sign must be +1 or -1")
+        m[gen.i][gen.i] = RingElement.from_element(gen.g, gen.sign)
+    return RingMatrix(spec, m)
+
+
+def reference_build_invertible(spec: GroupSpec, n: int, gens) -> InvertiblePair:
+    """``build_invertible`` by full matrix products: the generators'
+    matrices multiplied in order, and the inverted generators' in
+    reverse order."""
+    gens = tuple(gens)
+    m = RingMatrix.identity(spec, n)
+    for gen in gens:
+        m = m @ gen_matrix(gen, spec, n)
+    inv = RingMatrix.identity(spec, n)
+    for gen in reversed(gens):
+        inv = inv @ gen_matrix(gen.inverted(), spec, n)
+    return InvertiblePair(m, inv, gens)
 
 
 def rand_unimodular(rng: random.Random, n: int, steps: int = 6) -> IntMatrix:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obkit import chi
+from obkit import chi, groupring
 from obkit.chi import (
     Cocycle,
     FiniteQuotient,
@@ -32,6 +32,7 @@ from support import (
     rand_ring,
     reference_chi_eval,
     reference_verify_cocycle,
+    tu_spec,
     trivial_module,
     zz2_spec,
     zz6_spec,
@@ -395,6 +396,26 @@ def test_chi_inverse_uniqueness():
         alt = chi_eval(cocycle, a, b, c)  # recomposed internally
         assert baseline == alt
         assert d1 == c.inverse @ (b.inverse @ a.inverse)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([zz2_spec(), zz6_spec(), tu_spec()]), st.integers(1, 4),
+       st.integers(0, 2**32))
+def test_composed_inverse_equals_the_product_of_inverses(spec, n, seed):
+    rng = random.Random(seed)
+    a, b, cm = (rand_invertible(rng, spec, n, max_gens=5, max_support=4) for _ in range(3))
+    assert chi._resolve_inverse(a, b, cm, None) == cm.inverse @ b.inverse @ a.inverse
+
+
+def test_composed_inverse_past_the_term_limit_is_rejected(monkeypatch):
+    rng = random.Random(83)
+    spec, _, _, _, _, _, cocycle = z2_setup()
+    a, b, cm = (rand_invertible(rng, spec, 3, max_gens=6) for _ in range(3))
+    composed = cm.inverse @ b.inverse @ a.inverse
+    terms = sum(len(x.terms) for row in composed.entries for x in row)
+    monkeypatch.setattr(groupring, "MAX_MATRIX_TERMS", terms - 1)
+    with pytest.raises(RejectedError, match=f"limit of {terms - 1} terms"):
+        chi_eval(cocycle, a, b, cm)
 
 
 def test_naturality_identity_and_zero():

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obkit.errors import ContextError, DimensionError
+from obkit import groupring
+from obkit.errors import ContextError, DimensionError, RejectedError
 from obkit.groupring import (
+    MAX_MATRIX_TERMS,
     DiagonalGen,
     ElementaryGen,
     RingElement,
@@ -15,7 +17,17 @@ from obkit.groupring import (
     build_invertible,
     verify_inverse,
 )
-from support import f2_spec, rand_element, rand_invertible, rand_ring, zz2_spec
+from obkit.groups import FactorSpec, GroupSpec
+from obkit.words import parse_ring
+from support import (
+    f2_spec,
+    gen_matrix,
+    rand_element,
+    rand_invertible,
+    rand_ring,
+    reference_build_invertible,
+    zz2_spec,
+)
 
 
 def ring(g, c=1):
@@ -72,13 +84,13 @@ def test_mat_identity_and_elementary_law():
     spec = zz2_spec()
     t = spec.generator("t")
     ident = RingMatrix.identity(spec, 2)
-    e1 = ElementaryGen(0, 1, ring(t)).matrix(spec, 2)
+    e1 = gen_matrix(ElementaryGen(0, 1, ring(t)), spec, 2)
     assert e1 @ ident == e1
     x = rand_ring(random.Random(1), spec, 2)
     y = rand_ring(random.Random(2), spec, 2)
-    exy = ElementaryGen(0, 1, x + y).matrix(spec, 2)
-    assert (ElementaryGen(0, 1, x).matrix(spec, 2)
-            @ ElementaryGen(0, 1, y).matrix(spec, 2)) == exy
+    exy = gen_matrix(ElementaryGen(0, 1, x + y), spec, 2)
+    assert (gen_matrix(ElementaryGen(0, 1, x), spec, 2)
+            @ gen_matrix(ElementaryGen(0, 1, y), spec, 2)) == exy
 
 
 def test_mat_mul_matches_hand_expansion():
@@ -103,7 +115,7 @@ def test_build_invertible_examples():
     empty = build_invertible(spec, 2, [])
     assert empty.matrix == RingMatrix.identity(spec, 2)
     single = build_invertible(spec, 2, [ElementaryGen(0, 1, ring(t))])
-    assert single.inverse == ElementaryGen(0, 1, ring(t, -1)).matrix(spec, 2)
+    assert single.inverse == gen_matrix(ElementaryGen(0, 1, ring(t, -1)), spec, 2)
     one = RingElement.one(spec)
     tricky = build_invertible(spec, 2, [
         ElementaryGen(0, 1, ring(t)),
@@ -119,8 +131,8 @@ def test_verify_inverse():
     ident = RingMatrix.identity(spec, 2)
     assert verify_inverse(ident, ident)
     e = ElementaryGen(0, 1, ring(t))
-    assert verify_inverse(e.matrix(spec, 2), e.inverted().matrix(spec, 2))
-    assert not verify_inverse(e.matrix(spec, 2), e.matrix(spec, 2))
+    assert verify_inverse(gen_matrix(e, spec, 2), gen_matrix(e.inverted(), spec, 2))
+    assert not verify_inverse(gen_matrix(e, spec, 2), gen_matrix(e, spec, 2))
 
 
 def test_matrix_hash_follows_entries():
@@ -128,14 +140,14 @@ def test_matrix_hash_follows_entries():
     t, s = spec.generator("t"), spec.generator("s")
     e = ElementaryGen(0, 1, ring(t))
     ident = RingMatrix.identity(spec, 2)
-    built = e.matrix(spec, 2) @ e.inverted().matrix(spec, 2)
+    built = gen_matrix(e, spec, 2) @ gen_matrix(e.inverted(), spec, 2)
     assert built == ident and hash(built) == hash(ident)
     distinct = {
         ident,
-        e.matrix(spec, 2),
-        ElementaryGen(1, 0, ring(s)).matrix(spec, 2),
-        DiagonalGen(0, -1, s).matrix(spec, 2),
-        DiagonalGen(1, 1, t).matrix(spec, 2),
+        gen_matrix(e, spec, 2),
+        gen_matrix(ElementaryGen(1, 0, ring(s)), spec, 2),
+        gen_matrix(DiagonalGen(0, -1, s), spec, 2),
+        gen_matrix(DiagonalGen(1, 1, t), spec, 2),
     }
     assert len(distinct) == 5
     assert len({hash(m) for m in distinct}) > 1
@@ -186,6 +198,86 @@ def test_built_pairs_are_inverse_by_construction(case):
     assert pair.provenance == tuple(gens)
 
 
+def tu_z6_spec() -> GroupSpec:
+    return GroupSpec((FactorSpec.free("t", "u"), FactorSpec.abelian(("s",), torsion=[6])))
+
+
+@st.composite
+def _powered_sequences(draw):
+    """A group among t * Z/2, free[t,u] * Z/6 and F2, a size n in 1..4
+    and up to eight generators whose elements include proper powers such
+    as (t*s)^2 and t^3."""
+    spec = draw(st.sampled_from([zz2_spec(), tu_z6_spec(), f2_spec()]))
+    n = draw(st.integers(1, 4))
+    seeds = st.integers(0, 10**6)
+    element = st.one_of(
+        st.just(spec.identity()),
+        seeds.map(lambda seed: rand_element(random.Random(seed), spec, 2)),
+        st.tuples(seeds, st.integers(2, 3)).map(
+            lambda se: rand_element(random.Random(se[0]), spec, 2) ** se[1]))
+    coeff = st.sampled_from([-2, -1, 1, 2])
+    gens = []
+    for _ in range(draw(st.integers(0, 8))):
+        i = draw(st.integers(0, n - 1))
+        if n > 1 and draw(st.booleans()):
+            j = draw(st.integers(0, n - 2))
+            x = RingElement.zero(spec)
+            for g, c in draw(st.lists(st.tuples(element, coeff), min_size=1, max_size=3)):
+                x = x + ring(g, c)
+            gens.append(ElementaryGen(i, j + (j >= i), x))
+        else:
+            gens.append(DiagonalGen(i, draw(st.sampled_from([1, -1])), draw(element)))
+    return spec, n, gens
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_powered_sequences())
+def test_column_build_matches_the_product_build(case):
+    spec, n, gens = case
+    pair = build_invertible(spec, n, gens)
+    reference = reference_build_invertible(spec, n, gens)
+    assert pair.matrix == reference.matrix
+    assert pair.inverse == reference.inverse
+
+
+def _cyclic(spec, n):
+    """n generators E(i, i mod n + 1, "t - s"), whose entries grow fast."""
+    x = parse_ring(spec, "t - s")
+    return [ElementaryGen(i, (i + 1) % n, x) for i in range(n)]
+
+
+def test_term_limit_refuses_a_growing_sequence():
+    spec = zz2_spec()
+    pair = build_invertible(spec, 12, _cyclic(spec, 12))
+    terms = sum(len(x.terms) for row in pair.matrix.entries for x in row)
+    assert 4000 < terms <= MAX_MATRIX_TERMS
+    with pytest.raises(RejectedError, match=f"limit of {MAX_MATRIX_TERMS} terms"):
+        build_invertible(spec, 24, _cyclic(spec, 24))
+
+
+def test_term_limit_is_checked_before_each_generator(monkeypatch):
+    # E(1,2,x) on the 2x2 identity forms |x| products; the limit admits
+    # the matrix's two terms plus three products and no more.
+    spec = zz2_spec()
+    x = parse_ring(spec, "t + s + t^2")
+    monkeypatch.setattr(groupring, "MAX_MATRIX_TERMS", 5)
+    assert build_invertible(spec, 2, [ElementaryGen(0, 1, x)]).matrix.entries[0][1] == x
+    monkeypatch.setattr(groupring, "MAX_MATRIX_TERMS", 4)
+    with pytest.raises(RejectedError):
+        build_invertible(spec, 2, [ElementaryGen(0, 1, x)])
+
+
+def test_generator_checks_raise_dimension_errors():
+    spec = zz2_spec()
+    one = RingElement.one(spec)
+    for gen in (ElementaryGen(0, 0, one), ElementaryGen(0, 2, one),
+                DiagonalGen(2, 1, spec.identity()), DiagonalGen(0, 2, spec.identity())):
+        with pytest.raises(DimensionError):
+            build_invertible(spec, 2, [gen])
+    with pytest.raises(ContextError):
+        build_invertible(spec, 2, [DiagonalGen(0, 1, f2_spec().generator("x"))])
+
+
 def test_errors():
     spec = zz2_spec()
     with pytest.raises(ContextError):
@@ -193,7 +285,7 @@ def test_errors():
     with pytest.raises(DimensionError):
         RingMatrix.identity(spec, 2) @ RingMatrix.identity(spec, 3)
     with pytest.raises(DimensionError):
-        ElementaryGen(0, 0, RingElement.one(spec)).matrix(spec, 2)
+        gen_matrix(ElementaryGen(0, 0, RingElement.one(spec)), spec, 2)
 
 
 def test_term_order_rendering():

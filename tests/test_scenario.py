@@ -4,6 +4,7 @@ import copy
 import json
 import pathlib
 import random
+import time
 
 import pytest
 
@@ -12,11 +13,11 @@ from obkit.cli import main
 from obkit import scenario as scenario_module
 from obkit.chi import Cocycle
 from obkit.errors import DimensionError
-from obkit.groupring import RingMatrix
+from obkit.groupring import MAX_MATRIX_TERMS, RingMatrix
 from obkit.intlinalg import IntMatrix
 from obkit.scenario import (MAX_MATRIX_SIZE, MAX_MODULE_RANK, ScenarioError, load_scenario,
                             parse_scenario)
-from obkit.words import parse_word
+from obkit.words import MAX_WORD_LETTERS, parse_word
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -831,10 +832,83 @@ def test_oversized_rank_and_size_are_refused_before_allocating(monkeypatch, tmp_
         "3:29: E200 field 'size' must be between 0 and 24"]
 
 
+def _with_matrices(name, size, generators):
+    """A fixture whose matrices A, B and C are all of one size and sequence."""
+    data = json.loads(fixture_text(name))
+    data["matrices"] = {m: {"size": size, "generators": generators} for m in "ABC"}
+    return json.dumps(data, indent=1)
+
+
+def _cyclic(n, x="t - s"):
+    return " ; ".join(f'E({i},{i % n + 1},"{x}")' for i in range(1, n + 1))
+
+
+def _cyclic_inverted(n):
+    return " ; ".join(f'E({i},{i % n + 1},"-t + s")' for i in range(n, 0, -1))
+
+
+def test_growing_generator_sequence_is_refused_within_a_second(tmp_path, capsys):
+    path = tmp_path / "cyclic.json"
+    path.write_text(_with_matrices("paper_z2.json", 24, _cyclic(24)))
+    start = time.perf_counter()
+    assert main(["--scenario", str(path), "chi", "c", "A", "B", "C"]) == 2
+    assert time.perf_counter() - start < 1.0
+    too_many = f"matrix would exceed the limit of {MAX_MATRIX_TERMS} terms"
+    lines = capsys.readouterr().err.splitlines()
+    # At each generators string; the paper section then misses its matrices.
+    assert lines == [f"{line}:18: E245 matrix {name!r}: {too_many}"
+                     for name, line in (("A", 144), ("B", 148), ("C", 152))] + [
+        "169:4: E220 unresolved matrix name"]
+
+
+def test_composed_inverse_past_the_term_limit_is_rejected(tmp_path, capsys):
+    # Each matrix and inverse loads within the limit (528 terms at most);
+    # C^-1 B^-1 A^-1 is a product of three such inverses and is not.
+    path = tmp_path / "composed.json"
+    path.write_text(_with_matrices("paper_z2.json", 8, _cyclic_inverted(8)))
+    assert main(["--scenario", str(path), "chi", "c", "A", "B", "C"]) == 3
+    assert capsys.readouterr().err == (
+        f"REJECTED: matrix would exceed the limit of {MAX_MATRIX_TERMS} terms\n")
+
+
+def test_chi_path_forms_no_matrix_product(monkeypatch, tmp_path, capsys):
+    def fail(*args):
+        raise AssertionError("formed a full matrix product")
+
+    monkeypatch.setattr(RingMatrix, "__matmul__", fail)
+    # chi-matrix shaped: size 6 over t * Z/2, single-term entries on the
+    # off-diagonal blocks, and a diagonal unit.
+    upper = ' ; '.join(['D(2,"-t^3*s")'] + [f'E({i},{j},"{c}*t^{i - j}*s")'
+                                            for i in (1, 2, 3) for j in (4, 5, 6)
+                                            for c in (2 if i == j - 3 else -1,)])
+    lower = ' ; '.join(['D(5,"t^-7")'] + [f'E({j},{i},"t^{i + j}")'
+                                          for i in (1, 2, 3) for j in (4, 5, 6)])
+    path = tmp_path / "chi6.json"
+    data = json.loads(_with_matrices("paper_z2.json", 6, upper))
+    data["matrices"]["B"]["generators"] = lower
+    path.write_text(json.dumps(data))
+    for scenario in [SCENARIOS / name for name in ("paper_f2.json", "paper_z2.json",
+                                                   "paper_z6.json")] + [path]:
+        for command in (["chi", "c", "A", "B", "C"], ["report-paper"]):
+            assert main(["--scenario", str(scenario)] + command) == 0, (scenario, command)
+    assert "COCYCLE_OK: true" in capsys.readouterr().out
+
+
+def test_free_letter_limit_is_positioned(tmp_path, capsys):
+    over = f"t^{MAX_WORD_LETTERS + 1}"
+    path = tmp_path / "letters.json"
+    path.write_text(GROUP_T + f' "elements": {{"w": "{over}"}}}}')
+    assert main(["--scenario", str(path), "normalize", "t"]) == 2
+    too_many = f"word has more than {MAX_WORD_LETTERS} free letters"
+    assert capsys.readouterr().err == f"2:20: E230 element 'w': {too_many}\n"
+    assert main(["--scenario", str(SCENARIOS / "paper_f2.json"), "normalize", over]) == 2
+    assert capsys.readouterr().err == f"PARSE: {too_many} (at offset 0)\n"
+
+
 # Every JSON kind, small integers and the first value past each size limit.
 _FUZZ_POOL = (0, 1, -1, 2, 3, MAX_MODULE_RANK + 1, MAX_MATRIX_SIZE + 1, "", "x", "t", "q",
               "1", "sigma", "t^2*s", [], [1], [[1]], ["q", "q", "q"], {}, {"x": 1},
-              None, True, 1.5)
+              None, True, 1.5, f"t^{MAX_WORD_LETTERS + 1}")
 
 
 def _slots(node):

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from obkit.groupring import DiagonalGen, ElementaryGen, RingElement
 from obkit.restricted_json import MAX_DEPTH, MAX_INT_DIGITS, JsonError, Node, parse_json
 from obkit.wh1 import WhElement
+from obkit.groups import GroupSpec
 from obkit.words import (
+    MAX_WORD_LETTERS,
     WordError,
     parse_generator_sequence,
     parse_ring,
@@ -344,3 +346,39 @@ def test_integer_digit_limit_in_word_grammars():
             parse(text)
         assert (err.value.message, err.value.pos) == (too_long, pos)
     assert parse_wh(module, "(" + "9" * MAX_INT_DIGITS + ",0)[t]").terms
+
+
+def test_free_letter_limit_in_word_grammars(monkeypatch):
+    spec = zz2_spec()
+    module = trivial_module(spec, 2)
+    half = MAX_WORD_LETTERS // 2
+    assert parse_word(spec, f"t^{MAX_WORD_LETTERS}") == spec.generator("t", MAX_WORD_LETTERS)
+    # Letters of an abelian factor are exponents, not letters.
+    assert (parse_word(spec, f"t^{half}*s^{10**6 + 1}*t^{half}")
+            == parse_word(spec, f"t^{half}*s*t^{half}"))
+    too_many = f"word has more than {MAX_WORD_LETTERS} free letters"
+    over = MAX_WORD_LETTERS + 1
+    cases = [
+        (lambda t: parse_word(spec, t), f"t^{over}", 0),
+        # The running count of the word, though its letters cancel.
+        (lambda t: parse_word(spec, t), f"t^{half}*s*t^-{half}*t", 9 + 2 * len(str(half))),
+        (lambda t: parse_ring(spec, t), f"1 + 2*t^{over}", 6),
+        (lambda t: parse_wh(module, t), f"(1,0)[t^-{over}]", 6),
+    ]
+    for parse, text, pos in cases:
+        with pytest.raises(WordError) as err:
+            parse(text)
+        assert (err.value.message, err.value.pos) == (too_many, pos)
+    for text in (f'E(1,2,"t^{over}")', f'D(1,"-t^{over}")'):
+        with pytest.raises(WordError, match=too_many):
+            parse_generator_sequence(spec, 2, text)
+
+
+def test_free_letter_limit_is_checked_before_building(monkeypatch):
+    def fail(*args):
+        raise AssertionError("built a generator power")
+
+    monkeypatch.setattr(GroupSpec, "generator", fail)
+    for text in (f"t^{MAX_WORD_LETTERS + 1}", "t^3000000", "t^-" + "9" * MAX_INT_DIGITS):
+        with pytest.raises(WordError, match="free letters"):
+            parse_word(zz2_spec(), text)
