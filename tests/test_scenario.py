@@ -839,8 +839,8 @@ def _with_matrices(name, size, generators):
     return json.dumps(data, indent=1)
 
 
-def _cyclic(n, x="t - s"):
-    return " ; ".join(f'E({i},{i % n + 1},"{x}")' for i in range(1, n + 1))
+def _cyclic(n):
+    return " ; ".join(f'E({i},{i % n + 1},"t - s")' for i in range(1, n + 1))
 
 
 def _cyclic_inverted(n):
@@ -878,10 +878,9 @@ def test_chi_path_forms_no_matrix_product(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(RingMatrix, "__matmul__", fail)
     # chi-matrix shaped: size 6 over t * Z/2, single-term entries on the
     # off-diagonal blocks, and a diagonal unit.
-    upper = ' ; '.join(['D(2,"-t^3*s")'] + [f'E({i},{j},"{c}*t^{i - j}*s")'
-                                            for i in (1, 2, 3) for j in (4, 5, 6)
-                                            for c in (2 if i == j - 3 else -1,)])
-    lower = ' ; '.join(['D(5,"t^-7")'] + [f'E({j},{i},"t^{i + j}")'
+    upper = " ; ".join(['D(2,"-t^3*s")'] + [f'E({i},{j},"-2*t^{i - j}*s")'
+                                            for i in (1, 2, 3) for j in (4, 5, 6)])
+    lower = " ; ".join(['D(5,"t^-7")'] + [f'E({j},{i},"t^{i + j}")'
                                           for i in (1, 2, 3) for j in (4, 5, 6)])
     path = tmp_path / "chi6.json"
     data = json.loads(_with_matrices("paper_z2.json", 6, upper))

@@ -348,7 +348,7 @@ def test_integer_digit_limit_in_word_grammars():
     assert parse_wh(module, "(" + "9" * MAX_INT_DIGITS + ",0)[t]").terms
 
 
-def test_free_letter_limit_in_word_grammars(monkeypatch):
+def test_free_letter_limit_in_word_grammars():
     spec = zz2_spec()
     module = trivial_module(spec, 2)
     half = MAX_WORD_LETTERS // 2
