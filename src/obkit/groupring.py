@@ -4,7 +4,8 @@ Matrix inverses are never computed: invertible matrices are built from
 elementary and diagonal-unit generators, which invert symbolically, so
 each certified pair is exact by construction and is not multiplied out
 again.  A matrix is built by column operations, one per generator, and
-holds at most MAX_MATRIX_TERMS terms over all its entries.
+holds at most MAX_MATRIX_TERMS terms over all its entries and at most
+MAX_ENTRY_LETTERS free letters in each element of them.
 ``verify_inverse`` checks an inverse that was supplied rather than
 built.
 """
@@ -31,6 +32,12 @@ __all__ = [
 # per matrix; n generators E(i, i mod n + 1, "t - s") reach the limit at
 # n = 14, and without it one entry at n = 24 holds about 200,000 terms.
 MAX_MATRIX_TERMS = 10_000
+# Largest number of free-generator letters an element of a built matrix
+# may hold, as bounded per column before each generator: a product has
+# at most the letters of its factors.  The benchmark's matrices and chi's
+# composed inverses of them reach about 100; without the limit each of k
+# generators D(1,"t^96") copies a longer element, O(k^2) work in all.
+MAX_ENTRY_LETTERS = 400
 
 
 class RingElement:
@@ -234,20 +241,38 @@ class InvertiblePair:
         return f"InvertiblePair(n={self.matrix.n}, gens={len(self.provenance)})"
 
 
+def _letters(g: GroupElement) -> int:
+    """The free-generator letters of g's normal form."""
+    factors = g.spec.factors
+    return sum(len(payload) for fi, payload in g.syllables if factors[fi].kind == "free")
+
+
+def _check_letters(bound: int) -> int:
+    if bound > MAX_ENTRY_LETTERS:
+        raise RejectedError(f"matrix would exceed the limit of {MAX_ENTRY_LETTERS} letters "
+                            "in an entry")
+    return bound
+
+
 def _right_multiply(m: RingMatrix, gens) -> RingMatrix:
     """m times the generators in order, one column operation each.
 
     Right-multiplying by D_i(+-g) scales column i by +-g, and by E_ij(x)
     adds (column i)*x to column j.  Each column is one dict from row to
     that entry's terms, and one RingElement is built per entry at the
-    end.  An E_ij(x) is refused before it runs when the matrix's terms
-    plus the products it would form exceed MAX_MATRIX_TERMS, so the
-    result stays within the limit and no step costs more than it.
+    end.  A generator is refused before it runs when the matrix's terms
+    plus the products it would form exceed MAX_MATRIX_TERMS, or when its
+    column's letter bound, the letters of the column's longest element
+    at the start plus those of each unit or longest term multiplied in
+    since, exceeds MAX_ENTRY_LETTERS.  So the result stays within both
+    limits and no step costs more than they allow.
     """
     spec, n = m.spec, m.n
     cols = [{r: dict(m.entries[r][c].terms) for r in range(n) if m.entries[r][c].terms}
             for c in range(n)]
     total = sum(len(terms) for col in cols for terms in col.values())
+    letters = [max((_letters(g) for terms in col.values() for g in terms), default=0)
+               for col in cols]
     for gen in gens:
         i = gen.i
         if isinstance(gen, DiagonalGen):
@@ -256,6 +281,7 @@ def _right_multiply(m: RingMatrix, gens) -> RingMatrix:
             if gen.sign not in (1, -1):
                 raise DimensionError("diagonal unit sign must be +1 or -1")
             g, sign = gen.g, gen.sign
+            letters[i] = _check_letters(letters[i] + _letters(g))
             cols[i] = {r: {multiply(h, g): sign * c for h, c in terms.items()}
                        for r, terms in cols[i].items()}
             continue
@@ -265,6 +291,8 @@ def _right_multiply(m: RingMatrix, gens) -> RingMatrix:
         source, target = cols[i], cols[j]
         if total + sum(map(len, source.values())) * len(x) > MAX_MATRIX_TERMS:
             raise RejectedError(f"matrix would exceed the limit of {MAX_MATRIX_TERMS} terms")
+        grown = _check_letters(letters[i] + max(map(_letters, x), default=0))
+        letters[j] = max(letters[j], grown)
         for r, terms in source.items():
             acc = target.get(r, {})
             total -= len(acc)
@@ -290,7 +318,11 @@ def build_invertible(spec: GroupSpec, n: int, gens) -> InvertiblePair:
     applies the generators, and the inverse applies the inverted
     generators in reverse order, which is exact: E_ij(x) E_ij(-x) = I and
     D_i(+-g) D_i(+-g^-1) = I.  Each holds at most MAX_MATRIX_TERMS terms
-    (RejectedError past it); the number of generators is not bounded.
+    and at most MAX_ENTRY_LETTERS free letters in an element
+    (RejectedError past either, before the generator that would pass it
+    runs).  The number of generators is bounded only by the length of the
+    input, but both limits bound the work of each, so the cost grows
+    linearly with their number.
     """
     gens = tuple(gens)
     ident = RingMatrix.identity(spec, n)

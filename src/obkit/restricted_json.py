@@ -1,5 +1,4 @@
-"""A minimal JSON-profile parser: objects, arrays, strings and integers
-only, with line/column positions on every node and every error.
+"""A minimal JSON profile: objects, arrays, strings and integers only.
 
 Floats, exponents, booleans and null are rejected so that scenario
 fixtures stay bit-exact and diffable.  The text is UTF-8 (``load_scenario``
@@ -10,24 +9,38 @@ An integer has at most MAX_INT_DIGITS digits, the least value Python's
 under any setting; containers nest at most MAX_DEPTH deep, far from the
 recursion limit.  Each limit is diagnosed where the literal or container starts.
 
-Each token class is scanned by one compiled regex, not one loop turn per
-character: whitespace, the plain run of a string up to its next quote,
-backslash or newline, and an integer.  The common tokens are matched
-whole, with the whitespace before them: an object key and its colon, and
-a string without escapes or a well-formed integer.  Anything else takes
-the general path, which gives every diagnostic.  Line starts are found
-once, and an offset maps to its ``line:col`` by bisection.
+``decode_json`` returns plain values: an object is a tuple of (key, value)
+pairs in file order, duplicate keys kept, an array a list, a string a str
+and an integer an int.  It reads the text with the stdlib ``json`` C
+scanner, guarded so that what the scanner accepts the profile accepts with
+the same values: the text holds none of ``true``, ``false``, ``null``,
+``NaN``, ``Infinity`` or ``\\u`` anywhere (the scanner would join a
+surrogate pair the profile keeps as two characters), and the result holds
+no float, no integer past MAX_INT_DIGITS digits and no container past
+MAX_DEPTH levels.  Any other text, and any text the scanner refuses, goes
+to ``parse_json``, the positioned parser, which diagnoses it or accepts it
+(a raw tab in a string, say) and has its tree converted.
+
+``parse_json`` gives every value its line and column.  A caller that
+decodes a file needs them only for a diagnostic, and parses again then.
+The positioned parser scans each token class with one compiled regex:
+whitespace, the plain run of a string up to its next quote, backslash or
+newline, and an integer.  Line starts are found once, and an offset maps
+to its ``line:col`` by bisection.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 from .errors import ObkitError
 
-__all__ = ["Node", "JsonError", "parse_json"]
+__all__ = ["Node", "JsonError", "parse_json", "decode_json"]
 
 MAX_INT_DIGITS = 640
 MAX_DEPTH = 64
@@ -38,10 +51,6 @@ _WS = re.compile(r"[ \t\r\n]*")
 _PLAIN = re.compile(r'[^"\\\n]*')
 _INT = re.compile(r"-?([0-9]*)")
 _HEX4 = re.compile(r"[0-9a-fA-F]{4}")
-# An integer is matched whole only when no digit, '.', 'e' or 'E' follows,
-# so a leading zero or a fraction is left to the general path.
-_KEY = re.compile(r'[ \t\r\n]*"([^"\\\n]*)"[ \t\r\n]*:')
-_SCALAR = re.compile(r'[ \t\r\n]*(?:"([^"\\\n]*)"|(-?(?:0|[1-9][0-9]*))(?![0-9.eE]))?')
 
 
 class JsonError(ObkitError):
@@ -95,16 +104,7 @@ class _Parser:
         return node
 
     def parse_value(self) -> Node:
-        match = _SCALAR.match(self.text, self.pos)
-        self.pos = match.end()
-        string, number = match.groups()
-        if string is not None:
-            line, col = self.where(match.start(1) - 1)
-            return Node("string", string, line, col)
-        if number is not None:
-            line, col = self.where(match.start(2))
-            return Node("int", self.to_int(number, match.start(2)), line, col)
-        ch = self.text[self.pos:self.pos + 1]
+        ch = self.skip_ws()
         if ch == "{" or ch == "[":
             self.depth += 1
             if self.depth > MAX_DEPTH:
@@ -130,20 +130,13 @@ class _Parser:
             self.pos += 1
             return Node("object", items, line, col)
         while True:
-            match = _KEY.match(self.text, self.pos)
-            if match is not None:
-                key = match.group(1)
-                key_line, key_col = self.where(match.start(1) - 1)
-                self.pos = match.end()
-            else:
-                if self.skip_ws() != '"':
-                    self.fail("object keys must be strings")
-                key_node = self.parse_string()
-                key, key_line, key_col = key_node.value, key_node.line, key_node.col
-                if self.skip_ws() != ":":
-                    self.fail("expected ':' after object key")
-                self.pos += 1
-            items.append((key, key_line, key_col, self.parse_value()))
+            if self.skip_ws() != '"':
+                self.fail("object keys must be strings")
+            key = self.parse_string()
+            if self.skip_ws() != ":":
+                self.fail("expected ':' after object key")
+            self.pos += 1
+            items.append((key.value, key.line, key.col, self.parse_value()))
             ch = self.skip_ws()
             if ch == ",":
                 self.pos += 1
@@ -212,14 +205,65 @@ class _Parser:
             self.fail("non-integer numbers are not allowed in this profile", start)
         if len(digits) > 1 and digits[0] == "0":
             self.fail("leading zeros are not allowed", start)
-        return Node("int", self.to_int(match.group(), start), line, col)
-
-    def to_int(self, literal: str, start: int) -> int:
-        """The value of an integer literal that begins at ``start``."""
-        if len(literal.lstrip("-")) > MAX_INT_DIGITS:
+        if len(digits) > MAX_INT_DIGITS:
             self.fail(f"integer has more than {MAX_INT_DIGITS} digits", start)
-        return int(literal)
+        return Node("int", int(match.group()), line, col)
 
 
 def parse_json(text: str) -> Node:
     return _Parser(text).parse()
+
+
+class _Refused(Exception):
+    """A value the scanner read that the profile refuses or limits."""
+
+
+def _refuse(literal: str):
+    raise _Refused(literal)
+
+
+def _int(literal: str) -> int:
+    if len(literal) > MAX_INT_DIGITS and len(literal.lstrip("-")) > MAX_INT_DIGITS:
+        raise _Refused(literal)
+    return int(literal)
+
+
+_SCANNER = json.JSONDecoder(object_pairs_hook=tuple, parse_float=_refuse,
+                            parse_int=_int, parse_constant=_refuse)
+# Words whose presence anywhere in a text sends it to the positioned parser.
+_SCANNER_UNSAFE = ("true", "false", "null", "NaN", "Infinity", "\\u")
+_second = itemgetter(1)
+
+
+def _nests_too_deep(value) -> bool:
+    """Whether a decoded value holds a container MAX_DEPTH + 1 levels deep,
+    found one level of containers at a time."""
+    level = [value] if isinstance(value, (list, tuple)) else []
+    for _ in range(MAX_DEPTH):
+        if not level:
+            return False
+        children = chain.from_iterable(c if type(c) is list else map(_second, c) for c in level)
+        level = [x for x in children if type(x) is list or type(x) is tuple]
+    return bool(level)
+
+
+def _plain(node: Node):
+    if node.kind == "object":
+        return tuple((key, _plain(value)) for key, _, _, value in node.value)
+    if node.kind == "array":
+        return [_plain(item) for item in node.value]
+    return node.value
+
+
+def decode_json(text: str):
+    """The plain value of a profile document, or JsonError as
+    ``parse_json`` raises it.  Positions are not found."""
+    if not any(word in text for word in _SCANNER_UNSAFE):
+        try:
+            value = _SCANNER.decode(text)
+        except (_Refused, json.JSONDecodeError, RecursionError):
+            pass
+        else:
+            if not _nests_too_deep(value):
+                return value
+    return _plain(parse_json(text))

@@ -5,12 +5,18 @@ coefficient modules, maps, named elements, finite quotients, cocycle
 tables, certified matrices, lens constructors and free-form assertions.
 Resolution either returns a fully validated Scenario or raises with a
 list of positioned diagnostics; there is no partial acceptance.
+
+The text is decoded to plain values by ``restricted_json.decode_json``,
+without positions.  A diagnostic records the path from the root to the
+value or key it is about, and only a file that is refused is parsed again
+by the positioned parser, once, to turn each path into its line:col.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
+from typing import NamedTuple
 
 from .chi import Cocycle, FiniteQuotient, verify_cocycle
 from .errors import ContextError, DimensionError, ObkitError, RejectedError
@@ -19,7 +25,7 @@ from .groupring import InvertiblePair, build_invertible
 from .groups import FactorSpec, GroupElement, GroupSpec
 from .intlinalg import QuotientPresentation
 from .obstruction import LensClass, make_lens
-from .restricted_json import JsonError, Node, parse_json
+from .restricted_json import JsonError, Node, decode_json, parse_json
 from .wh1 import WhElement
 from .words import WordError, parse_generator_sequence, parse_wh, parse_word
 
@@ -103,452 +109,489 @@ class Scenario:
         return GModule(self.spec, QuotientPresentation(1, [(2,)]), name="Z2")
 
 
+class _KeyOf(NamedTuple):
+    """A path step to the key of an object's pair at ``index``, where a
+    string step leads to the value of the first pair with that key."""
+
+    index: int
+
+
+def _position(root: Node, path) -> tuple[int, int]:
+    """The line and column of what ``path`` leads to from the positioned
+    root: keys, array indices and a final _KeyOf step."""
+    node = root
+    for step in path:
+        if isinstance(step, _KeyOf):
+            _, line, col, _ = node.value[step.index]
+            return line, col
+        if isinstance(step, str):
+            node = next(value for key, _, _, value in node.value if key == step)
+        else:
+            node = node.value[step]
+    return node.line, node.col
+
+
 class _Resolver:
     def __init__(self, text: str):
         self.text = text
-        self.diags: list[Diagnostic] = []
+        self.diags: list[tuple[tuple, str, str]] = []
 
-    def diag(self, node, code: str, message: str) -> None:
-        if isinstance(node, Node):
-            line, col = node.line, node.col
-        else:
-            line, col = node
-        self.diags.append(Diagnostic(line, col, code, message))
+    def diag(self, path: tuple, code: str, message: str) -> None:
+        self.diags.append((path, code, message))
 
     def bail(self):
-        raise ScenarioError(self.diags)
+        root = parse_json(self.text)
+        raise ScenarioError(Diagnostic(*_position(root, path), code, message)
+                            for path, code, message in self.diags)
 
     # -- readers, one per shape of input -----------------------------------
     #
-    # Each diagnoses the first malformed part it meets and returns None;
-    # get_int returns its default for a missing or non-integer field.
+    # Each takes a value and the path to it, diagnoses the first malformed
+    # part it meets and returns None; get_int returns its default for a
+    # missing or non-integer field.
 
-    def as_object(self, node: Node, what: str) -> dict[str, Node] | None:
-        if node.kind != "object":
-            self.diag(node, "E200", f"{what} must be an object")
+    def as_object(self, value, path: tuple, what: str) -> dict | None:
+        if not isinstance(value, tuple):
+            self.diag(path, "E200", f"{what} must be an object")
             return None
-        out: dict[str, Node] = {}
-        for key, kline, kcol, value in node.value:
-            if key in out:
-                self.diag((kline, kcol), "E201", f"duplicate key {key!r}")
-                continue
-            out[key] = value
+        out = dict(value)
+        if len(out) < len(value):
+            out = {}
+            for i, (key, item) in enumerate(value):
+                if key in out:
+                    self.diag(path + (_KeyOf(i),), "E201", f"duplicate key {key!r}")
+                else:
+                    out[key] = item
         return out
 
-    def entries(self, node: Node, what: str, label: str):
-        """(name, node, object) for each entry of the section ``node`` whose
-        value is an object, diagnosing the section and each entry in turn."""
-        for name, enode in (self.as_object(node, what) or {}).items():
-            eobj = self.as_object(enode, f"{label} {name!r}")
+    def entries(self, value, path: tuple, what: str, label: str):
+        """(name, path, object) for each entry of the section ``value``
+        whose value is an object, diagnosing the section and each entry in
+        turn."""
+        for name, entry in (self.as_object(value, path, what) or {}).items():
+            epath = path + (name,)
+            eobj = self.as_object(entry, epath, f"{label} {name!r}")
             if eobj is not None:
-                yield name, enode, eobj
+                yield name, epath, eobj
 
-    def named(self, node: Node | None, what: str, label: str, read) -> dict | None:
-        """{name: read(value, "<label> 'name'")} for the object ``node``;
-        {} when it is absent, None at the first value ``read`` refuses."""
+    def named(self, value, path: tuple, what: str, label: str, read) -> dict | None:
+        """{name: read(item, path, "<label> 'name'")} for the object
+        ``value``; {} when it is absent, None at the first item ``read``
+        refuses."""
         out = {}
-        if node is None:
+        if value is None:
             return out
-        obj = self.as_object(node, what)
+        obj = self.as_object(value, path, what)
         if obj is None:
             return None
-        for name, value in obj.items():
-            out[name] = read(value, f"{label} {name!r}")
+        for name, item in obj.items():
+            out[name] = read(item, path + (name,), f"{label} {name!r}")
             if out[name] is None:
                 return None
         return out
 
-    def get_string(self, obj: dict[str, Node], key: str, where: Node) -> Node | None:
-        node = obj.get(key)
-        if node is None:
-            self.diag(where, "E200", f"missing required field {key!r}")
+    def get_string(self, obj: dict, key: str, path: tuple) -> str | None:
+        """obj[key] as a string; ``path`` leads to ``obj``."""
+        value = obj.get(key)
+        if value is None:
+            self.diag(path, "E200", f"missing required field {key!r}")
             return None
-        if node.kind != "string":
-            self.diag(node, "E200", f"field {key!r} must be a string")
+        if not isinstance(value, str):
+            self.diag(path + (key,), "E200", f"field {key!r} must be a string")
             return None
-        return node
+        return value
 
-    def get_int(self, obj: dict[str, Node], key: str, where: Node, default=None,
-                low=None, high=None):
+    def get_int(self, obj: dict, key: str, path: tuple, default=None, low=None, high=None):
         """obj[key] as an int: ``default`` when absent or not an integer, a
         required field when there is no default, and None outside
         [low, high]."""
-        node = obj.get(key)
-        if node is None:
+        value = obj.get(key)
+        if value is None:
             if default is None:
-                self.diag(where, "E200", f"missing required field {key!r}")
+                self.diag(path, "E200", f"missing required field {key!r}")
             return default
-        if node.kind != "int":
-            self.diag(node, "E200", f"field {key!r} must be an integer")
+        if type(value) is not int:
+            self.diag(path + (key,), "E200", f"field {key!r} must be an integer")
             return default
-        if (low is not None and node.value < low) or (high is not None and node.value > high):
+        if (low is not None and value < low) or (high is not None and value > high):
             bound = f"at least {low}" if high is None else f"between {low} and {high}"
-            self.diag(node, "E200", f"field {key!r} must be {bound}")
+            self.diag(path + (key,), "E200", f"field {key!r} must be {bound}")
             return None
-        return node.value
+        return value
 
-    def array(self, node: Node, kind: str, message: str, item_message: str) -> list | None:
-        """The values of an array of ``kind`` scalars."""
-        if node.kind != "array":
-            self.diag(node, "E200", message)
+    def array(self, value, path: tuple, kind: type, message: str,
+              item_message: str) -> list | None:
+        """An array of ``kind`` scalars."""
+        if not isinstance(value, list):
+            self.diag(path, "E200", message)
             return None
-        for item in node.value:
-            if item.kind != kind:
-                self.diag(item, "E200", item_message)
+        for i, item in enumerate(value):
+            if type(item) is not kind:
+                self.diag(path + (i,), "E200", item_message)
                 return None
-        return [item.value for item in node.value]
+        return value
 
-    def int_list(self, node: Node, what: str) -> list[int] | None:
-        return self.array(node, "int", f"{what} must be an array of integers",
+    def int_list(self, value, path: tuple, what: str) -> list[int] | None:
+        return self.array(value, path, int, f"{what} must be an array of integers",
                           f"{what} entries must be integers")
 
-    def int_matrix(self, node: Node, what: str) -> list[list[int]] | None:
-        if node.kind != "array":
-            self.diag(node, "E200", f"{what} must be an array of rows")
+    def int_matrix(self, value, path: tuple, what: str) -> list[list[int]] | None:
+        if not isinstance(value, list):
+            self.diag(path, "E200", f"{what} must be an array of rows")
             return None
         rows = []
-        for row in node.value:
-            r = self.int_list(row, f"{what} row")
+        for i, row in enumerate(value):
+            r = self.int_list(row, path + (i,), f"{what} row")
             if r is None:
                 return None
             rows.append(r)
         return rows
 
-    def parse_word_node(self, spec: GroupSpec, node: Node, what: str) -> GroupElement | None:
-        if node.kind != "string":
-            self.diag(node, "E200", f"{what} must be a word string")
+    def read_word(self, spec: GroupSpec, value, path: tuple, what: str) -> GroupElement | None:
+        if not isinstance(value, str):
+            self.diag(path, "E200", f"{what} must be a word string")
             return None
         try:
-            return parse_word(spec, node.value)
+            return parse_word(spec, value)
         except WordError as err:
-            self.diag(node, "E230", f"{what}: {err.message}")
+            self.diag(path, "E230", f"{what}: {err.message}")
             return None
 
-    def lookup(self, table: dict, node: Node | None, what: str):
-        """The entry of ``table`` named by a string node; None, silently,
-        when the node is absent."""
-        if node is None:
+    def lookup(self, table: dict, obj: dict, key: str, path: tuple, what: str):
+        """The entry of ``table`` named by the string obj[key]; None,
+        silently, when the field is absent."""
+        value = obj.get(key)
+        if value is None:
             return None
-        if node.kind != "string":
-            self.diag(node, "E200", f"{what} reference must be a string")
+        if not isinstance(value, str):
+            self.diag(path + (key,), "E200", f"{what} reference must be a string")
             return None
-        if node.value not in table:
-            self.diag(node, "E220", f"unresolved {what} name {node.value!r}")
+        if value not in table:
+            self.diag(path + (key,), "E220", f"unresolved {what} name {value!r}")
             return None
-        return table[node.value]
+        return table[value]
 
     # -- sections --------------------------------------------------------
+    #
+    # Each build_<section> takes the section's value and its path, (key,).
 
     def resolve(self) -> Scenario:
         if not self.text.strip():
-            self.diag((1, 1), "E210", "no group declared")
-            self.bail()
+            raise ScenarioError([Diagnostic(1, 1, "E210", "no group declared")])
         try:
-            root = parse_json(self.text)
+            root = decode_json(self.text)
         except JsonError as err:
-            self.diag((err.line, err.col), "E100", err.message)
-            self.bail()
-        top = self.as_object(root, "scenario")
+            raise ScenarioError([Diagnostic(err.line, err.col, "E100", err.message)]) from None
+        top = self.as_object(root, (), "scenario")
         if top is None:
             self.bail()
-        for key, kline, kcol, _ in root.value:
+        for i, (key, _) in enumerate(root):
             if key not in KNOWN_SECTIONS:
-                self.diag((kline, kcol), "E200", f"unknown section {key!r}")
+                self.diag((_KeyOf(i),), "E200", f"unknown section {key!r}")
         name = "scenario"
         if "name" in top:
-            node = self.get_string(top, "name", root)
-            if node is not None:
-                name = node.value
+            value = self.get_string(top, "name", ())
+            if value is not None:
+                name = value
         if "group" not in top:
-            self.diag(root, "E210", "no group declared")
+            self.diag((), "E210", "no group declared")
             self.bail()
-        gobj = self.as_object(top["group"], "group")
-        spec = None if gobj is None else self.build_group(gobj.get("factors"), top["group"])
+        gobj = self.as_object(top["group"], ("group",), "group")
+        spec = None if gobj is None else self.build_group(gobj.get("factors"), ("group",))
         if spec is None or self.diags:
             self.bail()
         scenario = Scenario(name=name, spec=spec)
         for key in KNOWN_SECTIONS[2:]:
             if key in top:
-                getattr(self, f"build_{key}")(top[key], scenario)
+                getattr(self, f"build_{key}")(top[key], (key,), scenario)
         if self.diags:
             self.bail()
         return scenario
 
-    def build_group(self, factors_node: Node | None, where: Node) -> GroupSpec | None:
-        """The free product of a ``factors`` array; a missing or empty one,
-        and a clash between factors, are diagnosed at ``where``."""
-        if factors_node is None or factors_node.kind != "array" or not factors_node.value:
+    def build_group(self, factors, where: tuple) -> GroupSpec | None:
+        """The free product of the ``factors`` array of the object at
+        ``where``; a missing or empty one, and a clash between factors,
+        are diagnosed at ``where``."""
+        if not isinstance(factors, list) or not factors:
             self.diag(where, "E210", "no group declared")
             return None
-        factors = []
-        for fnode in factors_node.value:
-            fobj = self.as_object(fnode, "factor")
+        out = []
+        for i, fvalue in enumerate(factors):
+            path = where + ("factors", i)
+            fobj = self.as_object(fvalue, path, "factor")
             if fobj is None:
                 return None
-            kind = self.get_string(fobj, "kind", fnode)
+            kind = self.get_string(fobj, "kind", path)
             names = fobj.get("names")
-            if kind is None or names is None or names.kind != "array":
-                self.diag(fnode, "E200", "factor needs 'kind' and 'names'")
+            if kind is None or not isinstance(names, list):
+                self.diag(path, "E200", "factor needs 'kind' and 'names'")
                 return None
-            names = self.array(names, "string", "generator names must be an array",
+            names = self.array(names, path + ("names",), str,
+                               "generator names must be an array",
                                "generator names must be strings")
             if names is None:
                 return None
             try:
-                if kind.value == "free":
-                    factors.append(FactorSpec.free(*names))
-                elif kind.value == "abelian":
-                    free_rank = self.get_int(fobj, "free_rank", fnode, default=0)
+                if kind == "free":
+                    out.append(FactorSpec.free(*names))
+                elif kind == "abelian":
+                    free_rank = self.get_int(fobj, "free_rank", path, default=0)
                     torsion = []
                     if "torsion" in fobj:
-                        torsion = self.int_list(fobj["torsion"], "torsion") or []
-                    factors.append(FactorSpec.abelian(names, free_rank=free_rank, torsion=torsion))
+                        torsion = self.int_list(fobj["torsion"], path + ("torsion",),
+                                                "torsion") or []
+                    out.append(FactorSpec.abelian(names, free_rank=free_rank, torsion=torsion))
                 else:
-                    self.diag(kind, "E200", f"unknown factor kind {kind.value!r}")
+                    self.diag(path + ("kind",), "E200", f"unknown factor kind {kind!r}")
                     return None
             except ValueError as err:
-                self.diag(fnode, "E200", str(err))
+                self.diag(path, "E200", str(err))
                 return None
         try:
-            return GroupSpec(tuple(factors))
+            return GroupSpec(tuple(out))
         except ValueError as err:
             self.diag(where, "E200", str(err))
             return None
 
-    def build_elements(self, node: Node, scenario: Scenario) -> None:
-        for ename, enode in (self.as_object(node, "elements") or {}).items():
-            word = self.parse_word_node(scenario.spec, enode, f"element {ename!r}")
-            if word is not None:
-                scenario.elements[ename] = word
+    def build_elements(self, value, path: tuple, scenario: Scenario) -> None:
+        for ename, word in (self.as_object(value, path, "elements") or {}).items():
+            element = self.read_word(scenario.spec, word, path + (ename,),
+                                     f"element {ename!r}")
+            if element is not None:
+                scenario.elements[ename] = element
 
-    def build_modules(self, node: Node, scenario: Scenario) -> None:
-        for mname, mnode, mobj in self.entries(node, "modules", "module"):
-            rank = self.get_int(mobj, "rank", mnode, low=0, high=MAX_MODULE_RANK)
+    def build_modules(self, value, path: tuple, scenario: Scenario) -> None:
+        for mname, mpath, mobj in self.entries(value, path, "modules", "module"):
+            rank = self.get_int(mobj, "rank", mpath, low=0, high=MAX_MODULE_RANK)
             if rank is None:
                 continue
             relations = []
             if "relations" in mobj:
-                relations = self.int_matrix(mobj["relations"], "relations") or []
-            action = self.named(mobj.get("action"), "action", "action of", self.int_matrix)
+                relations = self.int_matrix(mobj["relations"], mpath + ("relations",),
+                                            "relations") or []
+            action = self.named(mobj.get("action"), mpath + ("action",), "action",
+                                "action of", self.int_matrix)
             if action is None:
                 continue
-            elements = self.named(mobj.get("elements"), "module elements", "element",
-                                  self.int_list)
+            elements = self.named(mobj.get("elements"), mpath + ("elements",),
+                                  "module elements", "element", self.int_list)
             if elements is None:
                 continue
             try:
                 module = GModule(scenario.spec, QuotientPresentation(rank, relations),
                                  action=action, elements=elements, name=mname)
             except (ValueError, DimensionError) as err:
-                self.diag(mnode, "E240", f"module {mname!r}: {err}")
+                self.diag(mpath, "E240", f"module {mname!r}: {err}")
                 continue
             scenario.modules[mname] = module
 
-    def build_maps(self, node: Node, scenario: Scenario) -> None:
-        for name, mnode, mobj in self.entries(node, "maps", "map"):
-            source = self.lookup(scenario.modules, mobj.get("source"), "module")
-            target = self.lookup(scenario.modules, mobj.get("target"), "module")
+    def build_maps(self, value, path: tuple, scenario: Scenario) -> None:
+        for name, mpath, mobj in self.entries(value, path, "maps", "map"):
+            source = self.lookup(scenario.modules, mobj, "source", mpath, "module")
+            target = self.lookup(scenario.modules, mobj, "target", mpath, "module")
             if "source" not in mobj or "target" not in mobj:
-                self.diag(mnode, "E200", f"map {name!r} needs 'source' and 'target'")
+                self.diag(mpath, "E200", f"map {name!r} needs 'source' and 'target'")
             if "matrix" not in mobj:
-                self.diag(mnode, "E200", f"map {name!r} needs a 'matrix'")
+                self.diag(mpath, "E200", f"map {name!r} needs a 'matrix'")
             if source is None or target is None or "matrix" not in mobj:
                 continue
-            matrix = self.int_matrix(mobj["matrix"], "matrix")
+            matrix = self.int_matrix(mobj["matrix"], mpath + ("matrix",), "matrix")
             if matrix is None:
                 continue
-            equivariant = self.get_int(mobj, "equivariant", mnode, default=0, low=0, high=1)
+            equivariant = self.get_int(mobj, "equivariant", mpath, default=0, low=0, high=1)
             if equivariant is None:
                 continue
             try:
                 scenario.maps[name] = ModuleMap(source, target, matrix,
                                                 equivariant=bool(equivariant), name=name)
             except (ValueError, DimensionError, ContextError) as err:
-                self.diag(mnode, "E241", f"map {name!r}: {err}")
+                self.diag(mpath, "E241", f"map {name!r}: {err}")
 
-    def build_quotients(self, node: Node, scenario: Scenario) -> None:
-        for name, qnode, qobj in self.entries(node, "quotients", "quotient"):
+    def build_quotients(self, value, path: tuple, scenario: Scenario) -> None:
+        for name, qpath, qobj in self.entries(value, path, "quotients", "quotient"):
             if "factors" not in qobj:
-                self.diag(qnode, "E200", f"quotient {name!r} needs 'factors'")
+                self.diag(qpath, "E200", f"quotient {name!r} needs 'factors'")
                 continue
-            target = self.build_group(qobj["factors"], qnode)
+            target = self.build_group(qobj["factors"], qpath)
             if target is None:
                 continue
-            images_node = qobj.get("images")
-            images = self.named(images_node, "images", "image of",
-                                lambda wnode, what: self.parse_word_node(target, wnode, what))
-            if images_node is None or images_node.kind != "object":
-                self.diag(qnode, "E200", f"quotient {name!r} needs 'images'")
+            images_value = qobj.get("images")
+            images = self.named(images_value, qpath + ("images",), "images", "image of",
+                                partial(self.read_word, target))
+            if not isinstance(images_value, tuple):
+                self.diag(qpath, "E200", f"quotient {name!r} needs 'images'")
                 continue
             if images is None:
                 continue
             try:
                 scenario.quotients[name] = FiniteQuotient(scenario.spec, target, images)
             except ValueError as err:
-                self.diag(qnode, "E242", f"quotient {name!r}: {err}")
+                self.diag(qpath, "E242", f"quotient {name!r}: {err}")
 
-    def build_cocycles(self, node: Node, scenario: Scenario) -> None:
-        for name, cnode, cobj in self.entries(node, "cocycles", "cocycle"):
-            quotient = self.lookup(scenario.quotients, cobj.get("quotient"), "quotient")
-            module = self.lookup(scenario.modules, cobj.get("module"), "module")
+    def build_cocycles(self, value, path: tuple, scenario: Scenario) -> None:
+        for name, cpath, cobj in self.entries(value, path, "cocycles", "cocycle"):
+            quotient = self.lookup(scenario.quotients, cobj, "quotient", cpath, "quotient")
+            module = self.lookup(scenario.modules, cobj, "module", cpath, "module")
             if quotient is None or module is None:
                 if "quotient" not in cobj or "module" not in cobj:
-                    self.diag(cnode, "E200", f"cocycle {name!r} needs 'quotient' and 'module'")
+                    self.diag(cpath, "E200", f"cocycle {name!r} needs 'quotient' and 'module'")
                 continue
-            table = self.cocycle_table(cobj.get("entries"), quotient.target)
+            table = self.cocycle_table(cobj.get("entries"), cpath + ("entries",),
+                                       quotient.target)
             if table is None:
                 continue
             q_action = None
             if "q_action" in cobj:
-                q_action = self.named(cobj["q_action"], "q_action", "q_action of",
-                                      self.int_matrix)
+                q_action = self.named(cobj["q_action"], cpath + ("q_action",), "q_action",
+                                      "q_action of", self.int_matrix)
                 if q_action is None:
                     continue
             try:
                 cocycle = Cocycle(quotient, module, table, q_action=q_action, name=name)
             except (RejectedError, DimensionError, ContextError) as err:
-                self.diag(cnode, "E243", f"cocycle {name!r}: {err}")
+                self.diag(cpath, "E243", f"cocycle {name!r}: {err}")
                 continue
             violated = verify_cocycle(cocycle)
             if violated is not None:
                 quad = ", ".join(str(x) for x in violated)
-                self.diag(cnode, "E243",
+                self.diag(cpath, "E243",
                           f"cocycle {name!r}: identity violated at ({quad})")
                 continue
             scenario.cocycles[name] = cocycle
 
-    def cocycle_table(self, node: Node | None, target: GroupSpec) -> dict | None:
+    def cocycle_table(self, value, path: tuple, target: GroupSpec) -> dict | None:
         """The table of a cocycle's ``entries`` array.
 
         Each distinct argument string is parsed once per cocycle; only
         successful parses are kept, so a bad word is still diagnosed at
-        its own node."""
+        its own value."""
         table = {}
-        if node is None:
+        if value is None:
             return table
-        if node.kind != "array":
-            self.diag(node, "E200", "entries must be an array")
+        if not isinstance(value, list):
+            self.diag(path, "E200", "entries must be an array")
             return None
         words: dict[str, GroupElement] = {}
-        for entry in node.value:
-            eobj = self.as_object(entry, "cocycle entry")
+        for i, entry in enumerate(value):
+            epath = path + (i,)
+            eobj = self.as_object(entry, epath, "cocycle entry")
             if eobj is None or "args" not in eobj or "value" not in eobj:
-                self.diag(entry, "E200", "entry needs 'args' and 'value'")
+                self.diag(epath, "E200", "entry needs 'args' and 'value'")
                 return None
-            args_node = eobj["args"]
-            if args_node.kind != "array" or len(args_node.value) != 3:
-                self.diag(args_node, "E200", "args must be three quotient words")
+            arg_words = eobj["args"]
+            if not isinstance(arg_words, list) or len(arg_words) != 3:
+                self.diag(epath + ("args",), "E200", "args must be three quotient words")
                 return None
             args = []
-            for wnode in args_node.value:
-                w = words.get(wnode.value) if wnode.kind == "string" else None
+            for j, word in enumerate(arg_words):
+                w = words.get(word) if isinstance(word, str) else None
                 if w is None:
-                    w = self.parse_word_node(target, wnode, "cocycle argument")
+                    w = self.read_word(target, word, epath + ("args", j), "cocycle argument")
                     if w is None:
                         return None
-                    words[wnode.value] = w
+                    words[word] = w
                 args.append(w)
-            value = self.int_list(eobj["value"], "entry value")
-            if value is None:
+            vec = self.int_list(eobj["value"], epath + ("value",), "entry value")
+            if vec is None:
                 return None
             key = tuple(args)
             if key in table:
-                self.diag(entry, "E201", "duplicate cocycle entry")
+                self.diag(epath, "E201", "duplicate cocycle entry")
                 return None
-            table[key] = value
+            table[key] = vec
         return table
 
-    def build_matrices(self, node: Node, scenario: Scenario) -> None:
-        for name, mnode, mobj in self.entries(node, "matrices", "matrix"):
-            size = self.get_int(mobj, "size", mnode, low=0, high=MAX_MATRIX_SIZE)
-            gens_node = self.get_string(mobj, "generators", mnode)
-            if size is None or gens_node is None:
+    def build_matrices(self, value, path: tuple, scenario: Scenario) -> None:
+        for name, mpath, mobj in self.entries(value, path, "matrices", "matrix"):
+            size = self.get_int(mobj, "size", mpath, low=0, high=MAX_MATRIX_SIZE)
+            gens_text = self.get_string(mobj, "generators", mpath)
+            if size is None or gens_text is None:
                 continue
             try:
-                gens = parse_generator_sequence(scenario.spec, size, gens_node.value)
+                gens = parse_generator_sequence(scenario.spec, size, gens_text)
                 scenario.matrices[name] = build_invertible(scenario.spec, size, gens)
             except WordError as err:
-                self.diag(gens_node, "E230", f"matrix {name!r}: {err.message}")
+                self.diag(mpath + ("generators",), "E230", f"matrix {name!r}: {err.message}")
             except RejectedError as err:
-                self.diag(gens_node, "E245", f"matrix {name!r}: {err}")
+                self.diag(mpath + ("generators",), "E245", f"matrix {name!r}: {err}")
             except (DimensionError, ContextError) as err:
-                self.diag(mnode, "E245", f"matrix {name!r}: {err}")
+                self.diag(mpath, "E245", f"matrix {name!r}: {err}")
 
-    def build_lenses(self, node: Node, scenario: Scenario) -> None:
-        for name, lnode, lobj in self.entries(node, "lenses", "lens"):
-            module = self.lookup(scenario.modules, lobj.get("module"), "module")
+    def build_lenses(self, value, path: tuple, scenario: Scenario) -> None:
+        for name, lpath, lobj in self.entries(value, path, "lenses", "lens"):
+            module = self.lookup(scenario.modules, lobj, "module", lpath, "module")
             if module is None:
                 if "module" not in lobj:
-                    self.diag(lnode, "E200", f"lens {name!r} needs 'module'")
+                    self.diag(lpath, "E200", f"lens {name!r} needs 'module'")
                 continue
-            alpha_node = self.get_string(lobj, "alpha", lnode)
-            sigma_node = self.get_string(lobj, "sigma", lnode)
-            if alpha_node is None or sigma_node is None:
+            alpha_name = self.get_string(lobj, "alpha", lpath)
+            sigma_name = self.get_string(lobj, "sigma", lpath)
+            if alpha_name is None or sigma_name is None:
                 continue
-            alpha = module.elements.get(alpha_node.value)
+            alpha = module.elements.get(alpha_name)
             if alpha is None:
-                self.diag(alpha_node, "E220",
-                          f"unresolved module element {alpha_node.value!r}")
+                self.diag(lpath + ("alpha",), "E220",
+                          f"unresolved module element {alpha_name!r}")
                 continue
-            sigma = self.lookup(scenario.elements, sigma_node, "element")
+            sigma = self.lookup(scenario.elements, lobj, "sigma", lpath, "element")
             if sigma is None:
                 continue
-            k = self.get_int(lobj, "k", lnode, default=1)
-            n = self.get_int(lobj, "n", lnode, default=3)
+            k = self.get_int(lobj, "k", lpath, default=1)
+            n = self.get_int(lobj, "n", lpath, default=3)
             framing = WhElement.zero(scenario.framing)
             if "framing" in lobj:
-                fnode = lobj["framing"]
-                if fnode.kind != "string":
-                    self.diag(fnode, "E200", "framing must be a Wh string")
+                text = lobj["framing"]
+                if not isinstance(text, str):
+                    self.diag(lpath + ("framing",), "E200", "framing must be a Wh string")
                     continue
                 try:
-                    framing = parse_wh(scenario.framing, fnode.value)
+                    framing = parse_wh(scenario.framing, text)
                 except WordError as err:
-                    self.diag(fnode, "E230", f"framing: {err.message}")
+                    self.diag(lpath + ("framing",), "E230", f"framing: {err.message}")
                     continue
             try:
                 scenario.lenses[name] = make_lens(alpha, sigma, framing, k=k, n=n,
                                                   note=name)
             except (RejectedError, ContextError) as err:
-                self.diag(lnode, "E244", f"lens {name!r}: {err}")
+                self.diag(lpath, "E244", f"lens {name!r}: {err}")
 
-    def build_assertions(self, node: Node, scenario: Scenario) -> None:
-        items = self.array(node, "string", "assertions must be an array of strings",
+    def build_assertions(self, value, path: tuple, scenario: Scenario) -> None:
+        items = self.array(value, path, str, "assertions must be an array of strings",
                            "assertions must be strings")
         if items is not None:
             scenario.assertions = tuple(items)
 
-    def build_paper(self, node: Node, scenario: Scenario) -> None:
-        pobj = self.as_object(node, "paper")
+    def build_paper(self, value, path: tuple, scenario: Scenario) -> None:
+        pobj = self.as_object(value, path, "paper")
         if pobj is None:
             return
-        lens = self.get_string(pobj, "lens", node)
-        retraction = self.get_string(pobj, "retraction", node)
+        lens = self.get_string(pobj, "lens", path)
+        retraction = self.get_string(pobj, "retraction", path)
         if (lens is None or retraction is None
-                or self.lookup(scenario.lenses, lens, "lens") is None
-                or self.lookup(scenario.maps, retraction, "map") is None):
+                or self.lookup(scenario.lenses, pobj, "lens", path, "lens") is None
+                or self.lookup(scenario.maps, pobj, "retraction", path, "map") is None):
             return
         cocycle = None
         if "cocycle" in pobj:
-            cocycle = self.get_string(pobj, "cocycle", node)
-            if cocycle is None or self.lookup(scenario.cocycles, cocycle, "cocycle") is None:
+            cocycle = self.get_string(pobj, "cocycle", path)
+            if (cocycle is None
+                    or self.lookup(scenario.cocycles, pobj, "cocycle", path, "cocycle") is None):
                 return
         matrices = None
         if "matrices" in pobj:
-            mats_node = pobj["matrices"]
-            if mats_node.kind != "array" or len(mats_node.value) != 3:
-                self.diag(mats_node, "E200", "paper matrices must name three matrices")
+            names = pobj["matrices"]
+            if not isinstance(names, list) or len(names) != 3:
+                self.diag(path + ("matrices",), "E200", "paper matrices must name three matrices")
                 return
-            for item in mats_node.value:
-                if item.kind != "string" or item.value not in scenario.matrices:
-                    self.diag(item, "E220", "unresolved matrix name")
+            for i, item in enumerate(names):
+                if not isinstance(item, str) or item not in scenario.matrices:
+                    self.diag(path + ("matrices", i), "E220", "unresolved matrix name")
                     return
-            matrices = tuple(item.value for item in mats_node.value)
-        powers = self.get_int(pobj, "powers", node, default=64, low=1)
+            matrices = tuple(names)
+        powers = self.get_int(pobj, "powers", path, default=64, low=1)
         if powers is None:
             return
-        scenario.paper = PaperConfig(lens=lens.value, retraction=retraction.value,
-                                     cocycle=cocycle.value if cocycle else None,
+        scenario.paper = PaperConfig(lens=lens, retraction=retraction, cocycle=cocycle,
                                      matrices=matrices, powers=powers)
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from obkit import groupring
 from obkit.errors import ContextError, DimensionError, RejectedError
 from obkit.groupring import (
+    MAX_ENTRY_LETTERS,
     MAX_MATRIX_TERMS,
     DiagonalGen,
     ElementaryGen,
@@ -265,6 +266,26 @@ def test_term_limit_is_checked_before_each_generator(monkeypatch):
     monkeypatch.setattr(groupring, "MAX_MATRIX_TERMS", 4)
     with pytest.raises(RejectedError):
         build_invertible(spec, 2, [ElementaryGen(0, 1, x)])
+
+
+def test_letter_limit_is_checked_before_each_generator(monkeypatch):
+    # A column's bound grows by the letters of each unit that scales it and
+    # of the longest term multiplied into it, even where letters cancel.
+    spec = zz2_spec()
+    t = spec.generator("t")
+    x = parse_ring(spec, "s + t^2")
+    monkeypatch.setattr(groupring, "MAX_ENTRY_LETTERS", 5)
+    fits = [DiagonalGen(0, 1, t ** 3), ElementaryGen(0, 1, x)]
+    assert build_invertible(spec, 2, fits).matrix.entries[0][1] == ring(t ** 3) * x
+    for last in (DiagonalGen(0, 1, t ** -3), ElementaryGen(1, 0, ring(t))):
+        with pytest.raises(RejectedError, match="limit of 5 letters"):
+            build_invertible(spec, 2, fits + [last])
+    monkeypatch.undo()
+    count = MAX_ENTRY_LETTERS // 100
+    gens = [DiagonalGen(0, 1, t ** 100)] * count
+    assert build_invertible(spec, 1, gens).inverse.entries[0][0] == ring(t ** (-100 * count))
+    with pytest.raises(RejectedError, match=f"limit of {MAX_ENTRY_LETTERS} letters"):
+        build_invertible(spec, 1, gens + gens[:1])
 
 
 def test_generator_checks_raise_dimension_errors():

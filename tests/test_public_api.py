@@ -33,7 +33,7 @@ def test_public_names_resolve(name):
 # The public surface, layer by layer, in declaration order: a change to
 # any layer's __all__ shows up as a diff of this table.
 PUBLIC_NAMES = {
-    "restricted_json": ["Node", "JsonError", "parse_json"],
+    "restricted_json": ["Node", "JsonError", "parse_json", "decode_json"],
     "scenario": ["Diagnostic", "ScenarioError", "Scenario", "parse_scenario", "load_scenario"],
     "words": ["WordError", "parse_word", "parse_ring", "parse_wh", "parse_generator_sequence"],
     "groups": ["FactorSpec", "GroupSpec", "GroupElement", "multiply", "inverse",

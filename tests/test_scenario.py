@@ -8,16 +8,20 @@ import time
 
 import pytest
 
-from obkit import chi, groups
+from obkit import chi, groupring, groups, restricted_json
 from obkit.cli import main
 from obkit import scenario as scenario_module
-from obkit.chi import Cocycle
+from obkit.chi import Cocycle, FiniteQuotient
 from obkit.errors import DimensionError
-from obkit.groupring import MAX_MATRIX_TERMS, RingMatrix
-from obkit.intlinalg import IntMatrix
+from obkit.gmodules import GModule
+from obkit.groupring import MAX_ENTRY_LETTERS, MAX_MATRIX_TERMS, RingMatrix
+from obkit.groups import FactorSpec, GroupSpec
+from obkit.intlinalg import IntMatrix, QuotientPresentation
+from obkit.restricted_json import MAX_DEPTH, MAX_INT_DIGITS
 from obkit.scenario import (MAX_MATRIX_SIZE, MAX_MODULE_RANK, ScenarioError, load_scenario,
                             parse_scenario)
 from obkit.words import MAX_WORD_LETTERS, parse_word
+from support import coboundary
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -904,10 +908,93 @@ def test_free_letter_limit_is_positioned(tmp_path, capsys):
     assert capsys.readouterr().err == f"PARSE: {too_many} (at offset 0)\n"
 
 
-# Every JSON kind, small integers and the first value past each size limit.
+def test_letter_limit_is_positioned(monkeypatch, tmp_path, capsys):
+    # Each D(1,"t^96") adds 96 letters to the one entry; the generator that
+    # would pass the limit is refused before its column operation runs.
+    admitted = MAX_ENTRY_LETTERS // MAX_WORD_LETTERS
+    multiply = groupring.multiply
+    calls = []
+
+    def budgeted(g, h):
+        calls.append(1)
+        if len(calls) > admitted:
+            raise AssertionError("multiplied past the letter limit")
+        return multiply(g, h)
+
+    monkeypatch.setattr(groupring, "multiply", budgeted)
+    path = tmp_path / "letters.json"
+    gens = " ; ".join([f'D(1,\\"t^{MAX_WORD_LETTERS}\\")'] * 1000)
+    path.write_text(GROUP_T + f' "matrices": {{"M": {{"size": 1, "generators": "{gens}"}}}}}}')
+    assert main(["--scenario", str(path), "normalize", "t"]) == 2
+    assert capsys.readouterr().err == (
+        f"2:46: E245 matrix 'M': matrix would exceed the limit of {MAX_ENTRY_LETTERS} "
+        "letters in an entry\n")
+    assert len(calls) == admitted
+
+
+ROT4 = [[1, 0, 0], [0, 0, -1], [0, 1, 0]]
+
+
+def _dense_torsion_text(m):
+    """t * Z/m acting on Z^3 by a quarter turn, with the dense coboundary
+    table of a seeded 2-cochain: the shape of the benchmark's
+    cocycle-torsion files."""
+    spec = GroupSpec((FactorSpec.free("t"), FactorSpec.abelian(("s",), torsion=[m])))
+    qspec = GroupSpec((FactorSpec.abelian(("q",), torsion=[m]),))
+    quotient = FiniteQuotient(spec, qspec, {"t": qspec.identity(), "s": qspec.generator("q")})
+    module = GModule(spec, QuotientPresentation(3), action={"s": ROT4})
+    rng = random.Random(m)
+    elems = quotient.elements()
+    two = {(g, h): [rng.randint(-2, 2) for _ in range(3)] for g in elems for h in elems}
+    table = coboundary(quotient, module, two, q_action={"q": ROT4}).table
+    assert len(table) > m ** 3 // 2
+    cyclic = {"kind": "abelian", "torsion": [m]}
+    return json.dumps({
+        "group": {"factors": [{"kind": "free", "names": ["t"]}, dict(cyclic, names=["s"])]},
+        "modules": {"pi2": {"rank": 3, "action": {"s": ROT4}}},
+        "quotients": {"Q": {"factors": [dict(cyclic, names=["q"])],
+                            "images": {"t": "1", "s": "q"}}},
+        "cocycles": {"c": {"quotient": "Q", "module": "pi2", "q_action": {"q": ROT4},
+                           "entries": [{"args": [str(g) for g in key], "value": list(value)}
+                                       for key, value in table.items()]}},
+    }, indent=1)
+
+
+def test_positioned_parser_runs_only_for_a_refused_file(monkeypatch):
+    parse_json = restricted_json.parse_json
+
+    def fail(text):
+        raise AssertionError("ran the positioned parser")
+
+    monkeypatch.setattr(restricted_json, "parse_json", fail)
+    monkeypatch.setattr(scenario_module, "parse_json", fail)
+    for name in ("paper_f2.json", "paper_z2.json", "paper_z6.json"):
+        parse_scenario(fixture_text(name))
+    parse_scenario(_dense_torsion_text(8))
+
+    calls = []
+    monkeypatch.setattr(scenario_module, "parse_json",
+                        lambda text: calls.append(1) or parse_json(text))
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(_mutated(("name", 5)))
+    assert [d.render() for d in err.value.diagnostics] == [
+        "2:10: E200 field 'name' must be a string"]
+    assert len(calls) == 1
+
+
+def _nested_list(depth):
+    out = []
+    for _ in range(depth - 1):
+        out = [out]
+    return out
+
+
+# Every JSON kind, small integers, the first value past each size limit
+# and a string that sends the file past the decoder's scanner.
 _FUZZ_POOL = (0, 1, -1, 2, 3, MAX_MODULE_RANK + 1, MAX_MATRIX_SIZE + 1, "", "x", "t", "q",
               "1", "sigma", "t^2*s", [], [1], [[1]], ["q", "q", "q"], {}, {"x": 1},
-              None, True, 1.5, f"t^{MAX_WORD_LETTERS + 1}")
+              None, True, 1.5, f"t^{MAX_WORD_LETTERS + 1}", 10 ** MAX_INT_DIGITS,
+              _nested_list(MAX_DEPTH + 1), "null")
 
 
 def _slots(node):

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obkit.groupring import DiagonalGen, ElementaryGen, RingElement
-from obkit.restricted_json import MAX_DEPTH, MAX_INT_DIGITS, JsonError, Node, parse_json
+from obkit.restricted_json import (MAX_DEPTH, MAX_INT_DIGITS, JsonError, Node, decode_json,
+                                   parse_json)
 from obkit.wh1 import WhElement
 from obkit.groups import GroupSpec
 from obkit.words import (
@@ -256,6 +257,69 @@ def test_parse_json_matches_reference_on_edge_cases():
 def test_parse_json_matches_reference_on_mutated_fixtures(text):
     # Anything but JsonError escapes _outcome and fails the test.
     assert _outcome(parse_json, text) == _outcome(reference_parse_json, text)
+
+
+# -- the scanner-backed decoder against the reference -----------------------
+
+def _plain(node):
+    if node.kind == "object":
+        return tuple((key, _plain(value)) for key, _, _, value in node.value)
+    if node.kind == "array":
+        return [_plain(item) for item in node.value]
+    return node.value
+
+
+def _decoded(text):
+    """(decode_json's outcome, the reference's as plain values): a repr of
+    the value, or the JsonError's message and position."""
+    outcomes = []
+    for decode in (decode_json, lambda t: _plain(reference_parse_json(t))):
+        try:
+            outcomes.append(repr(decode(text)))
+        except JsonError as err:
+            outcomes.append((err.message, err.line, err.col))
+    return tuple(outcomes)
+
+
+# Texts that trip each guard of the scanner path, and texts on both sides
+# of each limit.
+GUARD_TEXTS = [
+    '{"a": "true"}', '["false", "null"]', '{"NaN": "Infinity"}', "[true]", "null", "NaN",
+    "-Infinity", '"\\ud83d\\ude00"', '["\\u0041"]', '"\U0001f600"', '"a\tb"', '{"a\tb": 1}',
+    "[" * MAX_DEPTH + "]" * MAX_DEPTH, "[" * (MAX_DEPTH + 1) + "]" * (MAX_DEPTH + 1),
+    '{"a": ' * MAX_DEPTH + "1" + "}" * MAX_DEPTH,
+    '{"a": ' * (MAX_DEPTH + 1) + "1" + "}" * (MAX_DEPTH + 1), "[" * 5000,
+    "9" * MAX_INT_DIGITS, "-" + "9" * MAX_INT_DIGITS, "[" + "9" * (MAX_INT_DIGITS + 1) + "]",
+    "-0", "[-0, 0]", "1e5", "1.5", "[1E-2]", "\ufeff{}", "\ufeff", "{}", "[]", '{"a": {}}',
+    '{"a": 1, "a": 2}', "", "  ", "[1,]", "01",
+]
+
+
+def test_decoder_matches_reference_on_guard_texts():
+    for text in GUARD_TEXTS:
+        got, want = _decoded(text)
+        assert got == want, text[:40]
+
+
+def test_decoder_keeps_order_duplicates_and_kinds():
+    assert decode_json('{"b": [1, {}], "a": "x", "b": []}') == (
+        ("b", [1, ()]), ("a", "x"), ("b", []))
+    assert decode_json('"\\ud83d\\ude00"') == "\ud83d\ude00"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.tuples(_WS, _json_documents(), _WS).map("".join))
+def test_decoder_matches_reference_on_valid_documents(text):
+    got, want = _decoded(text)
+    assert isinstance(got, str)
+    assert got == want
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_mutated_fixtures())
+def test_decoder_matches_reference_on_mutated_fixtures(text):
+    got, want = _decoded(text)
+    assert got == want
 
 
 # -- the word grammars raise nothing but WordError ---------------------------
