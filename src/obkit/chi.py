@@ -21,7 +21,7 @@ from functools import cached_property
 
 from .errors import ContextError, DimensionError, RejectedError
 from .gmodules import GModule, ModuleMap
-from .groupring import InvertiblePair, RingMatrix, _right_multiply, verify_inverse
+from .groupring import InvertiblePair, RingMatrix, _right_multiply
 from .groups import GroupElement, GroupSpec, enumerate_elements, multiply
 from .intlinalg import IntMatrix
 from .wh1 import WhElement
@@ -273,22 +273,12 @@ def verify_cocycle(c: Cocycle):
     return None
 
 
-def _as_matrix(m) -> RingMatrix:
-    return m.matrix if isinstance(m, InvertiblePair) else m
-
-
-def _resolve_inverse(a, b, cm, d) -> RingMatrix:
-    if d is None:
-        if not all(isinstance(p, InvertiblePair) for p in (a, b, cm)):
-            raise RejectedError(
-                "no inverse supplied and the factors are not certified invertible"
-            )
-        return _right_multiply(cm.inverse, [gen.inverted() for p in (b, a)
-                                            for gen in reversed(p.provenance)])
-    abc = _as_matrix(a) @ _as_matrix(b) @ _as_matrix(cm)
-    for d_mat in (d.matrix, d.inverse) if isinstance(d, InvertiblePair) else (d,):
-        if verify_inverse(abc, d_mat):
-            return d_mat
+def _resolve_inverse(a: InvertiblePair, b: InvertiblePair, cm: InvertiblePair,
+                     d) -> RingMatrix:
+    inv = _right_multiply(cm.inverse, [gen.inverted() for p in (b, a)
+                                       for gen in reversed(p.provenance)])
+    if d is None or inv in ((d.matrix, d.inverse) if isinstance(d, InvertiblePair) else (d,)):
+        return inv
     raise RejectedError("supplied matrix is not a two-sided inverse of A*B*C")
 
 
@@ -304,16 +294,19 @@ def _split(quotient: FiniteQuotient, m: RingMatrix) -> dict[GroupElement, IntMat
     return {q: IntMatrix(part) for q, part in out.items()}
 
 
-def chi_eval(c: Cocycle, a, b, cm, d=None) -> WhElement:
+def chi_eval(c: Cocycle, a: InvertiblePair, b: InvertiblePair, cm: InvertiblePair,
+             d=None) -> WhElement:
     """The chain-level functional: sum of f(a_ij (x) b_jk (x) c_kl)[d_li].
 
-    The bracket extends Z-bilinearly over the support of d_li.  A
-    supplied inverse d (either reading of a certified pair) is verified
-    two-sided against A*B*C, and a failed verification rejects the call.
-    When d is omitted, C^-1 B^-1 A^-1 is built by applying the inverted
-    generators of B and A to C's inverse, by column operations and
-    without a check: ``build_invertible`` makes each inverse exact by
-    construction.  It is rejected past ``MAX_MATRIX_TERMS`` terms.
+    The bracket extends Z-bilinearly over the support of d_li.  A, B
+    and C are pairs from ``build_invertible``, and C^-1 B^-1 A^-1 is
+    built by applying the inverted generators of B and A to C's inverse,
+    by column operations and without a check: each inverse is exact by
+    construction.  It is rejected past ``MAX_MATRIX_TERMS`` terms.  A
+    supplied inverse d (a matrix, or either reading of a pair) is
+    accepted only when it equals that matrix, since a two-sided inverse
+    is unique and matrices compare by canonical terms; any other d
+    rejects the call.
 
     f is trilinear and sees an entry only through its image in the
     quotient, so each matrix is split once by quotient element and d_li
@@ -321,7 +314,7 @@ def chi_eval(c: Cocycle, a, b, cm, d=None) -> WhElement:
     the action preserves the relation lattice, and ``WhElement.build``
     sums each class before it reduces.
     """
-    am, bm, cmm = _as_matrix(a), _as_matrix(b), _as_matrix(cm)
+    am, bm, cmm = a.matrix, b.matrix, cm.matrix
     spec = c.module.spec
     for m in (am, bm, cmm):
         if m.spec != spec:

@@ -5,9 +5,9 @@ elementary and diagonal-unit generators, which invert symbolically, so
 each certified pair is exact by construction and is not multiplied out
 again.  A matrix is built by column operations, one per generator, and
 holds at most MAX_MATRIX_TERMS terms over all its entries and at most
-MAX_ENTRY_LETTERS free letters in each element of them.
-``verify_inverse`` checks an inverse that was supplied rather than
-built.
+MAX_ENTRY_LETTERS free letters in each element of them.  Nothing
+multiplies a supplied inverse out: ``chi_eval`` compares one with the
+inverse it composes from the pairs' generators.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "DiagonalGen",
     "InvertiblePair",
     "build_invertible",
-    "verify_inverse",
 ]
 
 # Largest number of terms, summed over the entries, that a built matrix
@@ -73,10 +72,6 @@ class RingElement:
     def items(self):
         """Terms in the fixed order: syllable count, then syllable comparison."""
         return sorted(self.terms.items(), key=lambda t: element_sort_key(t[0]))
-
-    @property
-    def support(self):
-        return [g for g, _ in self.items()]
 
     def _same(self, other) -> None:
         if self.spec != other.spec:
@@ -228,7 +223,9 @@ class InvertiblePair:
 
     The pair is taken as given; ``build_invertible`` makes pairs that are
     inverse by construction.  ``provenance`` holds the generators whose
-    product is the matrix: ``chi_eval`` composes inverses from it."""
+    product is the matrix.  ``chi_eval`` trusts it: it composes the
+    inverse of A*B*C from the provenance of A and B and the inverse of C,
+    and never multiplies a matrix out to check them."""
 
     __slots__ = ("matrix", "inverse", "provenance")
 
@@ -330,10 +327,3 @@ def build_invertible(spec: GroupSpec, n: int, gens) -> InvertiblePair:
     inv = _right_multiply(ident, [gen.inverted() for gen in reversed(gens)])
     return InvertiblePair(m, inv, gens)
 
-
-def verify_inverse(m: RingMatrix, n: RingMatrix) -> bool:
-    """True iff m @ n == n @ m == identity."""
-    if m.spec != n.spec or m.n != n.n:
-        return False
-    ident = RingMatrix.identity(m.spec, m.n)
-    return m @ n == ident and n @ m == ident

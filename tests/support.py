@@ -1,18 +1,19 @@
 """Shared builders for the test suite: group specs, random elements,
 trivial-action modules, framing modules, random certified matrices,
 generator matrices, coboundary cocycles, pushed-forward cocycles,
-suspended lenses, reference implementations (certified pairs by full
-matrix products, cocycle check, chi by one linearization per
-index quadruple, the dense all-elements Wh oracle, dense row-vector
-product, character-by-character JSON parser) that fast paths are checked
-against, and the identities Wh normalization and chi must satisfy."""
+suspended lenses, reference implementations (certified pairs and the
+two-sided inverse check by full matrix products, cocycle check, chi by
+one linearization per index quadruple, the dense all-elements Wh oracle,
+dense row-vector product, character-by-character JSON parser) that fast
+paths are checked against, and the identities Wh normalization and chi
+must satisfy."""
 
 from __future__ import annotations
 
 import functools
 import random
 
-from obkit.chi import Cocycle, FiniteQuotient, _as_matrix, _resolve_inverse, chi_eval
+from obkit.chi import Cocycle, FiniteQuotient, _resolve_inverse, chi_eval
 from obkit.errors import ContextError, DimensionError, RejectedError
 from obkit.gmodules import GModule, ModuleElement, ModuleMap
 from obkit.groupring import (
@@ -246,6 +247,12 @@ def reference_build_invertible(spec: GroupSpec, n: int, gens) -> InvertiblePair:
     return InvertiblePair(m, inv, gens)
 
 
+def is_two_sided_inverse(m: RingMatrix, n: RingMatrix) -> bool:
+    """m @ n == n @ m == identity, by full matrix products."""
+    ident = RingMatrix.identity(m.spec, m.n)
+    return m @ n == ident and n @ m == ident
+
+
 def rand_unimodular(rng: random.Random, n: int, steps: int = 6) -> IntMatrix:
     """A random determinant +-1 integer matrix from elementary operations."""
     rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -372,7 +379,7 @@ def reference_chi_eval(c, a, b, cm, d=None) -> WhElement:
     ``linearize_eval`` per nonzero (a_ij, b_jk, c_kl), each term of
     d_li bracketing the value.  The reference for ``chi.chi_eval``,
     which shares only its argument checks and inverse resolution."""
-    am, bm, cmm = _as_matrix(a), _as_matrix(b), _as_matrix(cm)
+    am, bm, cmm = a.matrix, b.matrix, cm.matrix
     if not (am.n == bm.n == cmm.n):
         raise DimensionError("matrix sizes differ")
     d_mat = _resolve_inverse(a, b, cm, d)

@@ -12,7 +12,7 @@ import time
 from obkit.chi import Cocycle, chi_eval, verify_cocycle
 from obkit.cli import main as cli_main
 from obkit.gmodules import GModule, ModuleMap
-from obkit.groupring import ElementaryGen, RingElement, RingMatrix, build_invertible
+from obkit.groupring import ElementaryGen, RingElement, build_invertible
 from obkit.groups import (
     FactorSpec,
     GroupSpec,
@@ -179,11 +179,10 @@ def test_criterion_4_chi_identities():
                    budget=60.0):
         rng = random.Random(4096)
         spec, pi2, quotient, cocycle, swap = _chi_fixture()
-        ident3 = RingMatrix.identity(spec, 3)
         zero_c = Cocycle(quotient, pi2, {}, q_action={"q": swap})
         for _ in range(50):
             n = rng.choice([1, 2, 3])
-            ident = RingMatrix.identity(spec, n)
+            ident = build_invertible(spec, n, ())
             assert chi_eval(cocycle, ident, ident, ident, ident).is_zero
             mats = [rand_invertible(rng, spec, n) for _ in range(3)]
             assert chi_eval(zero_c, *mats).is_zero
@@ -220,10 +219,9 @@ def test_criterion_4_chi_identities():
                 spec, n, list(gens) + [canceling, canceling.inverted()])
             assert padded.matrix == pair.matrix
             assert padded.inverse == pair.inverse
-            via_pair = chi_eval(cocycle, pair.matrix, RingMatrix.identity(spec, n),
-                                RingMatrix.identity(spec, n), pair.inverse)
-            via_padded = chi_eval(cocycle, padded.matrix, RingMatrix.identity(spec, n),
-                                  RingMatrix.identity(spec, n), padded.inverse)
+            ident = build_invertible(spec, n, ())
+            via_pair = chi_eval(cocycle, pair, ident, ident, pair.inverse)
+            via_padded = chi_eval(cocycle, padded, ident, ident, padded.inverse)
             assert via_pair == via_padded
 
 

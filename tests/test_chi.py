@@ -18,7 +18,7 @@ from obkit.chi import (
 )
 from obkit.errors import RejectedError
 from obkit.gmodules import GModule, ModuleMap
-from obkit.groupring import InvertiblePair, RingElement, RingMatrix
+from obkit.groupring import DiagonalGen, InvertiblePair, RingElement, build_invertible
 from obkit.groups import FactorSpec, GroupSpec
 from obkit.intlinalg import IntMatrix, QuotientPresentation
 from obkit.wh1 import WhElement, induced_map
@@ -354,7 +354,7 @@ def test_chi_projects_each_support_term_once(monkeypatch):
 def test_chi_identity_matrices_and_zero_cocycle():
     rng = random.Random(73)
     spec, pi2, _, _, quotient, _, cocycle = z2_setup()
-    ident = RingMatrix.identity(spec, 2)
+    ident = build_invertible(spec, 2, ())
     assert chi_eval(cocycle, ident, ident, ident, ident).is_zero
     zero_c = Cocycle(quotient, pi2, {}, q_action={"q": SWAP3})
     for _ in range(10):
@@ -368,7 +368,7 @@ def test_chi_single_index_expansion():
     # 1x1 matrices (s), (s), (s): D = (s) and chi = c(q,q,q)[s]
     spec, pi2, _, _, quotient, q, cocycle = z2_setup()
     s = spec.generator("s")
-    m = RingMatrix(spec, [[RingElement.from_element(s)]])
+    m = build_invertible(spec, 1, [DiagonalGen(0, 1, s)])
     value = chi_eval(cocycle, m, m, m, m)
     assert value == WhElement.build(pi2, [((0, -1, 1), s)])
 
@@ -377,10 +377,11 @@ def test_chi_rejects_bad_inverse():
     spec, pi2, _, _, _, _, cocycle = z2_setup()
     s = spec.generator("s")
     t = spec.generator("t")
-    m = RingMatrix(spec, [[RingElement.from_element(s)]])
-    wrong = RingMatrix(spec, [[RingElement.from_element(t)]])
-    with pytest.raises(RejectedError):
-        chi_eval(cocycle, m, m, m, wrong)
+    m = build_invertible(spec, 1, [DiagonalGen(0, 1, s)])
+    wrong = build_invertible(spec, 1, [DiagonalGen(0, 1, t)])
+    for d in (wrong, wrong.matrix, wrong.inverse):
+        with pytest.raises(RejectedError, match="not a two-sided inverse"):
+            chi_eval(cocycle, m, m, m, d)
 
 
 def test_chi_inverse_uniqueness():
@@ -518,7 +519,7 @@ def test_chi_consistency_with_retracted_evaluation():
     # r_* chi(c) must equal chi(r of c): the executable vanishing argument
     spec, pi2, z, r, quotient, q, cocycle = z2_setup()
     s = spec.generator("s")
-    m = RingMatrix(spec, [[RingElement.from_element(s)]])
+    m = build_invertible(spec, 1, [DiagonalGen(0, 1, s)])
     value = chi_eval(cocycle, m, m, m, m)
     assert not value.is_zero
     assert induced_map(r, value).is_zero

@@ -8,12 +8,14 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
 import obkit
 from obkit import chi, cli, gmodules, groups, obstruction, wh1
 from obkit.cli import MAX_ORACLE_AMBIENT, MAX_ORACLE_PAIRS, main
+from obkit.groupring import RingMatrix
 from obkit.intlinalg import QuotientPresentation
 from obkit.scenario import load_scenario
 from support import pushforward, reference_oracle_rows
@@ -91,7 +93,12 @@ def test_chi_command(capsys):
     assert "CHI: (0,-1,1)[s]" in out
 
 
-def test_chi_supplied_inverse_is_checked(tmp_path, capsys):
+def test_chi_supplied_inverse_is_checked(monkeypatch, tmp_path, capsys):
+    def fail(*args):
+        raise AssertionError("formed a full matrix product")
+
+    # D is compared with the composed inverse, never multiplied out.
+    monkeypatch.setattr(RingMatrix, "__matmul__", fail)
     data = json.loads(pathlib.Path(Z2).read_text())
     data["matrices"]["W"] = {"size": 1, "generators": 'D(1,"t")'}
     path = str(tmp_path / "with_w.json")
@@ -106,6 +113,17 @@ def test_chi_supplied_inverse_is_checked(tmp_path, capsys):
     _, expected = run_main(capsys, "--scenario", path, "chi", "c", "A", "B", "C")
     chi_line = [line for line in expected.splitlines() if line.startswith("CHI:")]
     assert chi_line and chi_line[0] in out.splitlines()
+    # Eight cyclic generators E(i, i mod 8 + 1, "t - s"): A*B*C holds
+    # 1,289,501 terms, and D = A is refused without forming it.
+    cyclic = " ; ".join(f'E({i},{i % 8 + 1},"t - s")' for i in range(1, 9))
+    data["matrices"] = {m: {"size": 8, "generators": cyclic} for m in "ABC"}
+    pathlib.Path(path).write_text(json.dumps(data))
+    start = time.perf_counter()
+    status = main(["--scenario", path, "chi", "c", "A", "B", "C", "A"])
+    assert time.perf_counter() - start < 1.0
+    assert status == 3
+    assert capsys.readouterr().err == (
+        "REJECTED: supplied matrix is not a two-sided inverse of A*B*C\n")
 
 
 def test_obstruct_command(capsys):

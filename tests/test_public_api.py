@@ -41,7 +41,7 @@ PUBLIC_NAMES = {
                "are_conjugate", "enumerate_elements", "element_sort_key"],
     "intlinalg": ["IntMatrix", "smith_normal_form", "solve", "QuotientPresentation"],
     "groupring": ["RingElement", "RingMatrix", "ElementaryGen", "DiagonalGen", "InvertiblePair",
-                  "build_invertible", "verify_inverse"],
+                  "build_invertible"],
     "gmodules": ["GModule", "ModuleElement", "ModuleMap"],
     "wh1": ["WhElement", "induced_map", "detect_nontrivial", "WhOracle",
             "oracle_wh_presentation", "wh_equal"],
