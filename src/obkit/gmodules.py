@@ -219,9 +219,14 @@ class GModule:
 
 
 def _power(m: IntMatrix, n: int) -> IntMatrix:
+    """m^n for n >= 0 by repeated squaring: at most 2*log2(n) + 1 products."""
     out = IntMatrix.identity(m.rows)
-    for _ in range(n):
-        out = out @ m
+    while n:
+        if n & 1:
+            out = out @ m
+        n >>= 1
+        if n:
+            m = m @ m
     return out
 
 

@@ -31,7 +31,7 @@ __all__ = [
 # per matrix; n generators E(i, i mod n + 1, "t - s") reach the limit at
 # n = 14, and without it one entry at n = 24 holds about 200,000 terms.
 MAX_MATRIX_TERMS = 10_000
-# Largest number of free-generator letters an element of a built matrix
+# Largest number of letters (``_letters``) an element of a built matrix
 # may hold, as bounded per column before each generator: a product has
 # at most the letters of its factors.  The benchmark's matrices and chi's
 # composed inverses of them reach about 100; without the limit each of k
@@ -239,9 +239,18 @@ class InvertiblePair:
 
 
 def _letters(g: GroupElement) -> int:
-    """The free-generator letters of g's normal form."""
+    """The letters of g's normal form: one per free-generator letter, and
+    |e| per free-rank abelian exponent e, which a module acts on by |e|
+    matrix applications."""
     factors = g.spec.factors
-    return sum(len(payload) for fi, payload in g.syllables if factors[fi].kind == "free")
+    out = 0
+    for fi, payload in g.syllables:
+        factor = factors[fi]
+        if factor.kind == "free":
+            out += len(payload)
+        elif factor.free_rank:
+            out += sum(map(abs, payload[:factor.free_rank]))
+    return out
 
 
 def _check_letters(bound: int) -> int:

@@ -4,8 +4,10 @@ string grammars used by scenario files and the CLI.
 Words follow ``ident ('^' int)? ('*' ...)*`` with ``1`` for the identity;
 integers are written with the ASCII digits ``0-9`` only, and at most
 ``restricted_json.MAX_INT_DIGITS`` of them, the limit scenario files have.
-A word writes at most MAX_WORD_LETTERS letters of free generators, the
-sum of their exponents' absolute values, checked before each is built.
+A word writes at most MAX_WORD_LETTERS letters of free generators and
+of free-rank abelian generators, the sum of their exponents' absolute
+values, checked before each is built: a module acts on a^e by |e|
+matrix applications.
 Ring elements are integer combinations like ``2*g + -1*h`` or ``1 - t``.
 Wh elements look like ``(1,0)[s*t] + (0,2)[t]`` or ``-2[s]``, with plain
 integer coefficients allowed for rank-one modules.  Generator sequences
@@ -132,14 +134,15 @@ def _parse_word_body(spec: GroupSpec, toks: _Tokens) -> GroupElement:
                 raise WordError("only '1' may appear as a word atom", tok[2])
         elif tok[0] == "ident":
             try:
-                fi, _ = spec.locate(tok[1])
+                fi, gi = spec.locate(tok[1])
             except ValueError:
                 raise WordError(f"unknown generator {tok[1]!r}", tok[2]) from None
             exp = 1
             if toks.peek()[0] == "^":
                 toks.next()
                 exp = _parse_signed_int(toks)
-            if spec.factors[fi].kind == "free":
+            factor = spec.factors[fi]
+            if factor.kind == "free" or gi < factor.free_rank:
                 letters += abs(exp)
                 if letters > MAX_WORD_LETTERS:
                     raise WordError(

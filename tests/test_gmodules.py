@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from obkit import gmodules
 from obkit.errors import ContextError, DimensionError
 from obkit.gmodules import GModule, ModuleElement, ModuleMap
 from obkit.groups import inverse, multiply
@@ -75,6 +76,20 @@ def test_validate_torsion_constraint():
     # order 3 matrix on a generator of order 2 violates the torsion rule
     with pytest.raises(ValueError, match="torsion"):
         GModule(spec, QuotientPresentation(2), action={"s": [[0, -1], [1, -1]]})
+
+
+def test_torsion_law_power_squares(monkeypatch):
+    m = IntMatrix([[1, 1], [0, 1]])
+    expected = IntMatrix.identity(2)
+    for n in range(12):
+        assert gmodules._power(m, n) == expected
+        expected = expected @ m
+    matmul = IntMatrix.__matmul__
+    calls = []
+    monkeypatch.setattr(IntMatrix, "__matmul__",
+                        lambda a, b: calls.append(1) or matmul(a, b))
+    assert gmodules._power(m, 10**6) == IntMatrix([[1, 10**6], [0, 1]])
+    assert len(calls) <= 2 * math.log2(10**6) + 1
 
 
 def test_validate_inverts_mod_torsion():

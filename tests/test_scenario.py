@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from obkit import chi, groupring, groups, restricted_json
+from obkit import chi, gmodules, groupring, groups, restricted_json
 from obkit.cli import main
 from obkit import scenario as scenario_module
 from obkit.chi import Cocycle, FiniteQuotient
@@ -18,8 +18,8 @@ from obkit.groupring import MAX_ENTRY_LETTERS, MAX_MATRIX_TERMS, RingMatrix
 from obkit.groups import FactorSpec, GroupSpec
 from obkit.intlinalg import IntMatrix, QuotientPresentation
 from obkit.restricted_json import MAX_DEPTH, MAX_INT_DIGITS
-from obkit.scenario import (MAX_MATRIX_SIZE, MAX_MODULE_RANK, ScenarioError, load_scenario,
-                            parse_scenario)
+from obkit.scenario import (MAX_MATRIX_SIZE, MAX_MODULE_RANK, MAX_TORSION_ORDER, ScenarioError,
+                            load_scenario, parse_scenario)
 from obkit.words import MAX_WORD_LETTERS, parse_word
 from support import coboundary
 
@@ -157,6 +157,26 @@ def test_quotient_torsion_law_checked_by_repeated_squaring(monkeypatch):
             parse_scenario(text)
         assert [d.render() for d in err.value.diagnostics] == [
             "1:164: E242 quotient 'Q': image of 's' does not satisfy its torsion relation"]
+
+
+def test_torsion_order_limit_is_a_positioned_error(monkeypatch):
+    # A module over Z/order checks the law M^order = I; past the limit the
+    # order is refused at its value before any module is built.
+    def fail(*args):
+        raise AssertionError("checked a torsion law past the limit")
+
+    monkeypatch.setattr(gmodules, "_power", fail)
+    for order in (MAX_TORSION_ORDER + 1, 10**6):
+        text = json.dumps({"group": {"factors": [{"kind": "abelian", "names": ["s"],
+                                                  "torsion": [order]}]},
+                           "modules": {"Z": {"rank": 1}}})
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(text)
+        assert [d.render() for d in err.value.diagnostics] == [
+            f"1:72: E200 torsion order {order} exceeds the limit {MAX_TORSION_ORDER} "
+            "of a group with modules"]
+    monkeypatch.undo()
+    assert "Z" in parse_scenario(text.replace(str(10**6), str(MAX_TORSION_ORDER))).modules
 
 
 @pytest.mark.parametrize("order", [10**3, 10**9])
@@ -932,6 +952,31 @@ def test_letter_limit_is_positioned(monkeypatch, tmp_path, capsys):
     assert len(calls) == admitted
 
 
+def test_free_rank_abelian_exponents_count_as_letters(monkeypatch, tmp_path, capsys):
+    # A module acts on a^e by |e| matrix applications, so a free-rank
+    # abelian exponent counts toward both letter limits like a free letter.
+    def fail(*args):
+        raise AssertionError("acted on a module element")
+
+    monkeypatch.setattr(GModule, "act_vec", fail)
+    data = {"group": {"factors": [{"kind": "free", "names": ["t"]},
+                                  {"kind": "abelian", "names": ["a"], "free_rank": 1}]},
+            "modules": {"Z": {"rank": 2, "action": {"a": [[0, 1], [1, 0]]}}}}
+    path = tmp_path / "abelian.json"
+    path.write_text(json.dumps(data))
+    status = main(["--scenario", str(path), "wh", "normalize",
+                   "(1,0)[a^10000000 * t * a^-10000000 * t]"])
+    assert status == 2
+    assert capsys.readouterr().err == (
+        f"PARSE: word has more than {MAX_WORD_LETTERS} free letters (at offset 6)\n")
+    data["matrices"] = {"M": {"size": 1, "generators": " ; ".join(
+        [f'D(1,"a^{MAX_WORD_LETTERS}")'] * (MAX_ENTRY_LETTERS // MAX_WORD_LETTERS + 1))}}
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(json.dumps(data))
+    assert [d.code for d in err.value.diagnostics] == ["E245"]
+    assert f"limit of {MAX_ENTRY_LETTERS} letters" in err.value.diagnostics[0].message
+
+
 ROT4 = [[1, 0, 0], [0, 0, -1], [0, 1, 0]]
 
 
@@ -971,15 +1016,23 @@ def test_positioned_parser_runs_only_for_a_refused_file(monkeypatch):
     for name in ("paper_f2.json", "paper_z2.json", "paper_z6.json"):
         parse_scenario(fixture_text(name))
     parse_scenario(_dense_torsion_text(8))
+    # The words true, false and null inside strings are not constants.
+    parse_scenario(_mutated(("name", "nullspace"), ("assertions.1", "true or false")))
 
     calls = []
-    monkeypatch.setattr(scenario_module, "parse_json",
-                        lambda text: calls.append(1) or parse_json(text))
-    with pytest.raises(ScenarioError) as err:
-        parse_scenario(_mutated(("name", 5)))
-    assert [d.render() for d in err.value.diagnostics] == [
-        "2:10: E200 field 'name' must be a string"]
-    assert len(calls) == 1
+    for layer in (restricted_json, scenario_module):
+        monkeypatch.setattr(layer, "parse_json",
+                            lambda text: calls.append(1) or parse_json(text))
+    # Refused in the resolver: parsed with positions once, by bail().  A
+    # surrogate escape sends the text to the positioned parser at once,
+    # and bail() reuses that tree.
+    for extra in ((), (("assertions.1", "\U0001f600"),)):
+        calls.clear()
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(_mutated(("name", 5), *extra))
+        assert [d.render() for d in err.value.diagnostics] == [
+            "2:10: E200 field 'name' must be a string"]
+        assert len(calls) == 1
 
 
 def _nested_list(depth):
@@ -991,9 +1044,9 @@ def _nested_list(depth):
 
 # Every JSON kind, small integers, the first value past each size limit
 # and a string that sends the file past the decoder's scanner.
-_FUZZ_POOL = (0, 1, -1, 2, 3, MAX_MODULE_RANK + 1, MAX_MATRIX_SIZE + 1, "", "x", "t", "q",
-              "1", "sigma", "t^2*s", [], [1], [[1]], ["q", "q", "q"], {}, {"x": 1},
-              None, True, 1.5, f"t^{MAX_WORD_LETTERS + 1}", 10 ** MAX_INT_DIGITS,
+_FUZZ_POOL = (0, 1, -1, 2, 3, MAX_MODULE_RANK + 1, MAX_MATRIX_SIZE + 1, MAX_TORSION_ORDER + 1,
+              "", "x", "t", "q", "1", "sigma", "t^2*s", [], [1], [[1]], ["q", "q", "q"], {},
+              {"x": 1}, None, True, 1.5, f"t^{MAX_WORD_LETTERS + 1}", 10 ** MAX_INT_DIGITS,
               _nested_list(MAX_DEPTH + 1), "null")
 
 
