@@ -13,19 +13,16 @@ recursion limit.  Each limit is diagnosed where the literal or container starts.
 pairs in file order, duplicate keys kept, an array a list, a string a str
 and an integer an int.  It reads the text with the stdlib ``json`` C
 scanner, guarded so that what the scanner accepts the profile accepts with
-the same values: the text holds no surrogate escape, ``\\ud800`` to
-``\\udfff`` (the scanner would join a pair the profile keeps as two
-characters), and the result holds no float, ``NaN`` or ``Infinity`` (each
-refused as it is read), no true, false or null (looked for only when the
-text holds one of those words), no integer past MAX_INT_DIGITS digits and
-no container past MAX_DEPTH levels.  Any other text, and any text the
-scanner refuses, goes to ``parse_json``, the positioned parser, which
-diagnoses it or accepts it (a raw tab in a string, say) and has its tree
-converted.
+the same values: the text holds none of ``true``, ``false``, ``null``,
+``NaN``, ``Infinity`` or ``\\u`` anywhere (the scanner would join a
+surrogate pair the profile keeps as two characters), and the result holds
+no float, no integer past MAX_INT_DIGITS digits and no container past
+MAX_DEPTH levels.  Any other text, and any text the scanner refuses, goes
+to ``parse_json``, the positioned parser, which diagnoses it or accepts it
+(a raw tab in a string, say) and has its tree converted.
 
 ``parse_json`` gives every value its line and column.  A caller that
-decodes a file needs them only for a diagnostic.  It parses then, unless
-``_decode`` already made the tree.
+decodes a file needs them only for a diagnostic, and parses again then.
 The positioned parser scans each token class with one compiled regex:
 whitespace, the plain run of a string up to its next quote, backslash or
 newline, and an integer.  Line starts are found once, and an offset maps
@@ -233,10 +230,8 @@ def _int(literal: str) -> int:
 
 _SCANNER = json.JSONDecoder(object_pairs_hook=tuple, parse_float=_refuse,
                             parse_int=_int, parse_constant=_refuse)
-# A surrogate escape, whose pair the scanner joins into one character.
-_SURROGATE = re.compile(r"\\u[dD][89abAB]")
-# The literals the scanner reads as True, False and None.
-_CONSTANTS = ("true", "false", "null")
+# Words whose presence anywhere in a text sends it to the positioned parser.
+_SCANNER_UNSAFE = ("true", "false", "null", "NaN", "Infinity", "\\u")
 _second = itemgetter(1)
 
 
@@ -252,20 +247,6 @@ def _nests_too_deep(value) -> bool:
     return bool(level)
 
 
-def _holds_constant(value) -> bool:
-    """Whether a decoded value holds True, False or None."""
-    stack = [value]
-    while stack:
-        x = stack.pop()
-        if type(x) is list:
-            stack.extend(x)
-        elif type(x) is tuple:
-            stack.extend(map(_second, x))
-        elif x is None or type(x) is bool:
-            return True
-    return False
-
-
 def _plain(node: Node):
     if node.kind == "object":
         return tuple((key, _plain(value)) for key, _, _, value in node.value)
@@ -274,24 +255,15 @@ def _plain(node: Node):
     return node.value
 
 
-def _decode(text: str) -> tuple[object, Node | None]:
-    """``decode_json``'s value, with the positioned tree when the text
-    went to ``parse_json``, so that a caller diagnosing it need not
-    parse it again."""
-    if _SURROGATE.search(text) is None:
+def decode_json(text: str):
+    """The plain value of a profile document, or JsonError as
+    ``parse_json`` raises it.  Positions are not found."""
+    if not any(word in text for word in _SCANNER_UNSAFE):
         try:
             value = _SCANNER.decode(text)
         except (_Refused, json.JSONDecodeError, RecursionError):
             pass
         else:
-            constant = any(word in text for word in _CONSTANTS) and _holds_constant(value)
-            if not (constant or _nests_too_deep(value)):
-                return value, None
-    tree = parse_json(text)
-    return _plain(tree), tree
-
-
-def decode_json(text: str):
-    """The plain value of a profile document, or JsonError as
-    ``parse_json`` raises it.  Positions are not found."""
-    return _decode(text)[0]
+            if not _nests_too_deep(value):
+                return value
+    return _plain(parse_json(text))

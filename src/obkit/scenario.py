@@ -6,12 +6,10 @@ tables, certified matrices, lens constructors and free-form assertions.
 Resolution either returns a fully validated Scenario or raises with a
 list of positioned diagnostics; there is no partial acceptance.
 
-The text is decoded to plain values as ``restricted_json.decode_json``
-decodes it, without positions.  A diagnostic records the path from the
-root to the value or key it is about, and only a file that is refused
-has each path turned into its line:col, from the positioned tree the
-decoder made if it fell back to the positioned parser, else from one
-positioned parse.
+The text is decoded to plain values by ``restricted_json.decode_json``,
+without positions.  A diagnostic records the path from the root to the
+value or key it is about, and only a file that is refused is parsed again
+by the positioned parser, once, to turn each path into its line:col.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from .groupring import InvertiblePair, build_invertible
 from .groups import FactorSpec, GroupElement, GroupSpec
 from .intlinalg import QuotientPresentation
 from .obstruction import LensClass, make_lens
-from .restricted_json import JsonError, Node, _decode, parse_json
+from .restricted_json import JsonError, Node, decode_json, parse_json
 from .wh1 import WhElement
 from .words import WordError, parse_generator_sequence, parse_wh, parse_word
 
@@ -48,8 +46,8 @@ ASSERT_KERNEL = "kernel-of-first-invariant"
 # matrix's terms are bounded by groupring.MAX_MATRIX_TERMS as it is built.
 MAX_MODULE_RANK = 12
 MAX_MATRIX_SIZE = 24
-# Largest torsion order of the working group when the scenario declares
-# modules, four times the Z/1024 of the tests.  Each module checks the
+# Largest torsion order of the working group when the scenario builds
+# a module, four times the Z/1024 of the tests.  Each module checks the
 # law M^m = I of a torsion generator by about 2*log2(m) products, and
 # each squaring can double the length of M's entries.
 MAX_TORSION_ORDER = 4096
@@ -141,14 +139,13 @@ def _position(root: Node, path) -> tuple[int, int]:
 class _Resolver:
     def __init__(self, text: str):
         self.text = text
-        self.tree: Node | None = None
         self.diags: list[tuple[tuple, str, str]] = []
 
     def diag(self, path: tuple, code: str, message: str) -> None:
         self.diags.append((path, code, message))
 
     def bail(self):
-        root = self.tree if self.tree is not None else parse_json(self.text)
+        root = parse_json(self.text)
         raise ScenarioError(Diagnostic(*_position(root, path), code, message)
                             for path, code, message in self.diags)
 
@@ -287,7 +284,7 @@ class _Resolver:
         if not self.text.strip():
             raise ScenarioError([Diagnostic(1, 1, "E210", "no group declared")])
         try:
-            root, self.tree = _decode(self.text)
+            root = decode_json(self.text)
         except JsonError as err:
             raise ScenarioError([Diagnostic(err.line, err.col, "E100", err.message)]) from None
         top = self.as_object(root, (), "scenario")
@@ -372,11 +369,7 @@ class _Resolver:
         too_big = [(("group", "factors", fi, "torsion", i), order)
                    for fi, factor in enumerate(scenario.spec.factors) if factor.kind == "abelian"
                    for i, order in enumerate(factor.torsion) if order > MAX_TORSION_ORDER]
-        for where, order in too_big:
-            self.diag(where, "E200", f"torsion order {order} exceeds the limit "
-                                     f"{MAX_TORSION_ORDER} of a group with modules")
-        if too_big:
-            return
+        refused = False
         for mname, mpath, mobj in self.entries(value, path, "modules", "module"):
             rank = self.get_int(mobj, "rank", mpath, low=0, high=MAX_MODULE_RANK)
             if rank is None:
@@ -393,6 +386,9 @@ class _Resolver:
                                   "module elements", "element", self.int_list)
             if elements is None:
                 continue
+            if too_big:
+                refused = True
+                continue
             try:
                 module = GModule(scenario.spec, QuotientPresentation(rank, relations),
                                  action=action, elements=elements, name=mname)
@@ -400,6 +396,9 @@ class _Resolver:
                 self.diag(mpath, "E240", f"module {mname!r}: {err}")
                 continue
             scenario.modules[mname] = module
+        for where, order in too_big if refused else ():
+            self.diag(where, "E200", f"torsion order {order} exceeds the limit "
+                                     f"{MAX_TORSION_ORDER} of a group with modules")
 
     def build_maps(self, value, path: tuple, scenario: Scenario) -> None:
         for name, mpath, mobj in self.entries(value, path, "maps", "map"):

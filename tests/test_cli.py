@@ -8,7 +8,6 @@ import os
 import pathlib
 import subprocess
 import sys
-import time
 
 import pytest
 
@@ -118,9 +117,7 @@ def test_chi_supplied_inverse_is_checked(monkeypatch, tmp_path, capsys):
     cyclic = " ; ".join(f'E({i},{i % 8 + 1},"t - s")' for i in range(1, 9))
     data["matrices"] = {m: {"size": 8, "generators": cyclic} for m in "ABC"}
     pathlib.Path(path).write_text(json.dumps(data))
-    start = time.perf_counter()
     status = main(["--scenario", path, "chi", "c", "A", "B", "C", "A"])
-    assert time.perf_counter() - start < 1.0
     assert status == 3
     assert capsys.readouterr().err == (
         "REJECTED: supplied matrix is not a two-sided inverse of A*B*C\n")

@@ -161,7 +161,7 @@ def test_quotient_torsion_law_checked_by_repeated_squaring(monkeypatch):
 
 def test_torsion_order_limit_is_a_positioned_error(monkeypatch):
     # A module over Z/order checks the law M^order = I; past the limit the
-    # order is refused at its value before any module is built.
+    # order is refused at its value instead of building a module.
     def fail(*args):
         raise AssertionError("checked a torsion law past the limit")
 
@@ -175,6 +175,13 @@ def test_torsion_order_limit_is_a_positioned_error(monkeypatch):
         assert [d.render() for d in err.value.diagnostics] == [
             f"1:72: E200 torsion order {order} exceeds the limit {MAX_TORSION_ORDER} "
             "of a group with modules"]
+    # No module declared: nothing to cap.  A malformed section gets its
+    # own diagnostic only.
+    assert parse_scenario(text.replace('{"Z": {"rank": 1}}', "{}")).modules == {}
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text.replace('{"Z": {"rank": 1}}', "5"))
+    assert [d.render() for d in err.value.diagnostics] == [
+        "1:96: E200 modules must be an object"]
     monkeypatch.undo()
     assert "Z" in parse_scenario(text.replace(str(10**6), str(MAX_TORSION_ORDER))).modules
 
@@ -1016,23 +1023,15 @@ def test_positioned_parser_runs_only_for_a_refused_file(monkeypatch):
     for name in ("paper_f2.json", "paper_z2.json", "paper_z6.json"):
         parse_scenario(fixture_text(name))
     parse_scenario(_dense_torsion_text(8))
-    # The words true, false and null inside strings are not constants.
-    parse_scenario(_mutated(("name", "nullspace"), ("assertions.1", "true or false")))
 
     calls = []
-    for layer in (restricted_json, scenario_module):
-        monkeypatch.setattr(layer, "parse_json",
-                            lambda text: calls.append(1) or parse_json(text))
-    # Refused in the resolver: parsed with positions once, by bail().  A
-    # surrogate escape sends the text to the positioned parser at once,
-    # and bail() reuses that tree.
-    for extra in ((), (("assertions.1", "\U0001f600"),)):
-        calls.clear()
-        with pytest.raises(ScenarioError) as err:
-            parse_scenario(_mutated(("name", 5), *extra))
-        assert [d.render() for d in err.value.diagnostics] == [
-            "2:10: E200 field 'name' must be a string"]
-        assert len(calls) == 1
+    monkeypatch.setattr(scenario_module, "parse_json",
+                        lambda text: calls.append(1) or parse_json(text))
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(_mutated(("name", 5)))
+    assert [d.render() for d in err.value.diagnostics] == [
+        "2:10: E200 field 'name' must be a string"]
+    assert len(calls) == 1
 
 
 def _nested_list(depth):
