@@ -66,6 +66,9 @@ class FiniteQuotient:
                             f"image of {name!r} does not satisfy its torsion relation"
                         )
                 self.images[name] = img
+        for name in images:
+            if name not in self.images:
+                raise ValueError(f"images name unknown generator {name!r}")
 
     def project(self, g: GroupElement) -> GroupElement:
         if g.spec != self.source:
@@ -167,6 +170,9 @@ class Cocycle:
             if m.rows != k or m.cols != k:
                 raise DimensionError("quotient action matrix has the wrong shape")
             mats[n] = m
+        for n in q_action:
+            if n not in mats:
+                raise RejectedError(f"quotient action names unknown generator {n!r}")
         report = module.action_violation(target.factors[0], mats)
         if report is not None:
             raise RejectedError(f"quotient {report}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .chi import chi_eval, retraction_kills_chi
 from .errors import ContextError, DimensionError, RejectedError, UnsupportedError
-from .gmodules import GModule, ModuleElement
+from .gmodules import GModule
 from .groups import FactorSpec, GroupSpec, are_conjugate, conjugacy_canonical, enumerate_elements
 from .intlinalg import QuotientPresentation
 from .obstruction import (
@@ -316,7 +316,11 @@ def _power_range(nontrivial: bool, powers: int) -> str:
 
 
 def _coeff_str(x: WhElement) -> str:
-    return str(ModuleElement(x.module, x.terms[0][0])) if x.terms else "0"
+    """The first term's coefficient: bare at rank one, else a tuple."""
+    if not x.terms:
+        return "0"
+    coords = x.terms[0][0]
+    return str(coords[0]) if len(coords) == 1 else "(" + ",".join(map(str, coords)) + ")"
 
 
 def _bool(flag: bool) -> str:

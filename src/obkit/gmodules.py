@@ -5,6 +5,10 @@ The action of a word is the product of its generators' matrices; inverse
 letters act through an inverse-on-the-quotient matrix found by integer
 linear solving, so matrices need not be unimodular over Z as long as
 they are invertible modulo the relation lattice.
+
+A module element is a plain coordinate tuple in the module's own basis,
+reduced to its coset's canonical representative by
+``QuotientPresentation.reduce``; no element class wraps it.
 """
 
 from __future__ import annotations
@@ -17,61 +21,8 @@ from .intlinalg import IntMatrix, QuotientPresentation, solve
 
 __all__ = [
     "GModule",
-    "ModuleElement",
     "ModuleMap",
 ]
-
-
-class ModuleElement:
-    """An element of a GModule.  ``coords`` is its coset's canonical
-    representative in the module's own basis (``QuotientPresentation.reduce``),
-    fixed at construction; equality, hashing and printing read it."""
-
-    __slots__ = ("module", "coords")
-
-    def __init__(self, module: "GModule", coords):
-        coords = tuple(int(x) for x in coords)
-        if len(coords) != module.rank:
-            raise DimensionError("coordinate length does not match module rank")
-        self.module = module
-        self.coords = module.presentation.reduce(coords)
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
-    def __add__(self, other: "ModuleElement") -> "ModuleElement":
-        self._same(other)
-        return ModuleElement(self.module, [a + b for a, b in zip(self.coords, other.coords)])
-
-    def __sub__(self, other: "ModuleElement") -> "ModuleElement":
-        return self + (-other)
-
-    def __neg__(self) -> "ModuleElement":
-        return ModuleElement(self.module, [-a for a in self.coords])
-
-    def __rmul__(self, n: int) -> "ModuleElement":
-        return ModuleElement(self.module, [n * a for a in self.coords])
-
-    def _same(self, other) -> None:
-        if self.module is not other.module:
-            raise ContextError("elements of different modules")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ModuleElement):
-            return NotImplemented
-        return self.module is other.module and self.coords == other.coords
-
-    def __hash__(self):
-        return hash((id(self.module), self.coords))
-
-    def __str__(self):
-        if len(self.coords) == 1:
-            return str(self.coords[0])
-        return "(" + ",".join(str(x) for x in self.coords) + ")"
-
-    def __repr__(self):
-        return f"ModuleElement({self})"
 
 
 class GModule:
@@ -83,7 +34,8 @@ class GModule:
     the first violated constraint, so every GModule is a valid module.
     It keeps each generator's inverse on the quotient for negative
     letters, and ``trivial_action`` is True when every generator acts as
-    the identity on the quotient.
+    the identity on the quotient.  ``elements`` maps names to coordinate
+    vectors, held reduced.
     """
 
     def __init__(self, spec: GroupSpec, presentation: QuotientPresentation,
@@ -108,7 +60,9 @@ class GModule:
         self.action = full
         self.elements = {}
         for ename, coords in (elements or {}).items():
-            self.elements[ename] = ModuleElement(self, coords)
+            if len(coords) != k:
+                raise DimensionError("coordinate length does not match module rank")
+            self.elements[ename] = presentation.reduce(coords)
         self._inverse = {}
         for factor in spec.factors:
             report = self.action_violation(factor, full, self._inverse)
@@ -120,12 +74,6 @@ class GModule:
     @property
     def rank(self) -> int:
         return self.presentation.rank
-
-    def element(self, coords) -> ModuleElement:
-        return ModuleElement(self, coords)
-
-    def zero(self) -> ModuleElement:
-        return ModuleElement(self, (0,) * self.rank)
 
     def _congruent(self, m1: IntMatrix, m2: IntMatrix) -> bool:
         """True iff two maps into this module agree on the quotient: each
@@ -208,11 +156,6 @@ class GModule:
             v = m.apply(v)
         return v
 
-    def act(self, g: GroupElement, a: ModuleElement) -> ModuleElement:
-        if a.module is not self:
-            raise ContextError("element belongs to a different module")
-        return ModuleElement(self, self.act_vec(g, a.coords))
-
     def __repr__(self):
         label = self.name or f"rank{self.rank}"
         return f"GModule({label}, invariants={self.presentation.group_invariants()})"
@@ -264,11 +207,6 @@ class ModuleMap:
                                    self.target.action[gen] @ self.matrix)
             for gen in self.source.spec.generator_names()
         )
-
-    def __call__(self, a: ModuleElement) -> ModuleElement:
-        if a.module is not self.source:
-            raise ContextError("element is not in the map's source module")
-        return ModuleElement(self.target, self.matrix.apply(a.coords))
 
     def __repr__(self):
         return f"ModuleMap({self.name or 'phi'})"

@@ -1,4 +1,10 @@
-"""Arithmetic in the integral group ring Z[G] and square matrices over it.
+"""Elements of the integral group ring Z[G] and square matrices over it.
+
+An element adds and negates; the full Z[G] product of elements or of
+matrices is not defined here, because nothing in obkit forms one.  It
+exists only as the test suite's reference (``ring_mul``, ``ring_matmul``
+in tests/support.py).  Module coefficients are not ring elements: a
+module element is its reduced coordinate tuple (``gmodules``).
 
 Matrix inverses are never computed: invertible matrices are built from
 elementary and diagonal-unit generators, which invert symbolically, so
@@ -46,12 +52,7 @@ class RingElement:
 
     def __init__(self, spec: GroupSpec, terms=None):
         self.spec = spec
-        clean = {}
-        for g, c in (terms or {}).items():
-            c = int(c)
-            if c:
-                clean[g] = clean.get(g, 0) + c
-        self.terms = {g: c for g, c in clean.items() if c}
+        self.terms = {g: c for g, c in ((g, int(c)) for g, c in (terms or {}).items()) if c}
 
     @staticmethod
     def zero(spec: GroupSpec) -> "RingElement":
@@ -87,21 +88,6 @@ class RingElement:
     def __neg__(self) -> "RingElement":
         return RingElement(self.spec, {g: -c for g, c in self.terms.items()})
 
-    def __sub__(self, other: "RingElement") -> "RingElement":
-        return self + (-other)
-
-    def __mul__(self, other: "RingElement") -> "RingElement":
-        self._same(other)
-        out: dict[GroupElement, int] = {}
-        for g, a in self.terms.items():
-            for h, b in other.terms.items():
-                gh = multiply(g, h)
-                out[gh] = out.get(gh, 0) + a * b
-        return RingElement(self.spec, out)
-
-    def __rmul__(self, n: int) -> "RingElement":
-        return RingElement(self.spec, {g: n * c for g, c in self.terms.items()})
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingElement):
             return NotImplemented
@@ -133,7 +119,7 @@ class RingElement:
 
 
 class RingMatrix:
-    """A square matrix over Z[G]; multiplication preserves operand order."""
+    """A square matrix over Z[G]."""
 
     __slots__ = ("spec", "n", "entries")
 
@@ -156,23 +142,6 @@ class RingMatrix:
         one = RingElement.one(spec)
         zero = RingElement.zero(spec)
         return RingMatrix(spec, [[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    def __matmul__(self, other: "RingMatrix") -> "RingMatrix":
-        if self.spec != other.spec:
-            raise ContextError("matrices over different groups")
-        if self.n != other.n:
-            raise DimensionError("matrix size mismatch")
-        n = self.n
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = RingElement.zero(self.spec)
-                for k in range(n):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return RingMatrix(self.spec, out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingMatrix):

@@ -29,7 +29,6 @@ __all__ = [
     "GroupElement",
     "multiply",
     "inverse",
-    "cyclically_reduce",
     "conjugacy_canonical",
     "conjugacy_canonical_with_conjugator",
     "are_conjugate",
@@ -278,7 +277,7 @@ def element_sort_key(g: GroupElement) -> tuple:
     return (len(g.syllables), tuple(_syllable_key(g.spec, s) for s in g.syllables))
 
 
-def cyclically_reduce(g: GroupElement) -> tuple[GroupElement, GroupElement]:
+def _cyclically_reduce(g: GroupElement) -> tuple[GroupElement, GroupElement]:
     """Return (core, conjugator) with g = conjugator * core * conjugator^-1.
 
     The core is cyclically reduced: its first and last syllables neither
@@ -308,7 +307,7 @@ def cyclically_reduce(g: GroupElement) -> tuple[GroupElement, GroupElement]:
 
 def conjugacy_canonical_with_conjugator(g: GroupElement) -> tuple[GroupElement, GroupElement]:
     """Canonical class representative plus c with g = c * rep * c^-1."""
-    core, conj = cyclically_reduce(g)
+    core, conj = _cyclically_reduce(g)
     spec = g.spec
     syls = core.syllables
     n = len(syls)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ContextError, RejectedError
-from .gmodules import ModuleElement, ModuleMap
+from .gmodules import GModule, ModuleMap
 from .groups import GroupElement
 from .wh1 import WhElement, induced_map
 
@@ -71,16 +71,17 @@ class PseudoisotopyClass:
                 raise ContextError("pieces use different framing modules")
 
 
-def make_lens(alpha: ModuleElement, sigma: GroupElement, framing: WhElement,
+def make_lens(module: GModule, alpha, sigma: GroupElement, framing: WhElement,
               k: int = 1, n: int = 3, note: str = "") -> LensClass:
-    """A lens realizing the obstruction alpha[sigma] with the given framing part."""
+    """A lens realizing the obstruction alpha[sigma] with the given framing
+    part; alpha is a coordinate vector of ``module``."""
     if sigma.is_identity:
         raise RejectedError(
             "sigma must be nontrivial: the bracket at the identity vanishes by definition"
         )
-    if sigma.spec != alpha.module.spec:
+    if sigma.spec != module.spec:
         raise ContextError("sigma and alpha live over different groups")
-    main = WhElement.build(alpha.module, [(alpha, sigma)])
+    main = WhElement.build(module, [(alpha, sigma)])
     return LensClass(n=n, k=k, framing=framing, main=main, note=note)
 
 

@@ -19,7 +19,7 @@ and ``wh_equal`` answers None rather than guess.
 from __future__ import annotations
 
 from .errors import ContextError, RejectedError, UnsupportedError
-from .gmodules import GModule, ModuleElement, ModuleMap
+from .gmodules import GModule, ModuleMap
 from .groups import (
     GroupElement,
     GroupSpec,
@@ -56,16 +56,11 @@ class WhElement:
 
     @classmethod
     def build(cls, module: GModule, pairs) -> "WhElement":
-        """Normalize raw (coefficient, group element) pairs."""
+        """Normalize raw (coefficient vector, group element) pairs."""
         acc: dict[GroupElement, list] = {}
         trivial = module.trivial_action
         for coeff, g in pairs:
-            if isinstance(coeff, ModuleElement):
-                if coeff.module is not module:
-                    raise ContextError("coefficient from a different module")
-                coords = coeff.coords
-            else:
-                coords = tuple(int(x) for x in coeff)
+            coords = tuple(int(x) for x in coeff)
             if g.spec != module.spec:
                 raise ContextError("bracket over a different group")
             if g.is_identity:
@@ -103,12 +98,6 @@ class WhElement:
     def __add__(self, other: "WhElement") -> "WhElement":
         self._same(other)
         return WhElement.build(self.module, list(self.terms) + list(other.terms))
-
-    def __neg__(self) -> "WhElement":
-        return self.scale(-1)
-
-    def __sub__(self, other: "WhElement") -> "WhElement":
-        return self + (-other)
 
     def scale(self, n: int) -> "WhElement":
         return WhElement.build(

@@ -26,7 +26,6 @@ from .wh1 import WhElement
 __all__ = [
     "WordError",
     "parse_word",
-    "parse_ring",
     "parse_wh",
     "parse_generator_sequence",
 ]
@@ -181,7 +180,7 @@ def _parse_ring_term(spec: GroupSpec, toks: _Tokens) -> RingElement:
     return RingElement.from_element(word, sign)
 
 
-def parse_ring(spec: GroupSpec, text: str) -> RingElement:
+def _parse_ring(spec: GroupSpec, text: str) -> RingElement:
     toks = _Tokens(text)
     out = _parse_ring_term(spec, toks)
     while not toks.done:
@@ -277,7 +276,7 @@ def parse_generator_sequence(spec: GroupSpec, n: int, text: str):
             toks.expect(",")
             body = toks.expect("string")
             try:
-                x = parse_ring(spec, body[1])
+                x = _parse_ring(spec, body[1])
             except WordError as err:
                 raise WordError(f"in E(...): {err.message}", body[2]) from None
             gens.append(ElementaryGen(i - 1, j - 1, x))

@@ -1,12 +1,14 @@
 """Shared builders for the test suite: group specs, random elements,
 trivial-action modules, framing modules, random certified matrices,
 generator matrices, coboundary cocycles, pushed-forward cocycles,
-suspended lenses, reference implementations (certified pairs and the
-two-sided inverse check by full matrix products, cocycle check, chi by
-one linearization per index quadruple, the dense all-elements Wh oracle,
-dense row-vector product, character-by-character JSON parser) that fast
+suspended lenses, reference implementations (the full Z[G] product of
+elements and matrices, which obkit itself never forms, with certified
+pairs and the two-sided inverse check built on it; cocycle check; chi by
+one linearization per index quadruple; the dense all-elements Wh oracle;
+dense row-vector product; character-by-character JSON parser) that fast
 paths are checked against, and the identities Wh normalization and chi
-must satisfy."""
+must satisfy.  A module element is its reduced coordinate tuple, as in
+obkit."""
 
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import random
 
 from obkit.chi import Cocycle, FiniteQuotient, _resolve_inverse, chi_eval
 from obkit.errors import ContextError, DimensionError, RejectedError
-from obkit.gmodules import GModule, ModuleElement, ModuleMap
+from obkit.gmodules import GModule, ModuleMap
 from obkit.groupring import (
     DiagonalGen,
     ElementaryGen,
@@ -233,6 +235,29 @@ def gen_matrix(gen, spec: GroupSpec, n: int) -> RingMatrix:
     return RingMatrix(spec, m)
 
 
+def ring_mul(x: RingElement, y: RingElement) -> RingElement:
+    """The Z[G] product x*y, term by term.  obkit forms no such product;
+    this is the reference its column-operation build is checked against."""
+    if x.spec != y.spec:
+        raise ContextError("ring elements over different groups")
+    out: dict = {}
+    for g, a in x.terms.items():
+        for h, b in y.terms.items():
+            gh = multiply(g, h)
+            out[gh] = out.get(gh, 0) + a * b
+    return RingElement(x.spec, out)
+
+
+def ring_matmul(m: RingMatrix, n: RingMatrix) -> RingMatrix:
+    """The full matrix product m n over Z[G], operand order kept."""
+    if m.n != n.n:
+        raise DimensionError("matrix size mismatch")
+    idx, zero = range(m.n), RingElement.zero(m.spec)
+    return RingMatrix(m.spec, [
+        [sum((ring_mul(m.entries[i][k], n.entries[k][j]) for k in idx), zero) for j in idx]
+        for i in idx])
+
+
 def reference_build_invertible(spec: GroupSpec, n: int, gens) -> InvertiblePair:
     """``build_invertible`` by full matrix products: the generators'
     matrices multiplied in order, and the inverted generators' in
@@ -240,17 +265,17 @@ def reference_build_invertible(spec: GroupSpec, n: int, gens) -> InvertiblePair:
     gens = tuple(gens)
     m = RingMatrix.identity(spec, n)
     for gen in gens:
-        m = m @ gen_matrix(gen, spec, n)
+        m = ring_matmul(m, gen_matrix(gen, spec, n))
     inv = RingMatrix.identity(spec, n)
     for gen in reversed(gens):
-        inv = inv @ gen_matrix(gen.inverted(), spec, n)
+        inv = ring_matmul(inv, gen_matrix(gen.inverted(), spec, n))
     return InvertiblePair(m, inv, gens)
 
 
 def is_two_sided_inverse(m: RingMatrix, n: RingMatrix) -> bool:
-    """m @ n == n @ m == identity, by full matrix products."""
+    """m n == n m == identity, by full matrix products."""
     ident = RingMatrix.identity(m.spec, m.n)
-    return m @ n == ident and n @ m == ident
+    return ring_matmul(m, n) == ident and ring_matmul(n, m) == ident
 
 
 def rand_unimodular(rng: random.Random, n: int, steps: int = 6) -> IntMatrix:
@@ -349,9 +374,10 @@ def reference_verify_cocycle(c):
     return None
 
 
-def linearize_eval(c, x: RingElement, y: RingElement, z: RingElement) -> ModuleElement:
+def linearize_eval(c, x: RingElement, y: RingElement, z: RingElement) -> tuple:
     """Trilinear extension of the pulled-back table over Z[G] supports,
-    projecting every support element of x, y and z afresh."""
+    projecting every support element of x, y and z afresh; the value's
+    reduced coordinates."""
     module = c.module
     for w in (x, y, z):
         if w.spec != module.spec:
@@ -371,7 +397,7 @@ def linearize_eval(c, x: RingElement, y: RingElement, z: RingElement) -> ModuleE
                 val = c.table.get((qg, qh, qk), zero)
                 for i in range(k):
                     total[i] += coeff * val[i]
-    return ModuleElement(module, total)
+    return module.presentation.reduce(total)
 
 
 def reference_chi_eval(c, a, b, cm, d=None) -> WhElement:
@@ -399,10 +425,10 @@ def reference_chi_eval(c, a, b, cm, d=None) -> WhElement:
                     if zkl.is_zero:
                         continue
                     m = linearize_eval(c, xij, yjk, zkl)
-                    if m.is_zero:
+                    if not any(m):
                         continue
                     for h, coeff in d_mat.entries[l][i].terms.items():
-                        raw.append(([coeff * x for x in m.coords], h))
+                        raw.append(([coeff * x for x in m], h))
     return WhElement.build(c.module, raw)
 
 

@@ -272,7 +272,7 @@ def test_criterion_6_sign_calculus():
             if sigma.is_identity:
                 continue
             coords = (rng.randint(-3, 3), rng.randint(-3, 3))
-            lens = make_lens(pi2.element(coords), sigma, zero_framing(spec))
+            lens = make_lens(pi2, coords, sigma, zero_framing(spec))
             eps = involution(lens)
             assert eps.main == WhElement.build(
                 pi2, [([-c for c in coords], inverse(sigma))])

@@ -38,7 +38,7 @@ def paper_setup(spec=None):
     z = trivial_module(spec, 1, name="Z")
     r = ModuleMap(pi2, z, [[1, 0]], equivariant=True, name="r")
     sigma = spec.generator(spec.generator_names()[-1])
-    lens = make_lens(pi2.elements["alpha"], sigma, zero_framing(spec))
+    lens = make_lens(pi2, pi2.elements["alpha"], sigma, zero_framing(spec))
     return spec, pi2, z, r, sigma, lens
 
 
@@ -71,16 +71,16 @@ def test_make_lens_paper_value():
 def test_make_lens_rejections():
     spec, pi2, _, _, sigma, _ = paper_setup()
     with pytest.raises(RejectedError):
-        make_lens(pi2.elements["alpha"], spec.identity(), zero_framing(spec))
+        make_lens(pi2, pi2.elements["alpha"], spec.identity(), zero_framing(spec))
     with pytest.raises(RejectedError):
-        make_lens(pi2.elements["alpha"], sigma, zero_framing(spec), k=0, n=3)
+        make_lens(pi2, pi2.elements["alpha"], sigma, zero_framing(spec), k=0, n=3)
     with pytest.raises(RejectedError):
-        make_lens(pi2.elements["alpha"], sigma, zero_framing(spec), k=3, n=3)
+        make_lens(pi2, pi2.elements["alpha"], sigma, zero_framing(spec), k=3, n=3)
 
 
 def test_make_lens_linear_coefficient():
     spec, pi2, _, _, sigma, _ = paper_setup()
-    doubled = make_lens(2 * pi2.elements["alpha"], sigma, zero_framing(spec))
+    doubled = make_lens(pi2, [2 * x for x in pi2.elements["alpha"]], sigma, zero_framing(spec))
     assert doubled.main == WhElement.build(pi2, [((2, 0), sigma)])
 
 
@@ -111,7 +111,7 @@ def test_involution_flags_nontrivial_action():
     spec = zz2_spec()
     swap = GModule(spec, QuotientPresentation(2), action={"s": [[0, 1], [1, 0]]},
                    elements={"alpha": (1, 0)})
-    lens = make_lens(swap.elements["alpha"], spec.generator("s"), zero_framing(spec))
+    lens = make_lens(swap, swap.elements["alpha"], spec.generator("s"), zero_framing(spec))
     assert "paper-extrapolated" in involution(lens).note
     trivial_case = paper_setup()[5]
     assert "paper-extrapolated" not in involution(trivial_case).note
@@ -179,7 +179,7 @@ def test_clam_double_zero_alpha():
 def test_order_two_sigma_combines():
     spec = zz2_spec()
     pi2 = GModule(spec, QuotientPresentation(2), elements={"alpha": (1, 0)}, name="pi2")
-    lens = make_lens(pi2.elements["alpha"], spec.generator("s"), zero_framing(spec))
+    lens = make_lens(pi2, pi2.elements["alpha"], spec.generator("s"), zero_framing(spec))
     _, main = stable_sum(clam_double(lens))
     assert main == WhElement.build(pi2, [((-2, 0), spec.generator("s"))])
 
@@ -271,7 +271,7 @@ def test_power_scaling_torsion_free():
     pi2b = GModule(spec2, QuotientPresentation(2), elements={"alpha": (1, 0)})
     zb = trivial_module(spec2, 1)
     rb = ModuleMap(pi2b, zb, [[1, 0]], equivariant=True)
-    lens2 = make_lens(pi2b.elements["alpha"], spec2.generator("s"), zero_framing(spec2))
+    lens2 = make_lens(pi2b, pi2b.elements["alpha"], spec2.generator("s"), zero_framing(spec2))
     rho2 = retraction_invariant(clam_double(lens2), rb)
     assert str(rho2) == "-2[s]"
     assert str(rho2.scale(3)) == "-6[s]"

@@ -35,14 +35,14 @@ def test_public_names_resolve(name):
 PUBLIC_NAMES = {
     "restricted_json": ["Node", "JsonError", "parse_json", "decode_json"],
     "scenario": ["Diagnostic", "ScenarioError", "Scenario", "parse_scenario", "load_scenario"],
-    "words": ["WordError", "parse_word", "parse_ring", "parse_wh", "parse_generator_sequence"],
+    "words": ["WordError", "parse_word", "parse_wh", "parse_generator_sequence"],
     "groups": ["FactorSpec", "GroupSpec", "GroupElement", "multiply", "inverse",
-               "cyclically_reduce", "conjugacy_canonical", "conjugacy_canonical_with_conjugator",
-               "are_conjugate", "enumerate_elements", "element_sort_key"],
+               "conjugacy_canonical", "conjugacy_canonical_with_conjugator", "are_conjugate",
+               "enumerate_elements", "element_sort_key"],
     "intlinalg": ["IntMatrix", "smith_normal_form", "solve", "QuotientPresentation"],
     "groupring": ["RingElement", "RingMatrix", "ElementaryGen", "DiagonalGen", "InvertiblePair",
                   "build_invertible"],
-    "gmodules": ["GModule", "ModuleElement", "ModuleMap"],
+    "gmodules": ["GModule", "ModuleMap"],
     "wh1": ["WhElement", "induced_map", "detect_nontrivial", "WhOracle",
             "oracle_wh_presentation", "wh_equal"],
     "chi": ["FiniteQuotient", "Cocycle", "verify_cocycle", "chi_eval", "retraction_kills_chi"],

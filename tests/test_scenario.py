@@ -664,6 +664,13 @@ DIAGNOSTIC_CASES = [
      ["59:8: E242 quotient 'Q': missing image for generator 's'",
       "78:16: E220 unresolved quotient name 'Q'",
       "118:14: E220 unresolved cocycle name 'c'"]),
+    # An image of a generator the working group lacks is refused, not
+    # dropped; the first unknown name in file order is named.
+    ("quotient-image-unknown", _mutated(("quotients.Q.images.zzz", "q"),
+                                        ("quotients.Q.images.yyy", "1")),
+     ["59:8: E242 quotient 'Q': images name unknown generator 'zzz'",
+      "81:16: E220 unresolved quotient name 'Q'",
+      "121:14: E220 unresolved cocycle name 'c'"]),
     ("cocycles-not-object", _mutated(("cocycles", 5)),
      ["77:14: E200 cocycles must be an object",
       "95:14: E220 unresolved cocycle name 'c'"]),
@@ -710,6 +717,11 @@ DIAGNOSTIC_CASES = [
     ("q-action-matrix-bad", _mutated(("cocycles.c.q_action.q", [-1])),
      ["83:6: E200 q_action of 'q' row must be an array of integers",
       "117:14: E220 unresolved cocycle name 'c'"]),
+    # Likewise a quotient action on a generator the quotient lacks.
+    ("q-action-unknown", _mutated(("cocycles.c.q_action.zz", [[1]]),
+                                  ("cocycles.c.q_action.yy", [[1]])),
+     ["78:8: E243 cocycle 'c': quotient action names unknown generator 'zz'",
+      "129:14: E220 unresolved cocycle name 'c'"]),
     ("cocycle-build-error", _mutated(("cocycles.c.entries.0.value", [0, 1])),
      ["78:8: E243 cocycle 'c': table value has the wrong rank",
       "120:14: E220 unresolved cocycle name 'c'"]),
@@ -902,13 +914,11 @@ def test_composed_inverse_past_the_term_limit_is_rejected(tmp_path, capsys):
         f"REJECTED: matrix would exceed the limit of {MAX_MATRIX_TERMS} terms\n")
 
 
-def test_chi_path_forms_no_matrix_product(monkeypatch, tmp_path, capsys):
-    def fail(*args):
-        raise AssertionError("formed a full matrix product")
-
-    monkeypatch.setattr(RingMatrix, "__matmul__", fail)
-    # chi-matrix shaped: size 6 over t * Z/2, single-term entries on the
-    # off-diagonal blocks, and a diagonal unit.
+def test_chi_path_forms_no_matrix_product(tmp_path, capsys):
+    # RingMatrix defines no product (test_groupring pins that), so these
+    # runs show that chi and report-paper need none.  chi-matrix shaped:
+    # size 6 over t * Z/2, single-term entries on the off-diagonal blocks,
+    # and a diagonal unit.
     upper = " ; ".join(['D(2,"-t^3*s")'] + [f'E({i},{j},"-2*t^{i - j}*s")'
                                             for i in (1, 2, 3) for j in (4, 5, 6)])
     lower = " ; ".join(['D(5,"t^-7")'] + [f'E({j},{i},"t^{i + j}")'

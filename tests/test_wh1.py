@@ -88,7 +88,7 @@ def test_add_neg_group_laws():
     for _ in range(100):
         x = _random_raw(rng, mod)
         y = _random_raw(rng, mod)
-        assert (x + (-x)).is_zero
+        assert (x + x.scale(-1)).is_zero
         assert x + y == y + x
     s = spec.generator("s")
     alpha = (3,)
@@ -154,7 +154,7 @@ def test_detect_nontrivial():
     assert detect_nontrivial(WhElement.build(pi2, [((1, 0), s)]), r)
     assert not detect_nontrivial(WhElement.build(pi2, [((1, 0), spec.identity())]), r)
     x = WhElement.build(pi2, [((1, 0), s)])
-    assert not detect_nontrivial(x - x, r)
+    assert not detect_nontrivial(x + x.scale(-1), r)
     swap_target = GModule(spec, QuotientPresentation(2), action={"s": [[0, 1], [1, 0]]})
     with pytest.raises(RejectedError):
         detect_nontrivial(x, ModuleMap(pi2, swap_target, [[1, 0], [0, 1]]))
@@ -571,5 +571,40 @@ def test_normal_form_sound_against_the_oracle_on_non_smith_lattices(case):
                         equivariant=True)
         assert induced_map(phi, x) == WhElement.build(
             module, [(phi.matrix.apply(c), g) for c, g in raw])
+
+    check()
+
+
+# (id, group order, action of s, relations): Z/m acting on Z^2 through
+# one rotation or reflection, on the free lattice and on one it preserves.
+_ROT6 = [[0, -1], [1, 1]]
+INVOLUTION_MODULES = [
+    ("swap", 2, _swap(2), []),
+    ("swap-mod", 2, _swap(2), [(2, 2)]),
+    ("rot4", 4, _rot4(2), []),
+    ("rot4-mod", 4, _rot4(2), [(2, 2), (2, -2)]),
+    ("rot6", 6, _ROT6, []),
+    ("rot6-mod", 6, _ROT6, [(3, 0), (0, 3)]),
+]
+
+
+@pytest.mark.parametrize("case", INVOLUTION_MODULES, ids=[c[0] for c in INVOLUTION_MODULES])
+def test_involution_readings_agree(case):
+    # a[g] -> (-a)[g^-1] (dualize) and a[g] -> (-g^-1.a)[g^-1] differ by
+    # the coinvariance move through g^-1, which centralizes g^-1, so the
+    # oracle cannot tell them apart.
+    _, order, matrix, relations = case
+    spec = zmod_spec(order)
+    module = GModule(spec, QuotientPresentation(2, relations), action={"s": matrix})
+    oracle = oracle_wh_presentation(spec, module)
+    coeff = st.lists(st.integers(-4, 4), min_size=2, max_size=2)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(coeff, st.sampled_from(enumerate_elements(spec))), max_size=4))
+    def check(raw):
+        x = WhElement.build(module, raw)
+        acted = WhElement.build(module, [
+            ([-c for c in module.act_vec(inverse(g), a)], inverse(g)) for a, g in x.terms])
+        assert oracle.coords(x.dualize()) == oracle.coords(acted)
 
     check()

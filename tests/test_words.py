@@ -17,7 +17,7 @@ from obkit.words import (
     MAX_WORD_LETTERS,
     WordError,
     parse_generator_sequence,
-    parse_ring,
+    _parse_ring,
     parse_wh,
     parse_word,
 )
@@ -61,14 +61,14 @@ def test_parse_ring():
     t = spec.generator("t")
     s = spec.generator("s")
     one = RingElement.one(spec)
-    assert parse_ring(spec, "1+s") == one + RingElement.from_element(s)
-    assert parse_ring(spec, "2*t + -1*s") == \
+    assert _parse_ring(spec, "1+s") == one + RingElement.from_element(s)
+    assert _parse_ring(spec, "2*t + -1*s") == \
         RingElement.from_element(t, 2) + RingElement.from_element(s, -1)
-    assert parse_ring(spec, "1 - t") == one - RingElement.from_element(t)
-    assert parse_ring(spec, "-s") == RingElement.from_element(s, -1)
-    assert parse_ring(spec, "0") == RingElement.zero(spec)
-    roundtrip = parse_ring(spec, "2*t*s - 3")
-    assert parse_ring(spec, str(roundtrip)) == roundtrip
+    assert _parse_ring(spec, "1 - t") == one + RingElement.from_element(t, -1)
+    assert _parse_ring(spec, "-s") == RingElement.from_element(s, -1)
+    assert _parse_ring(spec, "0") == RingElement.zero(spec)
+    roundtrip = _parse_ring(spec, "2*t*s - 3")
+    assert _parse_ring(spec, str(roundtrip)) == roundtrip
 
 
 def test_parse_wh():
@@ -161,7 +161,7 @@ def test_non_ascii_digits_rejected_by_both_grammars():
                 parse_word(spec, text)
             assert err.value.message == f"unexpected character {digit!r}"
         with pytest.raises(WordError):
-            parse_ring(spec, digit + "*t")
+            _parse_ring(spec, digit + "*t")
         with pytest.raises(WordError):
             parse_generator_sequence(spec, 2, "D(" + digit + ',"t")')
 
@@ -341,7 +341,7 @@ def _cap_digit_runs(text):
 @given(st.lists(_GRAMMAR_TOKENS, max_size=14).map("".join).map(_cap_digit_runs))
 def test_word_grammars_raise_only_word_error(text):
     spec = mixed_spec()
-    for parse in (lambda: parse_word(spec, text), lambda: parse_ring(spec, text),
+    for parse in (lambda: parse_word(spec, text), lambda: _parse_ring(spec, text),
                   lambda: parse_generator_sequence(spec, 2, text)):
         try:
             parse()
@@ -378,7 +378,7 @@ def test_integer_digit_limit_holds_under_the_strictest_interpreter_setting():
     sys.set_int_max_str_digits(640)
     try:
         assert parse_json("9" * MAX_INT_DIGITS).value == int("9" * MAX_INT_DIGITS)
-        assert parse_ring(zz2_spec(), "9" * MAX_INT_DIGITS + "*t").terms
+        assert _parse_ring(zz2_spec(), "9" * MAX_INT_DIGITS + "*t").terms
     finally:
         sys.set_int_max_str_digits(old)
 
@@ -402,7 +402,7 @@ def test_integer_digit_limit_in_word_grammars():
     for parse, text, pos in [
         (lambda t: parse_word(spec, t), "t^" + BIG, 2),
         (lambda t: parse_word(spec, t), "s * t^-" + BIG, 7),
-        (lambda t: parse_ring(spec, t), "1 + " + "9" * (MAX_INT_DIGITS + 1) + "*t", 4),
+        (lambda t: _parse_ring(spec, t), "1 + " + "9" * (MAX_INT_DIGITS + 1) + "*t", 4),
         (lambda t: parse_wh(module, t), "(1," + BIG + ")[t]", 3),
         (lambda t: parse_generator_sequence(spec, 2, t), "D(" + BIG + ',"t")', 2),
     ]:
@@ -426,7 +426,7 @@ def test_free_letter_limit_in_word_grammars():
         (lambda t: parse_word(spec, t), f"t^{over}", 0),
         # The running count of the word, though its letters cancel.
         (lambda t: parse_word(spec, t), f"t^{half}*s*t^-{half}*t", 9 + 2 * len(str(half))),
-        (lambda t: parse_ring(spec, t), f"1 + 2*t^{over}", 6),
+        (lambda t: _parse_ring(spec, t), f"1 + 2*t^{over}", 6),
         (lambda t: parse_wh(module, t), f"(1,0)[t^-{over}]", 6),
     ]
     for parse, text, pos in cases:
