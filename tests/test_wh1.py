@@ -575,16 +575,17 @@ def test_normal_form_sound_against_the_oracle_on_non_smith_lattices(case):
     check()
 
 
-# (id, group order, action of s, relations): Z/m acting on Z^2 through
-# one rotation or reflection, on the free lattice and on one it preserves.
-_ROT6 = [[0, -1], [1, 1]]
+# (id, group order, action of s, relations): Z/m acting through a rotation
+# or reflection, on the free lattice and on one it preserves.  An order-6
+# rotation of Z^2 has no coinvariants, so rot6 fixes a third axis.
+_ROT6 = [[0, -1, 0], [1, 1, 0], [0, 0, 1]]
 INVOLUTION_MODULES = [
     ("swap", 2, _swap(2), []),
     ("swap-mod", 2, _swap(2), [(2, 2)]),
     ("rot4", 4, _rot4(2), []),
     ("rot4-mod", 4, _rot4(2), [(2, 2), (2, -2)]),
     ("rot6", 6, _ROT6, []),
-    ("rot6-mod", 6, _ROT6, [(3, 0), (0, 3)]),
+    ("rot6-mod", 6, _ROT6, [(3, 0, 0), (0, 3, 0), (0, 0, 3)]),
 ]
 
 
@@ -595,9 +596,10 @@ def test_involution_readings_agree(case):
     # oracle cannot tell them apart.
     _, order, matrix, relations = case
     spec = zmod_spec(order)
-    module = GModule(spec, QuotientPresentation(2, relations), action={"s": matrix})
+    rank = len(matrix)
+    module = GModule(spec, QuotientPresentation(rank, relations), action={"s": matrix})
     oracle = oracle_wh_presentation(spec, module)
-    coeff = st.lists(st.integers(-4, 4), min_size=2, max_size=2)
+    coeff = st.lists(st.integers(-4, 4), min_size=rank, max_size=rank)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(st.lists(st.tuples(coeff, st.sampled_from(enumerate_elements(spec))), max_size=4))
