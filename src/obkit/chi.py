@@ -3,7 +3,8 @@ chain-level chi functional on certified-invertible matrix triples,
 computed as one contraction over the quotient.
 
 A quotient has at most MAX_QUOTIENT_ORDER elements.  A cocycle table is
-indexed by triples of quotient elements; omitted triples are zero.
+one flat tuple with a slot for each triple of quotient elements, in
+index order; an empty slot holds the zero vector.
 When the coefficient module carries a nontrivial action it must be
 shown to factor through the quotient: the scenario supplies matrices
 for the quotient generators and the pullback compatibility is checked
@@ -52,7 +53,7 @@ class FiniteQuotient:
         self.source = source
         self.target = target
         self.images = {}
-        for fi, factor in enumerate(source.factors):
+        for factor in source.factors:
             for gi, name in enumerate(factor.names):
                 if name not in images:
                     raise ValueError(f"missing image for generator {name!r}")
@@ -86,22 +87,19 @@ class FiniteQuotient:
                         out = multiply(out, self.images[factor.names[gi]] ** e)
         return out
 
-    def elements(self) -> list[GroupElement]:
-        return list(self._elements)
-
     @cached_property
-    def _elements(self) -> tuple[GroupElement, ...]:
+    def elements(self) -> tuple[GroupElement, ...]:
         return tuple(enumerate_elements(self.target))
 
     @cached_property
     def index(self) -> dict[GroupElement, int]:
-        """Position of each quotient element in ``elements()``.
+        """Position of each quotient element in ``elements``.
 
         Elements are enumerated by exponent vector in lexicographic order,
         so the position of (e_1, ..., e_r) is the mixed-radix number with
         digits e_i over the torsion orders.
         """
-        return {g: i for i, g in enumerate(self._elements)}
+        return {g: i for i, g in enumerate(self.elements)}
 
     @cached_property
     def sums(self) -> tuple[tuple[int, ...], ...]:
@@ -122,45 +120,44 @@ class Cocycle:
     """An inhomogeneous 3-cochain on a finite quotient, with coefficients
     in a module whose action factors through the quotient.
 
+    ``values[(i*n + j)*n + l]`` is c(q_i, q_j, q_l) over the n elements
+    of ``FiniteQuotient.elements``, the zero vector in an empty slot.
+    Values are stored unreduced: each reader reduces only a linear
+    combination of them, and the action preserves the relation lattice.
+
     Factorization is validated on construction: for a trivial action the
     quotient acts trivially; otherwise explicit matrices for the quotient
     generators are required and checked for compatibility.
     """
 
-    def __init__(self, quotient: FiniteQuotient, module: GModule, table=None,
+    def __init__(self, quotient: FiniteQuotient, module: GModule, values,
                  q_action=None, name: str = ""):
         if module.spec != quotient.source:
             raise ContextError("module and quotient disagree on the group")
         self.quotient = quotient
         self.module = module
         self.name = name
-        k = module.rank
-        self.table = {}
-        for key, value in (table or {}).items():
-            q1, q2, q3 = key
-            for q in (q1, q2, q3):
-                if q.spec != quotient.target:
-                    raise ContextError("table key outside the quotient group")
-            coords = tuple(int(x) for x in value)
-            if len(coords) != k:
-                raise DimensionError("table value has the wrong rank")
-            if any(module.presentation.reduce(coords)):
-                self.table[(q1, q2, q3)] = coords
-        self._q_matrices = self._resolve_q_action(q_action)
+        self.values = values = tuple(values)
+        if len(values) != len(quotient.elements) ** 3:
+            raise DimensionError("table has the wrong number of slots")
+        if any(len(v) != module.rank for v in values):
+            raise DimensionError("table value has the wrong rank")
+        self._resolve_q_action(q_action)
 
-    def _resolve_q_action(self, q_action) -> dict:
+    def _resolve_q_action(self, q_action) -> None:
         module = self.module
         target = self.quotient.target
         k = module.rank
         names = target.generator_names()
-        if module.trivial_action and q_action is None:
-            return {n: IntMatrix.identity(k) for n in names}
+        # ``_element_matrices`` reads the matrices while they are checked.
+        mats = self._q_matrices = {n: IntMatrix.identity(k) for n in names}
         if q_action is None:
+            if module.trivial_action:
+                return
             raise RejectedError(
                 "module action is nontrivial and no quotient action was supplied: "
                 "cannot verify that the action factors through the quotient"
             )
-        mats = {}
         for n in names:
             if n not in q_action:
                 raise RejectedError(f"quotient action is missing generator {n!r}")
@@ -176,7 +173,6 @@ class Cocycle:
         report = module.action_violation(target.factors[0], mats)
         if report is not None:
             raise RejectedError(f"quotient {report}")
-        self._q_matrices = mats
         index = self.quotient.index
         for gen in self.quotient.source.generator_names():
             image = self._element_matrices[index[self.quotient.images[gen]]]
@@ -184,7 +180,6 @@ class Cocycle:
                 raise RejectedError(
                     f"action of {gen!r} does not factor through the quotient"
                 )
-        return mats
 
     @cached_property
     def _element_matrices(self) -> tuple[IntMatrix, ...]:
@@ -196,7 +191,7 @@ class Cocycle:
         """
         names = self.quotient.target.factors[0].names
         out = []
-        for q in self.quotient.elements():
+        for q in self.quotient.elements:
             m = IntMatrix.identity(self.module.rank)
             for _, exps in q.syllables:
                 for name, e in zip(names, exps):
@@ -229,7 +224,7 @@ def verify_cocycle(c: Cocycle):
 
     Returns None when the identity holds, else the first violated
     quadruple (g, h, q, l) in enumeration order: each coordinate runs
-    over ``FiniteQuotient.elements()``, g slowest and l fastest.  The
+    over ``FiniteQuotient.elements``, g slowest and l fastest.  The
     scenario loader prints it in its E243 diagnostic, so the order is
     part of the contract.  The checked rows run in index order, and the
     first violation among them is that quadruple: elements are numbered
@@ -238,20 +233,18 @@ def verify_cocycle(c: Cocycle):
     whose rows come earlier and held.  A failing table therefore costs
     no more than the scan up to its witness.
 
-    The loop works on quotient indices: the table is copied into a flat
-    list indexed by (i*n + j)*n + l, products come from
-    ``FiniteQuotient.sums`` and each g acts through one matrix.  A total
-    that is the zero vector is not reduced, which is exact because
-    reduction is linear.
+    The loop works on quotient indices: it reads ``Cocycle.values`` in
+    place, products come from ``FiniteQuotient.sums`` and each g acts
+    through one matrix.  The stored values are unreduced, so each total
+    is reduced before it is judged; a total that is the zero vector is
+    not reduced, which is exact because reduction is linear.
     """
     quotient = c.quotient
-    elems = quotient.elements()
+    elems = quotient.elements
     index = quotient.index
     sums = quotient.sums
     n = len(elems)
-    vals = [(0,) * c.module.rank] * (n * n * n)
-    for (g, h, q), v in c.table.items():
-        vals[(index[g] * n + index[h]) * n + index[q]] = v
+    vals = c.values
     target = quotient.target
     rows = sorted({index[target.identity()]}
                   | {index[target.generator(name)] for name in target.generator_names()})
@@ -288,14 +281,15 @@ def _resolve_inverse(a: InvertiblePair, b: InvertiblePair, cm: InvertiblePair,
     raise RejectedError("supplied matrix is not a two-sided inverse of A*B*C")
 
 
-def _split(quotient: FiniteQuotient, m: RingMatrix) -> dict[GroupElement, IntMatrix]:
-    """{q: the integer matrix of m's coefficients at terms that project to q}."""
+def _split(quotient: FiniteQuotient, m: RingMatrix) -> dict[int, IntMatrix]:
+    """{i: the integer matrix of m's coefficients at terms that project to index i}."""
     n = m.n
-    out: dict[GroupElement, list] = {}
+    index = quotient.index
+    out: dict[int, list] = {}
     for i, row in enumerate(m.entries):
         for j, x in enumerate(row):
             for g, a in x.terms.items():
-                part = out.setdefault(quotient.project(g), [[0] * n for _ in range(n)])
+                part = out.setdefault(index[quotient.project(g)], [[0] * n for _ in range(n)])
                 part[i][j] += a
     return {q: IntMatrix(part) for q, part in out.items()}
 
@@ -315,10 +309,11 @@ def chi_eval(c: Cocycle, a: InvertiblePair, b: InvertiblePair, cm: InvertiblePai
     rejects the call.
 
     f is trilinear and sees an entry only through its image in the
-    quotient, so each matrix is split once by quotient element and d_li
-    carries T_il = sum of f(q1, q2, q3) (A_q1 B_q2 C_q3)_il, unreduced:
-    the action preserves the relation lattice, and ``WhElement.build``
-    sums each class before it reduces.
+    quotient, so each matrix is split once by quotient index and d_li
+    carries T_il = sum of f(q1, q2, q3) (A_q1 B_q2 C_q3)_il over the
+    nonzero slots of ``Cocycle.values``, unreduced: the action preserves
+    the relation lattice, and ``WhElement.build`` sums each class before
+    it reduces.
     """
     am, bm, cmm = a.matrix, b.matrix, cm.matrix
     spec = c.module.spec
@@ -330,14 +325,16 @@ def chi_eval(c: Cocycle, a: InvertiblePair, b: InvertiblePair, cm: InvertiblePai
     d_mat = _resolve_inverse(a, b, cm, d)
     n = am.n
     k = c.module.rank
+    order = len(c.quotient.elements)
     a_parts, b_parts, c_parts = (_split(c.quotient, m) for m in (am, bm, cmm))
     t = [[[0] * k for _ in range(n)] for _ in range(n)]
     for q1, x in a_parts.items():
         for q2, y in b_parts.items():
             xy = x @ y
+            row = (q1 * order + q2) * order
             for q3, z in c_parts.items():
-                v = c.table.get((q1, q2, q3))
-                if v is None:
+                v = c.values[row + q3]
+                if not any(v):
                     continue
                 for t_row, p_row in zip(t, (xy @ z).entries):
                     for t_il, p in zip(t_row, p_row):
@@ -356,8 +353,8 @@ def chi_eval(c: Cocycle, a: InvertiblePair, b: InvertiblePair, cm: InvertiblePai
 def retraction_kills_chi(r: ModuleMap, c: Cocycle) -> bool:
     """Execute the vanishing argument: the pushed table is zero, so chi is.
 
-    Every table value must map to zero in the target.  Then the
-    pushed-forward cocycle has an empty table, and chi of an empty table
+    Every table value must map to zero in the target; zero slots are
+    skipped.  Then the pushed-forward table is all zero, and chi of it
     is zero on every matrix triple ``chi_eval`` accepts, so neither is
     built or run.  When the pushed table is not identically zero the
     chain-level check does not cover the scenario and the call is
@@ -367,8 +364,8 @@ def retraction_kills_chi(r: ModuleMap, c: Cocycle) -> bool:
     if r.source is not c.module:
         raise ContextError("map source does not match the cocycle module")
     reduce = r.target.presentation.reduce
-    for val in c.table.values():
-        if any(reduce(r.matrix.apply(val))):
+    for val in c.values:
+        if any(val) and any(reduce(r.matrix.apply(val))):
             raise RejectedError(
                 "not covered by chain-level check: the pushed-forward table is nonzero"
             )

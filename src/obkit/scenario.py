@@ -451,9 +451,9 @@ class _Resolver:
                 if "quotient" not in cobj or "module" not in cobj:
                     self.diag(cpath, "E200", f"cocycle {name!r} needs 'quotient' and 'module'")
                 continue
-            table = self.cocycle_table(cobj.get("entries"), cpath + ("entries",),
-                                       quotient.target)
-            if table is None:
+            values = self.cocycle_table(cobj.get("entries"), cpath + ("entries",),
+                                        quotient, module.rank)
+            if values is None:
                 continue
             q_action = None
             if "q_action" in cobj:
@@ -462,7 +462,7 @@ class _Resolver:
                 if q_action is None:
                     continue
             try:
-                cocycle = Cocycle(quotient, module, table, q_action=q_action, name=name)
+                cocycle = Cocycle(quotient, module, values, q_action=q_action, name=name)
             except (RejectedError, DimensionError, ContextError) as err:
                 self.diag(cpath, "E243", f"cocycle {name!r}: {err}")
                 continue
@@ -474,20 +474,22 @@ class _Resolver:
                 continue
             scenario.cocycles[name] = cocycle
 
-    def cocycle_table(self, value, path: tuple, target: GroupSpec) -> dict | None:
-        """The table of a cocycle's ``entries`` array.
+    def cocycle_table(self, value, path: tuple, quotient: FiniteQuotient,
+                      rank: int) -> tuple | None:
+        """The ``Cocycle.values`` of a cocycle's ``entries`` array, each
+        value unreduced at its arguments' quotient indices; a second
+        entry for one slot is E201.
 
-        Each distinct argument string is parsed once per cocycle; only
-        successful parses are kept, so a bad word is still diagnosed at
-        its own value."""
-        table = {}
-        if value is None:
-            return table
-        if not isinstance(value, list):
+        Each distinct argument string is parsed and indexed once per
+        cocycle; only successful parses are kept, so a bad word is still
+        diagnosed at its own value."""
+        if value is not None and not isinstance(value, list):
             self.diag(path, "E200", "entries must be an array")
             return None
-        words: dict[str, GroupElement] = {}
-        for i, entry in enumerate(value):
+        n = len(quotient.elements)
+        slots = [None] * n ** 3
+        words: dict[str, int] = {}
+        for i, entry in enumerate(value or ()):
             epath = path + (i,)
             eobj = self.as_object(entry, epath, "cocycle entry")
             if eobj is None or "args" not in eobj or "value" not in eobj:
@@ -497,24 +499,25 @@ class _Resolver:
             if not isinstance(arg_words, list) or len(arg_words) != 3:
                 self.diag(epath + ("args",), "E200", "args must be three quotient words")
                 return None
-            args = []
+            slot = 0
             for j, word in enumerate(arg_words):
                 w = words.get(word) if isinstance(word, str) else None
                 if w is None:
-                    w = self.read_word(target, word, epath + ("args", j), "cocycle argument")
-                    if w is None:
+                    g = self.read_word(quotient.target, word, epath + ("args", j),
+                                       "cocycle argument")
+                    if g is None:
                         return None
-                    words[word] = w
-                args.append(w)
+                    w = words[word] = quotient.index[g]
+                slot = slot * n + w
             vec = self.int_list(eobj["value"], epath + ("value",), "entry value")
             if vec is None:
                 return None
-            key = tuple(args)
-            if key in table:
+            if slots[slot] is not None:
                 self.diag(epath, "E201", "duplicate cocycle entry")
                 return None
-            table[key] = vec
-        return table
+            slots[slot] = tuple(vec)
+        zero = (0,) * rank
+        return tuple(zero if v is None else v for v in slots)
 
     def build_matrices(self, value, path: tuple, scenario: Scenario) -> None:
         for name, mpath, mobj in self.entries(value, path, "matrices", "matrix"):

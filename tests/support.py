@@ -1,18 +1,19 @@
 """Shared builders for the test suite: group specs, random elements,
 trivial-action modules, framing modules, random certified matrices,
-generator matrices, coboundary cocycles, pushed-forward cocycles,
-suspended lenses, reference implementations (the full Z[G] product of
-elements and matrices, which obkit itself never forms, with certified
-pairs and the two-sided inverse check built on it; cocycle check; chi by
-one linearization per index quadruple; the dense all-elements Wh oracle;
-dense row-vector product; character-by-character JSON parser) that fast
-paths are checked against, and the identities Wh normalization and chi
-must satisfy.  A module element is its reduced coordinate tuple, as in
+generator matrices, flat cocycle tables, coboundary cocycles,
+pushed-forward cocycles, suspended lenses, reference implementations
+(the full Z[G] product of elements and matrices, which obkit itself
+never forms, with certified pairs and the two-sided inverse check built
+on it; cocycle check; chi by one linearization per index quadruple; the
+dense all-elements Wh oracle; dense row-vector product;
+character-by-character JSON parser) that fast paths are checked
+against, and the identities Wh normalization and chi must satisfy.  A module element is its reduced coordinate tuple, as in
 obkit."""
 
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 
 from obkit.chi import Cocycle, FiniteQuotient, _resolve_inverse, chi_eval
@@ -111,19 +112,31 @@ def wh_normal_form(x: WhElement) -> WhElement:
     return WhElement.build(x.module, x.terms)
 
 
+def flat_table(quotient: FiniteQuotient, module: GModule, table: dict) -> tuple:
+    """The ``Cocycle.values`` of a {(g, h, l): value} dict: one slot per
+    triple of ``enumerate_elements(quotient.target)``, g slowest and l
+    fastest, holding the zero vector where the dict has no value."""
+    keys = list(itertools.product(enumerate_elements(quotient.target), repeat=3))
+    if not set(table) <= set(keys):
+        raise ContextError("table key outside the quotient group")
+    zero = (0,) * module.rank
+    return tuple(tuple(table.get(key, zero)) for key in keys)
+
+
 def coboundary(quotient: FiniteQuotient, module: GModule, two_cochain,
                q_action=None, name: str = "") -> Cocycle:
     """The 3-cocycle that is the coboundary of an explicit 2-cochain.
 
     Builds tables that pass ``verify_cocycle`` by construction.  The 2-cochain maps pairs of quotient elements to
-    coordinate vectors; omitted pairs are zero.
+    coordinate vectors; omitted pairs are zero.  A value that reduces to
+    zero leaves its slot the zero vector.
     """
-    probe = Cocycle(quotient, module, {}, q_action=q_action)
     k = module.rank
-    elems = quotient.elements()
     index = quotient.index
     sums = quotient.sums
-    n = len(elems)
+    n = len(quotient.elements)
+    values = [(0,) * k] * (n * n * n)
+    probe = Cocycle(quotient, module, values, q_action=q_action)
     b = [(0,) * k] * (n * n)
     for (q1, q2), coords in two_cochain.items():
         coords = tuple(int(x) for x in coords)
@@ -133,7 +146,6 @@ def coboundary(quotient: FiniteQuotient, module: GModule, two_cochain,
             raise ContextError("2-cochain key outside the quotient group")
         b[index[q1] * n + index[q2]] = coords
 
-    table = {}
     for gi, act in enumerate(probe._element_matrices):
         g_sums = sums[gi]
         for hi in range(n):
@@ -146,8 +158,8 @@ def coboundary(quotient: FiniteQuotient, module: GModule, two_cochain,
                                           b[gi * n + hk], b_gh)
                 ]
                 if any(total) and any(module.presentation.reduce(total)):
-                    table[(elems[gi], elems[hi], elems[ki])] = tuple(total)
-    return Cocycle(quotient, module, table, q_action=q_action, name=name)
+                    values[(gi * n + hi) * n + ki] = tuple(total)
+    return Cocycle(quotient, module, values, q_action=q_action, name=name)
 
 
 def pushforward(phi: ModuleMap, c: Cocycle, q_action=None, name: str = "") -> Cocycle:
@@ -155,12 +167,12 @@ def pushforward(phi: ModuleMap, c: Cocycle, q_action=None, name: str = "") -> Co
     the cocycle whose chi ``chi_naturality_check`` compares."""
     if phi.source is not c.module:
         raise ContextError("map source does not match the cocycle module")
-    table = {key: phi.matrix.apply(val) for key, val in c.table.items()}
+    values = [phi.matrix.apply(val) for val in c.values]
     if q_action is None and not phi.target.trivial_action:
         raise RejectedError(
             "cannot derive a quotient action for a nontrivial-action target"
         )
-    return Cocycle(c.quotient, phi.target, table, q_action=q_action, name=name)
+    return Cocycle(c.quotient, phi.target, values, q_action=q_action, name=name)
 
 
 def suspend(lens: LensClass, sign: str) -> LensClass:
@@ -331,15 +343,17 @@ def reference_verify_cocycle(c):
     """The cocycle identity checked quadruple by quadruple on group
     elements: an independent oracle for ``chi.verify_cocycle``.
 
-    Products come from ``multiply``, values from the table and a
-    quotient element acts by applying its generators' matrices one at a
-    time.  Returns None or the first violated (g, h, q, l), with g
-    slowest and l fastest over the quotient's elements.
+    Products come from ``multiply``, values from the table keyed by
+    element triples and a quotient element acts by applying its
+    generators' matrices one at a time.  Returns None or the first
+    violated (g, h, q, l), with g slowest and l fastest over the
+    quotient's elements.
     """
     module = c.module
     k = module.rank
     names = c.quotient.target.factors[0].names
     elems = enumerate_elements(c.quotient.target)
+    table = dict(zip(itertools.product(elems, repeat=3), c.values))
 
     def act(q, v):
         for _, exps in q.syllables:
@@ -348,11 +362,6 @@ def reference_verify_cocycle(c):
                     v = c._q_matrices[name].apply(v)
         return tuple(v)
 
-    zero = (0,) * k
-
-    def value(*key):
-        return c.table.get(key, zero)
-
     for g in elems:
         for h in elems:
             gh = multiply(g, h)
@@ -360,13 +369,13 @@ def reference_verify_cocycle(c):
                 hq = multiply(h, q)
                 for l in elems:
                     ql = multiply(q, l)
-                    acted = act(g, value(h, q, l))
+                    acted = act(g, table[h, q, l])
                     total = [
                         acted[i]
-                        - value(gh, q, l)[i]
-                        + value(g, hq, l)[i]
-                        - value(g, h, ql)[i]
-                        + value(g, h, q)[i]
+                        - table[gh, q, l][i]
+                        + table[g, hq, l][i]
+                        - table[g, h, ql][i]
+                        + table[g, h, q][i]
                         for i in range(k)
                     ]
                     if any(module.presentation.reduce(total)):
@@ -383,7 +392,8 @@ def linearize_eval(c, x: RingElement, y: RingElement, z: RingElement) -> tuple:
         if w.spec != module.spec:
             raise ContextError("ring element over a different group")
     k = module.rank
-    zero = (0,) * k
+    table = dict(zip(itertools.product(enumerate_elements(c.quotient.target), repeat=3),
+                     c.values))
     total = [0] * k
     proj = c.quotient.project
     xs = [(proj(g), a) for g, a in x.terms.items()]
@@ -394,7 +404,7 @@ def linearize_eval(c, x: RingElement, y: RingElement, z: RingElement) -> tuple:
             ab = a * b
             for qk, cc in zs:
                 coeff = ab * cc
-                val = c.table.get((qg, qh, qk), zero)
+                val = table[qg, qh, qk]
                 for i in range(k):
                     total[i] += coeff * val[i]
     return module.presentation.reduce(total)

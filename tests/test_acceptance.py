@@ -30,6 +30,7 @@ from support import (
     coboundary,
     det,
     f2_spec,
+    flat_table,
     invariant_factors,
     mixed_spec,
     rand_element,
@@ -170,7 +171,8 @@ def _chi_fixture():
     quotient = FiniteQuotient(spec, qspec,
                               {"t": qspec.identity(), "s": qspec.generator("q")})
     q = qspec.generator("q")
-    cocycle = Cocycle(quotient, pi2, {(q, q, q): (0, -1, 1)}, q_action={"q": swap})
+    cocycle = Cocycle(quotient, pi2, flat_table(quotient, pi2, {(q, q, q): (0, -1, 1)}),
+                      q_action={"q": swap})
     return spec, pi2, quotient, cocycle, swap
 
 
@@ -179,7 +181,7 @@ def test_criterion_4_chi_identities():
                    budget=60.0):
         rng = random.Random(4096)
         spec, pi2, quotient, cocycle, swap = _chi_fixture()
-        zero_c = Cocycle(quotient, pi2, {}, q_action={"q": swap})
+        zero_c = Cocycle(quotient, pi2, flat_table(quotient, pi2, {}), q_action={"q": swap})
         for _ in range(50):
             n = rng.choice([1, 2, 3])
             ident = build_invertible(spec, n, ())
@@ -195,7 +197,7 @@ def test_criterion_4_chi_identities():
         qspec = quotient.target
         reach = FiniteQuotient(spec, qspec,
                                {"t": qspec.generator("q"), "s": qspec.generator("q")})
-        elems = reach.elements()
+        elems = reach.elements
         for _ in range(50):
             two = {}
             for _ in range(rng.randint(1, 3)):
@@ -232,21 +234,19 @@ def test_criterion_5_cocycle_validation():
             scenario = load_scenario(SCENARIOS / name)
             for cname, cocycle in scenario.cocycles.items():
                 assert verify_cocycle(cocycle) is None
-                if not cocycle.table:
-                    continue
-                q_action = {
-                    gen: m for gen, m in cocycle._q_matrices.items()
-                }
-                for key in cocycle.table:
+                reduce = cocycle.module.presentation.reduce
+                for slot, value in enumerate(cocycle.values):
+                    if not any(reduce(value)):
+                        continue
                     for i in range(cocycle.module.rank):
-                        table = dict(cocycle.table)
-                        bumped = list(table[key])
+                        values = list(cocycle.values)
+                        bumped = list(value)
                         bumped[i] += 1
-                        table[key] = tuple(bumped)
-                        bad = Cocycle(cocycle.quotient, cocycle.module, table,
-                                      q_action=q_action)
+                        values[slot] = tuple(bumped)
+                        bad = Cocycle(cocycle.quotient, cocycle.module, values,
+                                      q_action=cocycle._q_matrices)
                         violated = verify_cocycle(bad)
-                        assert violated is not None, (name, cname, key, i)
+                        assert violated is not None, (name, cname, slot, i)
                         assert len(violated) == 4
                         mutated += 1
         assert mutated > 0

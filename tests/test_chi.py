@@ -26,6 +26,7 @@ from support import (
     NON_SMITH_LATTICES,
     chi_naturality_check,
     coboundary,
+    flat_table,
     linearize_eval,
     pushforward,
     rand_invertible,
@@ -57,13 +58,15 @@ def z2_setup():
     r = ModuleMap(pi2, z, [[1, 0, 0]], equivariant=True, name="r")
     quotient = z2_quotient(spec)
     q = quotient.target.generator("q")
-    cocycle = Cocycle(quotient, pi2, {(q, q, q): (0, -1, 1)}, q_action={"q": SWAP3})
+    cocycle = Cocycle(quotient, pi2, flat_table(quotient, pi2, {(q, q, q): (0, -1, 1)}),
+                      q_action={"q": SWAP3})
     return spec, pi2, z, r, quotient, q, cocycle
 
 
 def test_zero_table_is_cocycle():
     spec, pi2, _, _, quotient, _, _ = z2_setup()
-    assert verify_cocycle(Cocycle(quotient, pi2, {}, q_action={"q": SWAP3})) is None
+    zero = Cocycle(quotient, pi2, flat_table(quotient, pi2, {}), q_action={"q": SWAP3})
+    assert verify_cocycle(zero) is None
 
 
 def test_single_entry_trivial_coefficients_rejected():
@@ -71,24 +74,27 @@ def test_single_entry_trivial_coefficients_rejected():
     # so the check must reject exactly there.
     spec, *_ , quotient, q, _ = z2_setup()
     z = trivial_module(spec, 1)
-    c = Cocycle(quotient, z, {(q, q, q): (1,)})
+    c = Cocycle(quotient, z, flat_table(quotient, z, {(q, q, q): (1,)}))
     assert verify_cocycle(c) == (q, q, q, q)
 
 
 def test_shipped_table_passes_and_mutations_fail():
     spec, pi2, _, _, quotient, q, cocycle = z2_setup()
+    shipped = (0, -1, 1)
+    assert cocycle.values == flat_table(quotient, pi2, {(q, q, q): shipped})
     assert verify_cocycle(cocycle) is None
     for i in range(3):
-        mutated = list(cocycle.table[(q, q, q)])
+        mutated = list(shipped)
         mutated[i] += 1
-        bad = Cocycle(quotient, pi2, {(q, q, q): tuple(mutated)}, q_action={"q": SWAP3})
+        bad = Cocycle(quotient, pi2, flat_table(quotient, pi2, {(q, q, q): tuple(mutated)}),
+                      q_action={"q": SWAP3})
         assert verify_cocycle(bad) is not None
 
 
 def test_coboundary_always_verifies():
     rng = random.Random(67)
     spec, pi2, _, _, quotient, _, _ = z2_setup()
-    elems = quotient.elements()
+    elems = quotient.elements
     for _ in range(20):
         two = {}
         for _ in range(rng.randint(0, 4)):
@@ -135,28 +141,32 @@ def _case_id(case):
     return group + f"-{action}" + ("-mod2" if relations else "")
 
 
+def _added(values, shift):
+    """Two flat tables added slot by slot."""
+    return [tuple(a + b for a, b in zip(v, w)) for v, w in zip(values, shift)]
+
+
 @st.composite
 def oracle_cocycles(draw, orders, action, rank, relations):
     """A random table, a coboundary, or a coboundary with one entry
     changed, over one of ``ORACLE_CASES``."""
     quotient, module, q_action = _torsion_setting(orders, QUOTIENT_ACTIONS[action], rank,
                                                   relations)
-    element = st.sampled_from(quotient.elements())
+    element = st.sampled_from(quotient.elements)
     vector = st.tuples(*[st.integers(-2, 2)] * rank)
     kind = draw(st.sampled_from(["random", "coboundary", "mutated"]))
     if kind == "random":
         table = draw(st.dictionaries(st.tuples(element, element, element), vector,
                                      max_size=6))
-        return Cocycle(quotient, module, table, q_action=q_action)
+        return Cocycle(quotient, module, flat_table(quotient, module, table), q_action=q_action)
     two = draw(st.dictionaries(st.tuples(element, element), vector, max_size=6))
     c = coboundary(quotient, module, two, q_action=q_action)
     if kind == "coboundary":
         return c
     key = draw(st.tuples(element, element, element))
     bump = draw(vector.filter(any))
-    table = dict(c.table)
-    table[key] = tuple(a + b for a, b in zip(table.get(key, (0,) * rank), bump))
-    return Cocycle(quotient, module, table, q_action=q_action)
+    return Cocycle(quotient, module, _added(c.values, flat_table(quotient, module, {key: bump})),
+                   q_action=q_action)
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES, ids=_case_id)
@@ -179,7 +189,7 @@ def test_cocycle_check_multiplies_at_most_q_squared_times(monkeypatch):
     q = quotient.target.generator("q0")
     c = coboundary(quotient, module, {(q, q): (0, 1, 0), (q, q * q): (1, 0, -1)},
                    q_action=q_action)
-    assert len(c.table) > 0
+    assert any(map(any, c.values))
     assert verify_cocycle(c) is None
     assert len(calls) <= 8 ** 2
 
@@ -190,7 +200,7 @@ def test_cocycle_check_reads_the_generator_rows_only(monkeypatch, orders, matrix
     # A passing table is decided on the rows g = 1 and g = a generator:
     # one action per quadruple, (1 + #generators)·|Q|^3 of them.
     quotient, module, q_action = _torsion_setting(orders, matrix)
-    elems = quotient.elements()
+    elems = quotient.elements
     rng = random.Random(0)
     two = {(g, h): tuple(rng.randint(-2, 2) for _ in range(3)) for g in elems for h in elems}
     c = coboundary(quotient, module, two, q_action=q_action)
@@ -207,9 +217,10 @@ def test_action_must_factor_through_quotient():
     pi2 = GModule(spec, QuotientPresentation(3), action={"t": SWAP3})
     quotient = z2_quotient(spec)
     with pytest.raises(RejectedError):
-        Cocycle(quotient, pi2, {}, q_action={"q": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})
+        Cocycle(quotient, pi2, flat_table(quotient, pi2, {}),
+                q_action={"q": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})
     with pytest.raises(RejectedError):
-        Cocycle(quotient, pi2, {})
+        Cocycle(quotient, pi2, flat_table(quotient, pi2, {}))
 
 
 def _z2xz2_quotient(spec):
@@ -228,8 +239,9 @@ def _z2xz2_quotient(spec):
 def test_quotient_action_checks(relations, quotient, q_action, match):
     spec = zz2_spec()
     module = GModule(spec, QuotientPresentation(2, relations))
+    q = quotient(spec)
     with pytest.raises(RejectedError, match=match):
-        Cocycle(quotient(spec), module, {}, q_action=q_action)
+        Cocycle(q, module, flat_table(q, module, {}), q_action=q_action)
 
 
 def test_quotient_respects_torsion():
@@ -264,7 +276,7 @@ def test_quotient_at_the_order_limit():
     qspec = GroupSpec((FactorSpec.abelian(("q",), torsion=[MAX_QUOTIENT_ORDER]),))
     quotient = FiniteQuotient(spec, qspec, {"t": qspec.generator("q"),
                                             "s": qspec.generator("q", MAX_QUOTIENT_ORDER // 2)})
-    assert len(quotient.elements()) == MAX_QUOTIENT_ORDER
+    assert len(quotient.elements) == MAX_QUOTIENT_ORDER
 
 
 def test_linearize_single_term_and_zero():
@@ -274,7 +286,7 @@ def test_linearize_single_term_and_zero():
     one = RingElement.from_element(s)
     val = linearize_eval(cocycle, one, one, one)
     assert val == (0, -1, 1)
-    zero_c = Cocycle(quotient, pi2, {}, q_action={"q": SWAP3})
+    zero_c = Cocycle(quotient, pi2, flat_table(quotient, pi2, {}), q_action={"q": SWAP3})
     assert linearize_eval(zero_c, one, one, one) == (0, 0, 0)
     # projection kills t: a bracket through t contributes the identity slot
     assert linearize_eval(cocycle, RingElement.from_element(t), one, one) == (0, 0, 0)
@@ -316,7 +328,7 @@ def chi_inputs(draw, case):
     """A nonzero cocycle of ``oracle_cocycles``, a certified triple of
     size 1..3, and D: omitted, the bare inverse, or a certified pair
     holding the inverse as its matrix or as its inverse."""
-    c = draw(oracle_cocycles(*case).filter(lambda c: c.table))
+    c = draw(oracle_cocycles(*case).filter(lambda c: any(map(any, c.values))))
     rng = random.Random(draw(st.integers(0, 2**32)))
     n = draw(st.integers(1, 3))
     spec = c.module.spec
@@ -335,6 +347,55 @@ def test_chi_matches_the_reference(case):
         assert chi_eval(*inputs) == reference_chi_eval(*inputs)
 
     check()
+
+
+def _retraction_verdict(r, c):
+    try:
+        return retraction_kills_chi(r, c)
+    except RejectedError as err:
+        return str(err)
+
+
+# Retractions out of the rank-1 Z/2 of the ``-mod2`` cases: onto Z/2,
+# to zero, and doubling into Z/4.
+MOD2_RETRACTIONS = (([(2,)], [[1]]), ([], [[0]]), ([(4,)], [[2]]))
+
+
+@pytest.mark.parametrize("case", [case for case in ORACLE_CASES if case[3]], ids=_case_id)
+def test_values_are_exact_up_to_relations(case):
+    # Cocycle values are stored unreduced.  Adding relation vectors to
+    # some slots, empty ones included, must change no verdict or value.
+    orders, action, rank, relations = case
+    quotient, _, _ = _torsion_setting(orders, QUOTIENT_ACTIONS[action], rank, relations)
+    element = st.sampled_from(quotient.elements)
+    relation = st.tuples(*[st.integers(-2, 2)] * len(relations)).filter(any).map(
+        lambda coeffs: tuple(sum(a * row[i] for a, row in zip(coeffs, relations))
+                             for i in range(rank)))
+    empty_hits = []
+
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(oracle_cocycles(*case),
+           st.dictionaries(st.tuples(element, element, element), relation,
+                           min_size=1, max_size=8),
+           st.integers(1, 2), st.integers(0, 2**32))
+    def check(c, shift, n, seed):
+        shift_values = flat_table(c.quotient, c.module, shift)
+        shifted = Cocycle(c.quotient, c.module, _added(c.values, shift_values),
+                          q_action=c._q_matrices)
+        assert shifted.values != c.values
+        empty_hits.extend(1 for v, w in zip(c.values, shift_values) if any(w) and not any(v))
+        assert verify_cocycle(shifted) == verify_cocycle(c)
+        rng = random.Random(seed)
+        a, b, cm = (rand_invertible(rng, c.module.spec, n, max_gens=4, max_support=3)
+                    for _ in range(3))
+        assert chi_eval(shifted, a, b, cm) == chi_eval(c, a, b, cm)
+        for target_relations, matrix in MOD2_RETRACTIONS:
+            target = trivial_module(c.module.spec, 1, target_relations)
+            r = ModuleMap(c.module, target, matrix)
+            assert _retraction_verdict(r, shifted) == _retraction_verdict(r, c)
+
+    check()
+    assert empty_hits
 
 
 def test_chi_projects_each_support_term_once(monkeypatch):
@@ -361,7 +422,7 @@ def test_chi_identity_matrices_and_zero_cocycle():
     spec, pi2, _, _, quotient, _, cocycle = z2_setup()
     ident = build_invertible(spec, 2, ())
     assert chi_eval(cocycle, ident, ident, ident, ident).is_zero
-    zero_c = Cocycle(quotient, pi2, {}, q_action={"q": SWAP3})
+    zero_c = Cocycle(quotient, pi2, flat_table(quotient, pi2, {}), q_action={"q": SWAP3})
     for _ in range(10):
         a = rand_invertible(rng, spec, 2)
         b = rand_invertible(rng, spec, 2)
@@ -445,7 +506,7 @@ def test_naturality_randomized():
     qspec = GroupSpec((FactorSpec.abelian(("q",), torsion=[2]),))
     quotient = FiniteQuotient(spec, qspec,
                               {"t": qspec.generator("q"), "s": qspec.generator("q")})
-    elems = quotient.elements()
+    elems = quotient.elements
     for _ in range(25):
         two = {}
         for _ in range(rng.randint(1, 3)):
@@ -493,7 +554,7 @@ def test_retraction_kills_chi_randomized():
     qspec = GroupSpec((FactorSpec.abelian(("q",), torsion=[2]),))
     quotient = FiniteQuotient(spec, qspec,
                               {"t": qspec.generator("q"), "s": qspec.generator("q")})
-    elems = quotient.elements()
+    elems = quotient.elements
     killed = leaked = 0
     for _ in range(40):
         # 2-cochain values on the line through v, so the table lies on it
@@ -514,7 +575,7 @@ def test_retraction_kills_chi_randomized():
         except RejectedError:
             leaked += 1
             assert any(b_mod.presentation.reduce(phi.matrix.apply(val))
-                       for val in c.table.values())
+                       for val in c.values)
             continue
         killed += 1
         assert chi_eval(pushforward(phi, c), *mats).is_zero
@@ -543,5 +604,6 @@ def test_z6_sample_matches_frozen_value():
     q = qspec.generator("q")
     c = coboundary(quotient, pi2, {(q, q): (0, 1, 0)}, q_action={"q": rot})
     assert verify_cocycle(c) is None
-    assert c.table[(q, q, q)] == (0, -1, 1)
-    assert len(c.table) == 17
+    i = quotient.index[q]
+    assert c.values[(i * 6 + i) * 6 + i] == (0, -1, 1)
+    assert sum(map(any, c.values)) == 17
