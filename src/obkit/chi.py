@@ -286,9 +286,9 @@ def _split(quotient: FiniteQuotient, m: RingMatrix) -> dict[int, IntMatrix]:
     n = m.n
     index = quotient.index
     out: dict[int, list] = {}
-    for i, row in enumerate(m.entries):
-        for j, x in enumerate(row):
-            for g, a in x.terms.items():
+    for j, col in enumerate(m.cols):
+        for i, terms in col.items():
+            for g, a in terms.items():
                 part = out.setdefault(index[quotient.project(g)], [[0] * n for _ in range(n)])
                 part[i][j] += a
     return {q: IntMatrix(part) for q, part in out.items()}
@@ -346,7 +346,7 @@ def chi_eval(c: Cocycle, a: InvertiblePair, b: InvertiblePair, cm: InvertiblePai
         for l, t_il in enumerate(t_row):
             if any(t_il):
                 raw.extend(([coeff * w for w in t_il], h)
-                           for h, coeff in d_mat.entries[l][i].terms.items())
+                           for h, coeff in d_mat.cols[i].get(l, {}).items())
     return WhElement.build(c.module, raw)
 
 

@@ -1,10 +1,13 @@
-"""Elements of the integral group ring Z[G] and square matrices over it.
+"""Square matrices over the integral group ring Z[G].
 
-An element adds and negates; the full Z[G] product of elements or of
-matrices is not defined here, because nothing in obkit forms one.  It
-exists only as the test suite's reference (``ring_mul``, ``ring_matmul``
-in tests/support.py).  Module coefficients are not ring elements: a
-module element is its reduced coordinate tuple (``gmodules``).
+An element of Z[G] is its terms, a dict {group element: nonzero
+coefficient}; it has no class.  A matrix is held once, as one dict per
+column from row to that entry's terms, with zero entries absent.  The
+full Z[G] product of elements or of matrices is not defined here,
+because nothing in obkit forms one.  It exists only as the test suite's
+reference (``ring_mul``, ``ring_matmul`` in tests/support.py).  Module
+coefficients are not ring elements: a module element is its reduced
+coordinate tuple (``gmodules``).
 
 Matrix inverses are never computed: invertible matrices are built from
 elementary and diagonal-unit generators, which invert symbolically, so
@@ -20,11 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ContextError, DimensionError, RejectedError
-from .groups import GroupElement, GroupSpec, element_sort_key, inverse, multiply
+from .errors import DimensionError, RejectedError
+from .groups import GroupElement, GroupSpec, inverse, multiply
 
 __all__ = [
-    "RingElement",
     "RingMatrix",
     "ElementaryGen",
     "DiagonalGen",
@@ -45,130 +47,44 @@ MAX_MATRIX_TERMS = 10_000
 MAX_ENTRY_LETTERS = 400
 
 
-class RingElement:
-    """A finite Z-linear combination of group elements in normal form."""
-
-    __slots__ = ("spec", "terms")
-
-    def __init__(self, spec: GroupSpec, terms=None):
-        self.spec = spec
-        self.terms = {g: c for g, c in ((g, int(c)) for g, c in (terms or {}).items()) if c}
-
-    @staticmethod
-    def zero(spec: GroupSpec) -> "RingElement":
-        return RingElement(spec)
-
-    @staticmethod
-    def one(spec: GroupSpec) -> "RingElement":
-        return RingElement(spec, {spec.identity(): 1})
-
-    @staticmethod
-    def from_element(g: GroupElement, coeff: int = 1) -> "RingElement":
-        return RingElement(g.spec, {g: coeff})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def items(self):
-        """Terms in the fixed order: syllable count, then syllable comparison."""
-        return sorted(self.terms.items(), key=lambda t: element_sort_key(t[0]))
-
-    def _same(self, other) -> None:
-        if self.spec != other.spec:
-            raise ContextError("ring elements over different groups")
-
-    def __add__(self, other: "RingElement") -> "RingElement":
-        self._same(other)
-        out = dict(self.terms)
-        for g, c in other.terms.items():
-            out[g] = out.get(g, 0) + c
-        return RingElement(self.spec, out)
-
-    def __neg__(self) -> "RingElement":
-        return RingElement(self.spec, {g: -c for g, c in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        return self.spec == other.spec and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for i, (g, c) in enumerate(self.items()):
-            word = str(g)
-            if abs(c) == 1:
-                body = word
-            elif g.is_identity:
-                body = str(abs(c))
-            else:
-                body = f"{abs(c)}*{word}"
-            if i == 0:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
-
-    def __repr__(self):
-        return f"RingElement({self})"
-
-
 class RingMatrix:
-    """A square matrix over Z[G]."""
+    """A square matrix over Z[G], held as its columns.
 
-    __slots__ = ("spec", "n", "entries")
+    ``cols[j]`` maps each row i whose entry (i, j) is nonzero to that
+    entry's terms {group element: nonzero coefficient}.  Every matrix is
+    built from ``identity`` by ``_right_multiply``, which keeps both
+    facts, so equal matrices have equal columns."""
 
-    def __init__(self, spec: GroupSpec, entries):
-        n = len(entries)
-        rows = []
-        for row in entries:
-            if len(row) != n:
-                raise DimensionError("ring matrices must be square")
-            for x in row:
-                if x.spec != spec:
-                    raise ContextError("matrix entry over a different group")
-            rows.append(tuple(row))
+    __slots__ = ("spec", "n", "cols")
+
+    def __init__(self, spec: GroupSpec, cols):
         self.spec = spec
-        self.n = n
-        self.entries = tuple(rows)
+        self.cols = tuple(cols)
+        self.n = len(self.cols)
 
     @staticmethod
     def identity(spec: GroupSpec, n: int) -> "RingMatrix":
-        one = RingElement.one(spec)
-        zero = RingElement.zero(spec)
-        return RingMatrix(spec, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        return RingMatrix(spec, ({i: {spec.identity(): 1}} for i in range(n)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingMatrix):
             return NotImplemented
-        return self.spec == other.spec and self.n == other.n and self.entries == other.entries
+        return self.spec == other.spec and self.cols == other.cols
 
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        rows = "; ".join(", ".join(str(x) for x in row) for row in self.entries)
-        return f"RingMatrix[{rows}]"
+    __hash__ = None
 
 
 @dataclass(frozen=True)
 class ElementaryGen:
-    """E_ij(x): identity plus x in off-diagonal position (i, j); 0-based."""
+    """E_ij(x): identity plus x, given by its terms, in off-diagonal
+    position (i, j); 0-based."""
 
     i: int
     j: int
-    x: RingElement
+    x: dict
 
     def inverted(self) -> "ElementaryGen":
-        return ElementaryGen(self.i, self.j, -self.x)
-
-    def __str__(self):
-        return f'E({self.i + 1},{self.j + 1},"{self.x}")'
+        return ElementaryGen(self.i, self.j, {g: -c for g, c in self.x.items()})
 
 
 @dataclass(frozen=True)
@@ -181,10 +97,6 @@ class DiagonalGen:
 
     def inverted(self) -> "DiagonalGen":
         return DiagonalGen(self.i, self.sign, inverse(self.g))
-
-    def __str__(self):
-        word = str(self.g)
-        return f'D({self.i + 1},"{word if self.sign > 0 else "-" + word}")'
 
 
 class InvertiblePair:
@@ -202,9 +114,6 @@ class InvertiblePair:
         self.matrix = matrix
         self.inverse = inv
         self.provenance = tuple(provenance)
-
-    def __repr__(self):
-        return f"InvertiblePair(n={self.matrix.n}, gens={len(self.provenance)})"
 
 
 def _letters(g: GroupElement) -> int:
@@ -233,18 +142,17 @@ def _right_multiply(m: RingMatrix, gens) -> RingMatrix:
     """m times the generators in order, one column operation each.
 
     Right-multiplying by D_i(+-g) scales column i by +-g, and by E_ij(x)
-    adds (column i)*x to column j.  Each column is one dict from row to
-    that entry's terms, and one RingElement is built per entry at the
-    end.  A generator is refused before it runs when the matrix's terms
+    adds (column i)*x to column j, on copies of m's columns.  A sum that
+    cancels drops its term, and an entry left with no terms drops its
+    row; a unit maps an entry's terms one to one.  A generator is refused before it runs when the matrix's terms
     plus the products it would form exceed MAX_MATRIX_TERMS, or when its
     column's letter bound, the letters of the column's longest element
     at the start plus those of each unit or longest term multiplied in
     since, exceeds MAX_ENTRY_LETTERS.  So the result stays within both
     limits and no step costs more than they allow.
     """
-    spec, n = m.spec, m.n
-    cols = [{r: dict(m.entries[r][c].terms) for r in range(n) if m.entries[r][c].terms}
-            for c in range(n)]
+    n = m.n
+    cols = [{r: dict(terms) for r, terms in col.items()} for col in m.cols]
     total = sum(len(terms) for col in cols for terms in col.values())
     letters = [max((_letters(g) for terms in col.values() for g in terms), default=0)
                for col in cols]
@@ -260,7 +168,7 @@ def _right_multiply(m: RingMatrix, gens) -> RingMatrix:
             cols[i] = {r: {multiply(h, g): sign * c for h, c in terms.items()}
                        for r, terms in cols[i].items()}
             continue
-        j, x = gen.j, gen.x.terms
+        j, x = gen.j, gen.x
         if i == j or not (0 <= i < n and 0 <= j < n):
             raise DimensionError("elementary generator indices out of range")
         source, target = cols[i], cols[j]
@@ -281,9 +189,7 @@ def _right_multiply(m: RingMatrix, gens) -> RingMatrix:
                 target[r] = acc
             else:
                 target.pop(r, None)
-    zero = RingElement.zero(spec)
-    return RingMatrix(spec, [[RingElement(spec, col[r]) if r in col else zero for col in cols]
-                             for r in range(n)])
+    return RingMatrix(m.spec, cols)
 
 
 def build_invertible(spec: GroupSpec, n: int, gens) -> InvertiblePair:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .errors import ObkitError
 from .gmodules import GModule
-from .groupring import DiagonalGen, ElementaryGen, RingElement
+from .groupring import DiagonalGen, ElementaryGen
 from .groups import GroupElement, GroupSpec, multiply
 from .restricted_json import MAX_INT_DIGITS
 from .wh1 import WhElement
@@ -164,31 +164,32 @@ def parse_word(spec: GroupSpec, text: str) -> GroupElement:
     return out
 
 
-def _parse_ring_term(spec: GroupSpec, toks: _Tokens) -> RingElement:
+def _parse_ring_term(spec: GroupSpec, toks: _Tokens) -> tuple[GroupElement, int]:
     sign = 1
     while toks.peek()[0] in ("+", "-"):
         if toks.next()[0] == "-":
             sign = -sign
     if toks.peek()[0] == "num":
         coeff = sign * toks.number()
-        if toks.peek()[0] == "*":
-            toks.next()
-            word = _parse_word_body(spec, toks)
-            return RingElement.from_element(word, coeff)
-        return RingElement(spec, {spec.identity(): coeff})
-    word = _parse_word_body(spec, toks)
-    return RingElement.from_element(word, sign)
+        if toks.peek()[0] != "*":
+            return spec.identity(), coeff
+        toks.next()
+        return _parse_word_body(spec, toks), coeff
+    return _parse_word_body(spec, toks), sign
 
 
-def _parse_ring(spec: GroupSpec, text: str) -> RingElement:
+def _parse_ring(spec: GroupSpec, text: str) -> dict:
+    """The terms {group element: nonzero coefficient} of a ring element."""
     toks = _Tokens(text)
-    out = _parse_ring_term(spec, toks)
-    while not toks.done:
+    terms: dict = {}
+    while True:
+        g, c = _parse_ring_term(spec, toks)
+        terms[g] = terms.get(g, 0) + c
+        if toks.done:
+            return {g: c for g, c in terms.items() if c}
         tok = toks.peek()
         if tok[0] not in ("+", "-"):
             raise WordError(f"expected '+' or '-', found {tok[1]!r}", tok[2])
-        out = out + _parse_ring_term(spec, toks)
-    return out
 
 
 def _parse_wh_coeff(module: GModule, toks: _Tokens, sign: int, pos: int):

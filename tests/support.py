@@ -23,7 +23,6 @@ from obkit.groupring import (
     DiagonalGen,
     ElementaryGen,
     InvertiblePair,
-    RingElement,
     RingMatrix,
     build_invertible,
 )
@@ -198,11 +197,11 @@ def chi_naturality_check(phi, c, a, b, cm, d=None, q_action=None) -> bool:
     return lhs == rhs
 
 
-def rand_ring(rng: random.Random, spec: GroupSpec, support: int = 2) -> RingElement:
-    out = RingElement.zero(spec)
+def rand_ring(rng: random.Random, spec: GroupSpec, support: int = 2) -> dict:
+    out: dict = {}
     for _ in range(rng.randint(1, support)):
         g = rand_element(rng, spec, 2)
-        out = out + RingElement.from_element(g, rng.choice([-2, -1, 1, 2]))
+        out = ring_add(out, {g: rng.choice([-2, -1, 1, 2])})
     return out
 
 
@@ -220,54 +219,71 @@ def rand_invertible(rng: random.Random, spec: GroupSpec, n: int, max_gens: int =
                 j = rng.randrange(n)
                 while j == i:
                     j = rng.randrange(n)
-                x = RingElement.from_element(rand_element(rng, spec, 2),
-                                             rng.choice([-1, 1]))
+                x = {rand_element(rng, spec, 2): rng.choice([-1, 1])}
                 gens.append(ElementaryGen(i, j, x))
         pair = build_invertible(spec, n, gens)
-        supports = [len(e.terms) for row in pair.matrix.entries for e in row]
-        supports += [len(e.terms) for row in pair.inverse.entries for e in row]
+        supports = [len(terms) for m in (pair.matrix, pair.inverse)
+                    for col in m.cols for terms in col.values()]
         if max(supports) <= max_support:
             return pair
+
+
+def entry(m: RingMatrix, i: int, j: int) -> dict:
+    """The terms of m's entry (i, j), {} for a zero entry; 0-based."""
+    return m.cols[j].get(i, {})
 
 
 def gen_matrix(gen, spec: GroupSpec, n: int) -> RingMatrix:
     """The n x n matrix of one generator: the identity plus x at (i, j) for
     E_ij(x), or with the unit +-g at (i, i) for D_i(+-g); 0-based."""
-    m = [list(row) for row in RingMatrix.identity(spec, n).entries]
+    cols = [{j: {spec.identity(): 1}} for j in range(n)]
     if isinstance(gen, ElementaryGen):
         if gen.i == gen.j or not (0 <= gen.i < n and 0 <= gen.j < n):
             raise DimensionError("elementary generator indices out of range")
-        m[gen.i][gen.j] = m[gen.i][gen.j] + gen.x
+        if gen.x:
+            cols[gen.j][gen.i] = dict(gen.x)
     else:
         if not (0 <= gen.i < n):
             raise DimensionError("diagonal generator index out of range")
         if gen.sign not in (1, -1):
             raise DimensionError("diagonal unit sign must be +1 or -1")
-        m[gen.i][gen.i] = RingElement.from_element(gen.g, gen.sign)
-    return RingMatrix(spec, m)
+        cols[gen.i] = {gen.i: {gen.g: gen.sign}}
+    return RingMatrix(spec, cols)
 
 
-def ring_mul(x: RingElement, y: RingElement) -> RingElement:
-    """The Z[G] product x*y, term by term.  obkit forms no such product;
-    this is the reference its column-operation build is checked against."""
-    if x.spec != y.spec:
-        raise ContextError("ring elements over different groups")
+def ring_add(*xs: dict) -> dict:
+    """The sum of ring elements given by their terms, with no zero term."""
     out: dict = {}
-    for g, a in x.terms.items():
-        for h, b in y.terms.items():
+    for x in xs:
+        for g, c in x.items():
+            out[g] = out.get(g, 0) + c
+    return {g: c for g, c in out.items() if c}
+
+
+def ring_mul(x: dict, y: dict) -> dict:
+    """The Z[G] product x*y, term by term.  obkit forms no such product;
+    this is the reference its column-operation build is checked against.
+    ``multiply`` refuses terms over different groups."""
+    out: dict = {}
+    for g, a in x.items():
+        for h, b in y.items():
             gh = multiply(g, h)
             out[gh] = out.get(gh, 0) + a * b
-    return RingElement(x.spec, out)
+    return ring_add(out)
 
 
 def ring_matmul(m: RingMatrix, n: RingMatrix) -> RingMatrix:
-    """The full matrix product m n over Z[G], operand order kept."""
+    """The full matrix product m n over Z[G], operand order kept:
+    entry (i, j) is the sum over k of m_ik n_kj."""
     if m.n != n.n:
         raise DimensionError("matrix size mismatch")
-    idx, zero = range(m.n), RingElement.zero(m.spec)
-    return RingMatrix(m.spec, [
-        [sum((ring_mul(m.entries[i][k], n.entries[k][j]) for k in idx), zero) for j in idx]
-        for i in idx])
+    idx = range(m.n)
+    cols = []
+    for j in idx:
+        col = {i: ring_add(*(ring_mul(entry(m, i, k), entry(n, k, j)) for k in idx))
+               for i in idx}
+        cols.append({i: x for i, x in col.items() if x})
+    return RingMatrix(m.spec, cols)
 
 
 def reference_build_invertible(spec: GroupSpec, n: int, gens) -> InvertiblePair:
@@ -383,22 +399,19 @@ def reference_verify_cocycle(c):
     return None
 
 
-def linearize_eval(c, x: RingElement, y: RingElement, z: RingElement) -> tuple:
+def linearize_eval(c, x: dict, y: dict, z: dict) -> tuple:
     """Trilinear extension of the pulled-back table over Z[G] supports,
-    projecting every support element of x, y and z afresh; the value's
-    reduced coordinates."""
+    projecting every support element of the terms x, y and z afresh; the
+    value's reduced coordinates."""
     module = c.module
-    for w in (x, y, z):
-        if w.spec != module.spec:
-            raise ContextError("ring element over a different group")
     k = module.rank
     table = dict(zip(itertools.product(enumerate_elements(c.quotient.target), repeat=3),
                      c.values))
     total = [0] * k
     proj = c.quotient.project
-    xs = [(proj(g), a) for g, a in x.terms.items()]
-    ys = [(proj(g), a) for g, a in y.terms.items()]
-    zs = [(proj(g), a) for g, a in z.terms.items()]
+    xs = [(proj(g), a) for g, a in x.items()]
+    ys = [(proj(g), a) for g, a in y.items()]
+    zs = [(proj(g), a) for g, a in z.items()]
     for qg, a in xs:
         for qh, b in ys:
             ab = a * b
@@ -423,21 +436,21 @@ def reference_chi_eval(c, a, b, cm, d=None) -> WhElement:
     raw = []
     for i in range(n):
         for j in range(n):
-            xij = am.entries[i][j]
-            if xij.is_zero:
+            xij = entry(am, i, j)
+            if not xij:
                 continue
             for k in range(n):
-                yjk = bm.entries[j][k]
-                if yjk.is_zero:
+                yjk = entry(bm, j, k)
+                if not yjk:
                     continue
                 for l in range(n):
-                    zkl = cmm.entries[k][l]
-                    if zkl.is_zero:
+                    zkl = entry(cmm, k, l)
+                    if not zkl:
                         continue
                     m = linearize_eval(c, xij, yjk, zkl)
                     if not any(m):
                         continue
-                    for h, coeff in d_mat.entries[l][i].terms.items():
+                    for h, coeff in entry(d_mat, l, i).items():
                         raw.append(([coeff * x for x in m], h))
     return WhElement.build(c.module, raw)
 

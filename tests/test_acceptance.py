@@ -12,7 +12,7 @@ import time
 from obkit.chi import Cocycle, chi_eval, verify_cocycle
 from obkit.cli import main as cli_main
 from obkit.gmodules import GModule, ModuleMap
-from obkit.groupring import ElementaryGen, RingElement, build_invertible
+from obkit.groupring import ElementaryGen, build_invertible
 from obkit.groups import (
     FactorSpec,
     GroupSpec,
@@ -215,8 +215,7 @@ def test_criterion_4_chi_identities():
             n = rng.choice([2, 3])
             gens = rand_invertible(rng, spec, n).provenance
             pair = build_invertible(spec, n, gens)
-            canceling = ElementaryGen(0, 1, RingElement.from_element(
-                rand_element(rng, spec, 2)))
+            canceling = ElementaryGen(0, 1, {rand_element(rng, spec, 2): 1})
             padded = build_invertible(
                 spec, n, list(gens) + [canceling, canceling.inverted()])
             assert padded.matrix == pair.matrix

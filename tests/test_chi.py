@@ -18,7 +18,7 @@ from obkit.chi import (
 )
 from obkit.errors import RejectedError
 from obkit.gmodules import GModule, ModuleMap
-from obkit.groupring import DiagonalGen, InvertiblePair, RingElement, build_invertible
+from obkit.groupring import DiagonalGen, InvertiblePair, build_invertible
 from obkit.groups import FactorSpec, GroupSpec
 from obkit.intlinalg import IntMatrix, QuotientPresentation
 from obkit.wh1 import WhElement, induced_map
@@ -33,6 +33,7 @@ from support import (
     rand_ring,
     reference_chi_eval,
     reference_verify_cocycle,
+    ring_add,
     ring_matmul,
     tu_spec,
     trivial_module,
@@ -283,13 +284,13 @@ def test_linearize_single_term_and_zero():
     spec, pi2, _, _, quotient, q, cocycle = z2_setup()
     s = spec.generator("s")
     t = spec.generator("t")
-    one = RingElement.from_element(s)
+    one = {s: 1}
     val = linearize_eval(cocycle, one, one, one)
     assert val == (0, -1, 1)
     zero_c = Cocycle(quotient, pi2, flat_table(quotient, pi2, {}), q_action={"q": SWAP3})
     assert linearize_eval(zero_c, one, one, one) == (0, 0, 0)
     # projection kills t: a bracket through t contributes the identity slot
-    assert linearize_eval(cocycle, RingElement.from_element(t), one, one) == (0, 0, 0)
+    assert linearize_eval(cocycle, {t: 1}, one, one) == (0, 0, 0)
 
 
 def test_linearize_trilinear():
@@ -304,11 +305,12 @@ def test_linearize_trilinear():
         x2 = rand_ring(rng, spec, 2)
         y = rand_ring(rng, spec, 2)
         z = rand_ring(rng, spec, 2)
-        lhs = linearize_eval(cocycle, x1 + x2, y, z)
+        x12 = ring_add(x1, x2)
+        lhs = linearize_eval(cocycle, x12, y, z)
         assert lhs == add(linearize_eval(cocycle, x1, y, z), linearize_eval(cocycle, x2, y, z))
-        mid = linearize_eval(cocycle, y, x1 + x2, z)
+        mid = linearize_eval(cocycle, y, x12, z)
         assert mid == add(linearize_eval(cocycle, y, x1, z), linearize_eval(cocycle, y, x2, z))
-        last = linearize_eval(cocycle, y, z, x1 + x2)
+        last = linearize_eval(cocycle, y, z, x12)
         assert last == add(linearize_eval(cocycle, y, z, x1), linearize_eval(cocycle, y, z, x2))
 
 
@@ -404,7 +406,7 @@ def test_chi_projects_each_support_term_once(monkeypatch):
     rng = random.Random(62)
     spec, *_, cocycle = z2_setup()
     a, b, cm = (rand_invertible(rng, spec, 6, max_gens=12) for _ in range(3))
-    terms = sum(len(x.terms) for m in (a, b, cm) for row in m.matrix.entries for x in row)
+    terms = sum(len(x) for m in (a, b, cm) for col in m.matrix.cols for x in col.values())
     assert terms == 49
     calls = []
     project = FiniteQuotient.project
@@ -480,7 +482,7 @@ def test_composed_inverse_past_the_term_limit_is_rejected(monkeypatch):
     spec, _, _, _, _, _, cocycle = z2_setup()
     a, b, cm = (rand_invertible(rng, spec, 3, max_gens=6) for _ in range(3))
     composed = ring_matmul(ring_matmul(cm.inverse, b.inverse), a.inverse)
-    terms = sum(len(x.terms) for row in composed.entries for x in row)
+    terms = sum(len(x) for col in composed.cols for x in col.values())
     monkeypatch.setattr(groupring, "MAX_MATRIX_TERMS", terms - 1)
     with pytest.raises(RejectedError, match=f"limit of {terms - 1} terms"):
         chi_eval(cocycle, a, b, cm)

@@ -93,7 +93,7 @@ def test_chi_command(capsys):
 
 def test_chi_supplied_inverse_is_checked(tmp_path, capsys):
     # D is compared with the composed inverse, never multiplied out:
-    # RingMatrix defines no product (test_groupring pins that).
+    # No matrix product exists in obkit (test_groupring pins that).
     data = json.loads(pathlib.Path(Z2).read_text())
     data["matrices"]["W"] = {"size": 1, "generators": 'D(1,"t")'}
     path = str(tmp_path / "with_w.json")

@@ -40,7 +40,7 @@ PUBLIC_NAMES = {
                "conjugacy_canonical", "conjugacy_canonical_with_conjugator", "are_conjugate",
                "enumerate_elements", "element_sort_key"],
     "intlinalg": ["IntMatrix", "smith_normal_form", "solve", "QuotientPresentation"],
-    "groupring": ["RingElement", "RingMatrix", "ElementaryGen", "DiagonalGen", "InvertiblePair",
+    "groupring": ["RingMatrix", "ElementaryGen", "DiagonalGen", "InvertiblePair",
                   "build_invertible"],
     "gmodules": ["GModule", "ModuleMap"],
     "wh1": ["WhElement", "induced_map", "detect_nontrivial", "WhOracle",

@@ -916,7 +916,7 @@ def test_composed_inverse_past_the_term_limit_is_rejected(tmp_path, capsys):
 
 
 def test_chi_path_forms_no_matrix_product(tmp_path, capsys):
-    # RingMatrix defines no product (test_groupring pins that), so these
+    # No matrix product exists in obkit (test_groupring pins that), so these
     # runs show that chi and report-paper need none.  chi-matrix shaped:
     # size 6 over t * Z/2, single-term entries on the off-diagonal blocks,
     # and a diagonal unit.
