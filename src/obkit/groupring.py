@@ -1,13 +1,10 @@
 """Square matrices over the integral group ring Z[G].
 
 An element of Z[G] is its terms, a dict {group element: nonzero
-coefficient}; it has no class.  A matrix is held once, as one dict per
-column from row to that entry's terms, with zero entries absent.  The
-full Z[G] product of elements or of matrices is not defined here,
-because nothing in obkit forms one.  It exists only as the test suite's
-reference (``ring_mul``, ``ring_matmul`` in tests/support.py).  Module
-coefficients are not ring elements: a module element is its reduced
-coordinate tuple (``gmodules``).
+coefficient}, and a matrix is one dict per column from row to the terms
+of that entry, with zero entries absent.  The full Z[G] product is not
+defined here, because nothing in obkit forms one; it exists only as the
+test suite's reference (``ring_mul``, ``ring_matmul`` in tests/support.py).
 
 Matrix inverses are never computed: invertible matrices are built from
 elementary and diagonal-unit generators, which invert symbolically, so
@@ -48,12 +45,9 @@ MAX_ENTRY_LETTERS = 400
 
 
 class RingMatrix:
-    """A square matrix over Z[G], held as its columns.
-
-    ``cols[j]`` maps each row i whose entry (i, j) is nonzero to that
-    entry's terms {group element: nonzero coefficient}.  Every matrix is
-    built from ``identity`` by ``_right_multiply``, which keeps both
-    facts, so equal matrices have equal columns."""
+    """A square matrix over Z[G]: ``cols[j]`` maps each row i with a nonzero
+    entry (i, j) to its terms.  ``_right_multiply`` keeps no zero entry or
+    coefficient, so equal matrices have equal columns."""
 
     __slots__ = ("spec", "n", "cols")
 
@@ -76,8 +70,7 @@ class RingMatrix:
 
 @dataclass(frozen=True)
 class ElementaryGen:
-    """E_ij(x): identity plus x, given by its terms, in off-diagonal
-    position (i, j); 0-based."""
+    """E_ij(x): identity plus the terms x in off-diagonal position (i, j); 0-based."""
 
     i: int
     j: int
@@ -142,14 +135,14 @@ def _right_multiply(m: RingMatrix, gens) -> RingMatrix:
     """m times the generators in order, one column operation each.
 
     Right-multiplying by D_i(+-g) scales column i by +-g, and by E_ij(x)
-    adds (column i)*x to column j, on copies of m's columns.  A sum that
-    cancels drops its term, and an entry left with no terms drops its
-    row; a unit maps an entry's terms one to one.  A generator is refused before it runs when the matrix's terms
-    plus the products it would form exceed MAX_MATRIX_TERMS, or when its
-    column's letter bound, the letters of the column's longest element
-    at the start plus those of each unit or longest term multiplied in
-    since, exceeds MAX_ENTRY_LETTERS.  So the result stays within both
-    limits and no step costs more than they allow.
+    adds (column i)*x to column j, on copies of m's columns; a cancelled
+    term and an emptied entry are dropped.  A generator is refused before
+    it runs when the matrix's terms plus the products it would form
+    exceed MAX_MATRIX_TERMS, or when its column's letter bound, the
+    letters of the column's longest element at the start plus those of
+    each unit or longest term multiplied in since, exceeds
+    MAX_ENTRY_LETTERS.  So the result stays within both limits and no
+    step costs more than they allow.
     """
     n = m.n
     cols = [{r: dict(terms) for r, terms in col.items()} for col in m.cols]

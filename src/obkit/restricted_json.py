@@ -22,7 +22,8 @@ to ``parse_json``, the positioned parser, which diagnoses it or accepts it
 (a raw tab in a string, say) and has its tree converted.
 
 ``parse_json`` gives every value its line and column.  A caller that
-decodes a file needs them only for a diagnostic, and parses again then.
+decodes a file needs them only for a diagnostic: it parses again then,
+unless the decoder already fell back to ``parse_json`` (``_decode``).
 The positioned parser scans each token class with one compiled regex:
 whitespace, the plain run of a string up to its next quote, backslash or
 newline, and an integer.  Line starts are found once, and an offset maps
@@ -255,9 +256,8 @@ def _plain(node: Node):
     return node.value
 
 
-def decode_json(text: str):
-    """The plain value of a profile document, or JsonError as
-    ``parse_json`` raises it.  Positions are not found."""
+def _decode(text: str):
+    """(``decode_json``'s value, ``parse_json``'s root if it read the text, else None)."""
     if not any(word in text for word in _SCANNER_UNSAFE):
         try:
             value = _SCANNER.decode(text)
@@ -265,5 +265,12 @@ def decode_json(text: str):
             pass
         else:
             if not _nests_too_deep(value):
-                return value
-    return _plain(parse_json(text))
+                return value, None
+    root = parse_json(text)
+    return _plain(root), root
+
+
+def decode_json(text: str):
+    """The plain value of a profile document, or JsonError as
+    ``parse_json`` raises it.  Positions are not found."""
+    return _decode(text)[0]

@@ -6,10 +6,11 @@ tables, certified matrices, lens constructors and free-form assertions.
 Resolution either returns a fully validated Scenario or raises with a
 list of positioned diagnostics; there is no partial acceptance.
 
-The text is decoded to plain values by ``restricted_json.decode_json``,
-without positions.  A diagnostic records the path from the root to the
-value or key it is about, and only a file that is refused is parsed again
-by the positioned parser, once, to turn each path into its line:col.
+The text is decoded to plain values as ``restricted_json.decode_json``
+does, without positions.  A diagnostic records the path from the root to
+the value or key it is about, and only a file that is refused is read by
+the positioned parser, at most once, to turn each path into its
+line:col: the decoder's own tree when it fell back to that parser.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .groupring import InvertiblePair, build_invertible
 from .groups import FactorSpec, GroupElement, GroupSpec
 from .intlinalg import QuotientPresentation
 from .obstruction import LensClass, make_lens
-from .restricted_json import JsonError, Node, decode_json, parse_json
+from .restricted_json import JsonError, Node, _decode, parse_json
 from .wh1 import WhElement
 from .words import WordError, parse_generator_sequence, parse_wh, parse_word
 
@@ -139,13 +140,14 @@ def _position(root: Node, path) -> tuple[int, int]:
 class _Resolver:
     def __init__(self, text: str):
         self.text = text
+        self.tree: Node | None = None
         self.diags: list[tuple[tuple, str, str]] = []
 
     def diag(self, path: tuple, code: str, message: str) -> None:
         self.diags.append((path, code, message))
 
     def bail(self):
-        root = parse_json(self.text)
+        root = self.tree or parse_json(self.text)
         raise ScenarioError(Diagnostic(*_position(root, path), code, message)
                             for path, code, message in self.diags)
 
@@ -284,7 +286,7 @@ class _Resolver:
         if not self.text.strip():
             raise ScenarioError([Diagnostic(1, 1, "E210", "no group declared")])
         try:
-            root = decode_json(self.text)
+            root, self.tree = _decode(self.text)
         except JsonError as err:
             raise ScenarioError([Diagnostic(err.line, err.col, "E100", err.message)]) from None
         top = self.as_object(root, (), "scenario")
@@ -327,8 +329,10 @@ class _Resolver:
             if fobj is None:
                 return None
             kind = self.get_string(fobj, "kind", path)
+            if kind is None:
+                return None
             names = fobj.get("names")
-            if kind is None or not isinstance(names, list):
+            if not isinstance(names, list):
                 self.diag(path, "E200", "factor needs 'kind' and 'names'")
                 return None
             names = self.array(names, path + ("names",), str,
@@ -341,10 +345,10 @@ class _Resolver:
                     out.append(FactorSpec.free(*names))
                 elif kind == "abelian":
                     free_rank = self.get_int(fobj, "free_rank", path, default=0)
-                    torsion = []
-                    if "torsion" in fobj:
-                        torsion = self.int_list(fobj["torsion"], path + ("torsion",),
-                                                "torsion") or []
+                    torsion = self.int_list(fobj.get("torsion", []), path + ("torsion",),
+                                            "torsion")
+                    if torsion is None:
+                        return None
                     out.append(FactorSpec.abelian(names, free_rank=free_rank, torsion=torsion))
                 else:
                     self.diag(path + ("kind",), "E200", f"unknown factor kind {kind!r}")
@@ -492,7 +496,9 @@ class _Resolver:
         for i, entry in enumerate(value or ()):
             epath = path + (i,)
             eobj = self.as_object(entry, epath, "cocycle entry")
-            if eobj is None or "args" not in eobj or "value" not in eobj:
+            if eobj is None:
+                return None
+            if "args" not in eobj or "value" not in eobj:
                 self.diag(epath, "E200", "entry needs 'args' and 'value'")
                 return None
             arg_words = eobj["args"]

@@ -2,13 +2,18 @@
 trivial-action modules, framing modules, random certified matrices,
 generator matrices, flat cocycle tables, coboundary cocycles,
 pushed-forward cocycles, suspended lenses, reference implementations
-(the full Z[G] product of elements and matrices, which obkit itself
-never forms, with certified pairs and the two-sided inverse check built
-on it; cocycle check; chi by one linearization per index quadruple; the
-dense all-elements Wh oracle; dense row-vector product;
-character-by-character JSON parser) that fast paths are checked
-against, and the identities Wh normalization and chi must satisfy.  A module element is its reduced coordinate tuple, as in
-obkit."""
+(the sum and the full Z[G] product of ring elements and the product of
+matrices, which obkit does not provide, with certified pairs and the
+two-sided inverse check built on them; cocycle check; chi by one
+linearization per index quadruple; the dense all-elements Wh oracle;
+dense row-vector product; character-by-character JSON parser) that fast
+paths are checked against, and the identities Wh normalization and chi
+must satisfy.
+
+Values are held as in obkit: a ring element is its terms dict {group
+element: nonzero coefficient}, a ``RingMatrix`` its columns, read entry
+by entry through ``entry``, and a module element its reduced coordinate
+tuple."""
 
 from __future__ import annotations
 

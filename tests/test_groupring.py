@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obkit import groupring
+from obkit import chi, groupring
 from obkit.errors import ContextError, DimensionError, RejectedError
 from obkit.groupring import (
     MAX_ENTRY_LETTERS,
@@ -211,10 +211,10 @@ def tu_z6_spec() -> GroupSpec:
 
 
 @st.composite
-def _powered_sequences(draw):
+def _powered_sequences(draw, count=1):
     """A group among t * Z/2, free[t,u] * Z/6 and F2, a size n in 1..4
-    and up to eight generators whose elements include proper powers such
-    as (t*s)^2 and t^3."""
+    and ``count`` lists of up to eight generators whose elements include
+    proper powers such as (t*s)^2 and t^3."""
     spec = draw(st.sampled_from([zz2_spec(), tu_z6_spec(), f2_spec()]))
     n = draw(st.integers(1, 4))
     seeds = st.integers(0, 10**6)
@@ -224,17 +224,20 @@ def _powered_sequences(draw):
         st.tuples(seeds, st.integers(2, 3)).map(
             lambda se: rand_element(random.Random(se[0]), spec, 2) ** se[1]))
     coeff = st.sampled_from([-2, -1, 1, 2])
-    gens = []
-    for _ in range(draw(st.integers(0, 8))):
-        i = draw(st.integers(0, n - 1))
-        if n > 1 and draw(st.booleans()):
-            j = draw(st.integers(0, n - 2))
-            terms = draw(st.lists(st.tuples(element, coeff), min_size=1, max_size=3))
-            x = ring_add(*(ring(g, c) for g, c in terms))
-            gens.append(ElementaryGen(i, j + (j >= i), x))
-        else:
-            gens.append(DiagonalGen(i, draw(st.sampled_from([1, -1])), draw(element)))
-    return spec, n, gens
+    lists = []
+    for _ in range(count):
+        gens = []
+        for _ in range(draw(st.integers(0, 8))):
+            i = draw(st.integers(0, n - 1))
+            if n > 1 and draw(st.booleans()):
+                j = draw(st.integers(0, n - 2))
+                terms = draw(st.lists(st.tuples(element, coeff), min_size=1, max_size=3))
+                x = ring_add(*(ring(g, c) for g, c in terms))
+                gens.append(ElementaryGen(i, j + (j >= i), x))
+            else:
+                gens.append(DiagonalGen(i, draw(st.sampled_from([1, -1])), draw(element)))
+        lists.append(gens)
+    return (spec, n, *lists)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -245,6 +248,21 @@ def test_column_build_matches_the_product_build(case):
     reference = reference_build_invertible(spec, n, gens)
     assert pair.matrix == reference.matrix
     assert pair.inverse == reference.inverse
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_powered_sequences(count=3))
+def test_built_and_composed_matrices_hold_no_zero(case):
+    # == on columns decides equality only while no entry is empty and no
+    # coefficient is 0; chi's supplied-inverse check relies on that.
+    spec, n, *lists = case
+    a, b, cm = (build_invertible(spec, n, gens) for gens in lists)
+    composed = chi._resolve_inverse(a, b, cm, None)
+    for m in (a.matrix, a.inverse, b.matrix, b.inverse, cm.matrix, cm.inverse, composed):
+        assert len(m.cols) == n
+        for col in m.cols:
+            assert set(col) <= set(range(n))
+            assert all(terms and 0 not in terms.values() for terms in col.values())
 
 
 def _cyclic(spec, n):
