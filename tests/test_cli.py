@@ -127,6 +127,87 @@ def test_obstruct_command(capsys):
     assert "RHO_DOUBLE: -2[s]" in out
 
 
+_EXTRAPOLATED = "[paper-extrapolated: involution on nontrivial-action coefficients]"
+# The whole obstruct report of each lens of each fixture.
+OBSTRUCT_OUTPUT = {
+    "paper_f2.json": {"g": (
+        "LENS: g\nK: 1\nN: 3\nMAIN: (1,0)[u]\nFRAMING: 0\n"
+        "STABLE_MAIN: (-1,0)[u]\nSTABLE_FRAMING: 0\n"
+        "EPS_K: 2\nEPS_MAIN: (-1,0)[u^-1]\n"
+        "DOUBLE_STABLE_MAIN: (-1,0)[u] + (-1,0)[u^-1]\n"
+        "RHO: -[u]\nRHO_DOUBLE: -[u] - [u^-1]\n")},
+    "paper_z2.json": {"g": (
+        "LENS: g\nK: 1\nN: 3\nMAIN: (1,0,0)[s]\nFRAMING: 0\n"
+        "STABLE_MAIN: (-1,0,0)[s]\nSTABLE_FRAMING: 0\n"
+        "EPS_K: 2\nEPS_MAIN: (-1,0,0)[s]\n"
+        f"EPS_NOTE: g {_EXTRAPOLATED}\n"
+        "DOUBLE_STABLE_MAIN: (-2,0,0)[s]\n"
+        "RHO: -[s]\nRHO_DOUBLE: -2[s]\n")},
+    "paper_z6.json": {"g": (
+        "LENS: g\nK: 1\nN: 3\nMAIN: (1,0,0)[s]\nFRAMING: 0\n"
+        "STABLE_MAIN: (-1,0,0)[s]\nSTABLE_FRAMING: 0\n"
+        "EPS_K: 2\nEPS_MAIN: (-1,0,0)[s^5]\n"
+        f"EPS_NOTE: g {_EXTRAPOLATED}\n"
+        "DOUBLE_STABLE_MAIN: (-1,0,0)[s] + (-1,0,0)[s^5]\n"
+        "RHO: -[s]\nRHO_DOUBLE: -[s] - [s^5]\n")},
+}
+
+
+@pytest.mark.parametrize("name", PAPER_FIXTURES)
+def test_obstruct_exact_output_for_every_fixture_lens(capsys, name):
+    path = str(SCENARIOS / name)
+    scenario = load_scenario(path)
+    assert sorted(scenario.lenses) == sorted(OBSTRUCT_OUTPUT[name])
+    for lens, expected in OBSTRUCT_OUTPUT[name].items():
+        for extra in ((), ("--retraction", scenario.paper.retraction)):
+            status = main(["--scenario", path, "obstruct", lens, *extra])
+            assert (status, *capsys.readouterr()) == (0, expected, "")
+        status = main(["--scenario", path, "obstruct", lens, "--retraction", "nope"])
+        assert (status, *capsys.readouterr()) == (
+            3, "", "REJECTED: scenario declares no map named 'nope'\n")
+
+
+def _report_values(capsys, *args) -> dict:
+    status, out = run_main(capsys, *args)
+    assert status == 0
+    return dict(line.split(": ", 1) for line in out.splitlines())
+
+
+# report-paper key, obstruct key: one value under two names.
+SHARED_VALUES = (
+    ("EPS_MAIN", "EPS_MAIN"),
+    ("STABLE_G_MAIN", "STABLE_MAIN"),
+    ("STABLE_DOUBLE_MAIN", "DOUBLE_STABLE_MAIN"),
+    ("RHO_G", "RHO"),
+    ("RHO_DOUBLE", "RHO_DOUBLE"),
+)
+
+
+@pytest.mark.parametrize("name", PAPER_FIXTURES)
+def test_report_paper_and_obstruct_agree(capsys, name):
+    path = str(SCENARIOS / name)
+    lens = load_scenario(path).paper.lens
+    paper = _report_values(capsys, "--scenario", path, "report-paper")
+    obstruct = _report_values(capsys, "--scenario", path, "obstruct", lens)
+    for paper_key, obstruct_key in SHARED_VALUES:
+        assert paper[paper_key] == obstruct[obstruct_key], paper_key
+
+
+def test_eps_note_exactly_on_nontrivial_action(capsys):
+    kinds = set()
+    for name in PAPER_FIXTURES:
+        path = str(SCENARIOS / name)
+        scenario = load_scenario(path)
+        lens = scenario.paper.lens
+        nontrivial = not scenario.lenses[lens].main.module.trivial_action
+        kinds.add(nontrivial)
+        expected = f"{lens} {_EXTRAPOLATED}" if nontrivial else None
+        for command in (("report-paper",), ("obstruct", lens)):
+            values = _report_values(capsys, "--scenario", path, *command)
+            assert values.get("EPS_NOTE") == expected, (name, command)
+    assert kinds == {True, False}
+
+
 def test_oracle_wh(capsys):
     status, out = run_main(capsys, "oracle", "wh", "Z2", "Ztrivial")
     assert status == 0
