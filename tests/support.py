@@ -187,8 +187,7 @@ def suspend(lens: LensClass, sign: str) -> LensClass:
         k = lens.k + 1
     else:
         raise ValueError("suspension sign must be '+' or '-'")
-    return LensClass(n=lens.n + 1, k=k, framing=lens.framing, main=lens.main,
-                     note=lens.note)
+    return LensClass(n=lens.n + 1, k=k, framing=lens.framing, main=lens.main)
 
 
 def chi_naturality_check(phi, c, a, b, cm, d=None, q_action=None) -> bool:

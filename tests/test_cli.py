@@ -208,6 +208,35 @@ def test_eps_note_exactly_on_nontrivial_action(capsys):
     assert kinds == {True, False}
 
 
+def test_eps_note_does_not_read_the_lens_name(capsys, tmp_path):
+    # A lens named by the marker text itself still gets its note.
+    marker = _EXTRAPOLATED[1:-1]
+    data = json.loads(pathlib.Path(Z2).read_text())
+    data["lenses"] = {marker: data["lenses"]["g"]}
+    data["paper"]["lens"] = marker
+    path = tmp_path / "marker.json"
+    path.write_text(json.dumps(data))
+    for command in (("report-paper",), ("obstruct", marker)):
+        values = _report_values(capsys, "--scenario", str(path), *command)
+        assert values["EPS_NOTE"] == f"{marker} {_EXTRAPOLATED}", command
+
+
+def test_report_paper_inconclusive_circle(capsys, tmp_path):
+    # A retraction that kills alpha leaves rho = 0 and every power zero.
+    data = json.loads(pathlib.Path(F2).read_text())
+    data["maps"]["r"]["matrix"] = [[0, 1]]
+    path = tmp_path / "killed.json"
+    path.write_text(json.dumps(data))
+    status, out = run_main(capsys, "--scenario", str(path), "report-paper")
+    assert status == 0
+    assert out.endswith(
+        "RHO_G: 0\nRHO_DOUBLE: 0\nPOWERS_NONTRIVIAL: none\n"
+        "POWERS_SHORTCUT: rho = 0, so every power is 0\n"
+        "CIRCLE: inconclusive by this invariant\n"
+        "CIRCLE_PSEUDOISOTOPIC_TO_IDENTITY: true\n"
+        "CIRCLE_WITNESS: positive suspension of the generating lens\n")
+
+
 def test_oracle_wh(capsys):
     status, out = run_main(capsys, "oracle", "wh", "Z2", "Ztrivial")
     assert status == 0

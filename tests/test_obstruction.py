@@ -1,18 +1,17 @@
-"""The lens sign calculus: involution, suspension, stabilization,
-retraction values and the circle conclusion."""
+"""The lens sign calculus: involution, suspension, stabilization, the
+clam double, and the retraction value rho that decides the circle
+conclusion and every power of it."""
 
 import random
 
 import pytest
 
-from obkit.errors import RejectedError
+from obkit.errors import ContextError, RejectedError
 from obkit.gmodules import GModule, ModuleMap
 from obkit.groups import inverse
 from obkit.intlinalg import QuotientPresentation
 from obkit.obstruction import (
     LensClass,
-    PseudoisotopyClass,
-    circle_conclusion,
     clam_double,
     involution,
     make_lens,
@@ -107,16 +106,6 @@ def test_involution_is_involution_randomized():
         assert involution(involution(lens)) == lens
 
 
-def test_involution_flags_nontrivial_action():
-    spec = zz2_spec()
-    swap = GModule(spec, QuotientPresentation(2), action={"s": [[0, 1], [1, 0]]},
-                   elements={"alpha": (1, 0)})
-    lens = make_lens(swap, swap.elements["alpha"], spec.generator("s"), zero_framing(spec))
-    assert "paper-extrapolated" in involution(lens).note
-    trivial_case = paper_setup()[5]
-    assert "paper-extrapolated" not in involution(trivial_case).note
-
-
 def test_stable_obstruction_signs():
     _, pi2, _, _, sigma, lens = paper_setup()
     _, main = stable_obstruction(lens)
@@ -156,8 +145,7 @@ def test_suspend_dimension_bookkeeping():
 def test_clam_double_paper_values():
     _, pi2, _, r, sigma, lens = paper_setup()
     double = clam_double(lens)
-    assert double.boundary
-    assert double.pieces == (lens, involution(lens))
+    assert double == (lens, involution(lens))
     _, main = stable_sum(double)
     expected = WhElement.build(pi2, [((-1, 0), sigma), ((-1, 0), inverse(sigma))])
     assert main == expected
@@ -176,6 +164,17 @@ def test_clam_double_zero_alpha():
     assert main.is_zero
 
 
+def test_stable_sum_refuses_lenses_over_different_modules():
+    spec, pi2, _, _, sigma, lens = paper_setup()
+    other = GModule(spec, QuotientPresentation(2), name="other")
+    stranger = make_lens(other, (1, 0), sigma, zero_framing(spec))
+    with pytest.raises(ContextError, match="Wh elements over different contexts"):
+        stable_sum((lens, stranger))
+    framing = WhElement.zero(trivial_module(spec, 1, [(2,)], name="Z2b"))
+    with pytest.raises(ContextError, match="Wh elements over different contexts"):
+        stable_sum((lens, LensClass(n=3, k=1, framing=framing, main=lens.main)))
+
+
 def test_order_two_sigma_combines():
     spec = zz2_spec()
     pi2 = GModule(spec, QuotientPresentation(2), elements={"alpha": (1, 0)}, name="pi2")
@@ -184,23 +183,46 @@ def test_order_two_sigma_combines():
     assert main == WhElement.build(pi2, [((-2, 0), spec.generator("s"))])
 
 
+def rho(lenses, r):
+    """The retraction value of the stabilized sum of the lenses."""
+    return retraction_invariant(stable_sum(lenses)[1], r)
+
+
 def test_retraction_invariant_values():
     spec, pi2, z, r, sigma, lens = paper_setup()
-    single = PseudoisotopyClass((lens,), boundary=False)
-    rho_g = retraction_invariant(single, r)
+    rho_g = rho((lens,), r)
     assert rho_g == WhElement.build(z, [((-1,), sigma)])
     assert str(rho_g) == "-[u]"
-    double = clam_double(lens)
-    rho_d = retraction_invariant(double, r)
+    assert rho_g == retraction_invariant(stable_obstruction(lens)[1], r)
+    rho_d = rho(clam_double(lens), r)
     assert str(rho_d) == "-[u] - [u^-1]"
 
 
 def test_retraction_requires_trivial_z_target():
     spec, pi2, z, r, sigma, lens = paper_setup()
-    single = PseudoisotopyClass((lens,), boundary=False)
+    _, main = stable_obstruction(lens)
     z2 = GModule(spec, QuotientPresentation(1, [(2,)]))
-    with pytest.raises(RejectedError):
-        retraction_invariant(single, ModuleMap(pi2, z2, [[1, 0]]))
+    with pytest.raises(RejectedError, match="retraction target must be trivial-action Z"):
+        retraction_invariant(main, ModuleMap(pi2, z2, [[1, 0]]))
+    z_twisted = GModule(spec, QuotientPresentation(1), action={"t": [[-1]]})
+    with pytest.raises(RejectedError, match="retraction target must be trivial-action Z"):
+        retraction_invariant(main, ModuleMap(pi2, z_twisted, [[1, 0]]))
+    z2_rank = trivial_module(spec, 2)
+    with pytest.raises(RejectedError, match="retraction target must be trivial-action Z"):
+        retraction_invariant(main, ModuleMap(pi2, z2_rank, [[1, 0], [0, 1]]))
+
+
+def test_retraction_requires_its_source_and_equivariance():
+    spec, pi2, z, r, sigma, lens = paper_setup()
+    _, main = stable_obstruction(lens)
+    other = GModule(spec, QuotientPresentation(2), name="other")
+    with pytest.raises(ContextError,
+                       match="retraction source does not match the coefficient module"):
+        retraction_invariant(main, ModuleMap(other, z, [[1, 0]], equivariant=True))
+    swap = GModule(spec, QuotientPresentation(2), action={"u": [[0, 1], [1, 0]]})
+    lens = make_lens(swap, (1, 0), sigma, zero_framing(spec))
+    with pytest.raises(RejectedError, match="retraction coefficient map must be equivariant"):
+        retraction_invariant(lens.main, ModuleMap(swap, z, [[1, 0]]))
 
 
 def test_retraction_additive_over_pieces():
@@ -211,11 +233,10 @@ def test_retraction_additive_over_pieces():
     r = ModuleMap(pi2, z, [[1, 0]], equivariant=True)
     for _ in range(50):
         lenses = [rand_lens(rng, spec, pi2) for _ in range(rng.randint(1, 3))]
-        combined = PseudoisotopyClass(tuple(lenses), boundary=False)
-        total = retraction_invariant(combined, r)
+        total = rho(lenses, r)
         by_parts = None
         for lens in lenses:
-            part = retraction_invariant(PseudoisotopyClass((lens,), boundary=False), r)
+            part = rho((lens,), r)
             by_parts = part if by_parts is None else by_parts + part
         assert total == by_parts
 
@@ -223,17 +244,14 @@ def test_retraction_additive_over_pieces():
 def test_power_report():
     # the power verdict is read off rho; each power is checked here
     _, pi2, _, r, sigma, lens = paper_setup()
-    double = clam_double(lens)
-    report = circle_conclusion(double, r)
-    assert not report.rho.is_zero
-    assert report.all_powers_nontrivial
-    assert all(not report.rho.scale(n).is_zero for n in range(1, 65))
+    rho_d = rho(clam_double(lens), r)
+    assert not rho_d.is_zero
+    assert all(not rho_d.scale(n).is_zero for n in range(1, 65))
     zero_lens = LensClass(n=3, k=1, framing=lens.framing,
                           main=WhElement.zero(pi2))
-    zero_report = circle_conclusion(clam_double(zero_lens), r)
-    assert zero_report.rho.is_zero
-    assert not zero_report.all_powers_nontrivial
-    assert all(zero_report.rho.scale(n).is_zero for n in range(1, 9))
+    zero_rho = rho(clam_double(zero_lens), r)
+    assert zero_rho.is_zero
+    assert all(zero_rho.scale(n).is_zero for n in range(1, 9))
 
 
 def test_power_verdict_matches_every_power_randomized():
@@ -253,43 +271,39 @@ def test_power_verdict_matches_every_power_randomized():
             row = [rng.randint(-2, 2), rng.randint(-2, 2)]
         r = ModuleMap(mod, z, [row], equivariant=True)
         lenses = tuple(rand_lens(rng, spec, mod) for _ in range(rng.randint(1, 2)))
-        verdict = circle_conclusion(PseudoisotopyClass(lenses, boundary=True), r)
+        value = rho(lenses, r)
         for n in range(1, 65):
-            assert verdict.rho.scale(n).is_zero == verdict.rho.is_zero
-        assert verdict.all_powers_nontrivial == (not verdict.rho.is_zero)
-        zeros += verdict.rho.is_zero
+            assert value.scale(n).is_zero == value.is_zero
+        zeros += value.is_zero
     assert 0 < zeros < 150
 
 
 def test_power_scaling_torsion_free():
     spec, pi2, z, r, sigma, lens = paper_setup()
-    rho = retraction_invariant(clam_double(lens), r)
+    rho_d = rho(clam_double(lens), r)
     for n in (1, 3, 17):
-        assert not rho.scale(n).is_zero
+        assert not rho_d.scale(n).is_zero
     # order-2 sigma: rho = -2[s], so 3*rho = -6[s] != 0
     spec2 = zz2_spec()
     pi2b = GModule(spec2, QuotientPresentation(2), elements={"alpha": (1, 0)})
     zb = trivial_module(spec2, 1)
     rb = ModuleMap(pi2b, zb, [[1, 0]], equivariant=True)
     lens2 = make_lens(pi2b, pi2b.elements["alpha"], spec2.generator("s"), zero_framing(spec2))
-    rho2 = retraction_invariant(clam_double(lens2), rb)
+    rho2 = rho(clam_double(lens2), rb)
     assert str(rho2) == "-2[s]"
     assert str(rho2.scale(3)) == "-6[s]"
 
 
 def test_circle_conclusion():
-    spec, pi2, _, r, sigma, lens = paper_setup()
-    double = clam_double(lens)
-    verdict = circle_conclusion(double, r)
-    assert verdict.status == "nontrivial"
-    assert verdict.all_powers_nontrivial
-    assert verdict.pseudoisotopic_to_identity
+    # the glued double is nontrivial exactly when its rho is nonzero
+    spec, pi2, z, r, sigma, lens = paper_setup()
+    assert rho(clam_double(lens), r) == WhElement.build(
+        z, [((-1,), sigma), ((-1,), inverse(sigma))])
     zero_lens = LensClass(n=3, k=1, framing=lens.framing, main=WhElement.zero(pi2))
-    inconclusive = circle_conclusion(clam_double(zero_lens), r)
-    assert inconclusive.status == "inconclusive by this invariant"
-    open_ends = PseudoisotopyClass((lens,), boundary=False)
-    with pytest.raises(RejectedError):
-        circle_conclusion(open_ends, r)
+    assert rho(clam_double(zero_lens), r).is_zero
+    # a retraction that kills alpha leaves the paper lens inconclusive
+    killer = ModuleMap(pi2, z, [[0, 1]], equivariant=True)
+    assert rho(clam_double(lens), killer).is_zero
 
 
 def test_stable_involution_identity():

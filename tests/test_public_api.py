@@ -46,9 +46,8 @@ PUBLIC_NAMES = {
     "wh1": ["WhElement", "induced_map", "detect_nontrivial", "WhOracle",
             "oracle_wh_presentation", "wh_equal"],
     "chi": ["FiniteQuotient", "Cocycle", "verify_cocycle", "chi_eval", "retraction_kills_chi"],
-    "obstruction": ["LensClass", "PseudoisotopyClass", "make_lens", "involution",
-                    "stable_obstruction", "clam_double", "stable_sum", "retraction_invariant",
-                    "CircleReport", "circle_conclusion"],
+    "obstruction": ["LensClass", "make_lens", "involution", "stable_obstruction",
+                    "clam_double", "stable_sum", "retraction_invariant"],
     "cli": ["Report", "run_command", "main"],
 }
 
