@@ -381,7 +381,9 @@ class _Resolver:
             relations = []
             if "relations" in mobj:
                 relations = self.int_matrix(mobj["relations"], mpath + ("relations",),
-                                            "relations") or []
+                                            "relations")
+                if relations is None:
+                    continue
             action = self.named(mobj.get("action"), mpath + ("action",), "action",
                                 "action of", self.int_matrix)
             if action is None:

@@ -544,11 +544,29 @@ DIAGNOSTIC_CASES = [
       "110:14: E220 unresolved module name 'A'",
       "117:11: E220 unresolved lens name 'g'"]),
     ("relations-not-array", _mutated(("modules.Z.relations", 2)),
-     ["44:17: E200 relations must be an array of rows"]),
+     ["44:17: E200 relations must be an array of rows",
+      "49:14: E220 unresolved module name 'Z'",
+      "50:14: E220 unresolved module name 'Z'",
+      "119:17: E220 unresolved map name 'r'"]),
     ("relations-row-not-array", _mutated(("modules.Z.relations", [2])),
-     ["45:5: E200 relations row must be an array of integers"]),
+     ["45:5: E200 relations row must be an array of integers",
+      "51:14: E220 unresolved module name 'Z'",
+      "52:14: E220 unresolved module name 'Z'",
+      "121:17: E220 unresolved map name 'r'"]),
     ("relations-entry", _mutated(("modules.Z.relations", [["2"]])),
-     ["46:6: E200 relations row entries must be integers"]),
+     ["46:6: E200 relations row entries must be integers",
+      "53:14: E220 unresolved module name 'Z'",
+      "54:14: E220 unresolved module name 'Z'",
+      "123:17: E220 unresolved map name 'r'"]),
+    # A refused relations table skips its module: it is not built over
+    # Z, where the action [[2]], invertible on the Z/3 meant, would draw
+    # an E240.
+    ("relations-refused-skips-module", _mutated(("modules.A.action.s", [[2]]),
+                                                ("modules.A.relations", [[3, "x"]])),
+     ["44:6: E200 relations row entries must be integers",
+      "86:14: E220 unresolved module name 'A'",
+      "116:14: E220 unresolved module name 'A'",
+      "123:11: E220 unresolved lens name 'g'"]),
     ("action-not-object", _mutated(("modules.A.action", [[-1]])),
      ["29:14: E200 action must be an object",
       "78:14: E220 unresolved module name 'A'",
