@@ -112,15 +112,18 @@ class _Tokens:
         return self.peek()[0] == "end"
 
 
-def _parse_signed_int(toks: _Tokens) -> int:
+def _sign(toks: _Tokens) -> int:
+    """Consume a run of '+' and '-' tokens; -1 if it holds an odd number
+    of '-', else 1."""
     sign = 1
-    tok = toks.peek()
-    while tok[0] in ("+", "-"):
-        toks.next()
-        if tok[0] == "-":
+    while toks.peek()[0] in ("+", "-"):
+        if toks.next()[0] == "-":
             sign = -sign
-        tok = toks.peek()
-    return sign * toks.number()
+    return sign
+
+
+def _parse_signed_int(toks: _Tokens) -> int:
+    return _sign(toks) * toks.number()
 
 
 def _parse_word_body(spec: GroupSpec, toks: _Tokens) -> GroupElement:
@@ -165,10 +168,7 @@ def parse_word(spec: GroupSpec, text: str) -> GroupElement:
 
 
 def _parse_ring_term(spec: GroupSpec, toks: _Tokens) -> tuple[GroupElement, int]:
-    sign = 1
-    while toks.peek()[0] in ("+", "-"):
-        if toks.next()[0] == "-":
-            sign = -sign
+    sign = _sign(toks)
     if toks.peek()[0] == "num":
         coeff = sign * toks.number()
         if toks.peek()[0] != "*":
@@ -229,13 +229,8 @@ def parse_wh(module: GModule, text: str) -> WhElement:
     terms = []
     first = True
     while True:
-        sign = 1
+        sign = _sign(toks)
         tok = toks.peek()
-        while tok[0] in ("+", "-"):
-            toks.next()
-            if tok[0] == "-":
-                sign = -sign
-            tok = toks.peek()
         if not first and tok[0] == "end":
             raise WordError("dangling operator", tok[2])
         coords = _parse_wh_coeff(module, toks, sign, tok[2])
@@ -285,10 +280,7 @@ def parse_generator_sequence(spec: GroupSpec, n: int, text: str):
             toks.expect(",")
             body = toks.expect("string")
             inner = _Tokens(body[1])
-            sign = 1
-            while inner.peek()[0] in ("+", "-"):
-                if inner.next()[0] == "-":
-                    sign = -sign
+            sign = _sign(inner)
             try:
                 g = _parse_word_body(spec, inner)
                 if not inner.done:
