@@ -178,15 +178,17 @@ def _cmd_obstruct(scenario: Scenario, args) -> Report:
     lines.append(("EPS_K", str(eps.k)))
     lines.append(("EPS_MAIN", str(eps.main)))
     lines.extend(_eps_note(lens, args.lens))
-    if (lens.k, lens.n) == (1, 3):
+    double = (lens.k, lens.n) == (1, 3)
+    if double:
         _, dm = stable_sum(clam_double(lens))
         lines.append(("DOUBLE_STABLE_MAIN", str(dm)))
-        retraction = args.retraction
-        if retraction is None and scenario.paper is not None:
-            retraction = scenario.paper.retraction
-        if retraction is not None:
-            phi = _named(scenario.maps, retraction, "map")
-            lines.append(("RHO", str(retraction_invariant(sm, phi))))
+    retraction = args.retraction
+    if retraction is None and scenario.paper is not None:
+        retraction = scenario.paper.retraction
+    if retraction is not None:
+        phi = _named(scenario.maps, retraction, "map")
+        lines.append(("RHO", str(retraction_invariant(sm, phi))))
+        if double:
             lines.append(("RHO_DOUBLE", str(retraction_invariant(dm, phi))))
     return Report(tuple(lines))
 

@@ -167,6 +167,24 @@ def test_obstruct_exact_output_for_every_fixture_lens(capsys, name):
             3, "", "REJECTED: scenario declares no map named 'nope'\n")
 
 
+def test_obstruct_prints_rho_outside_the_double(capsys, tmp_path):
+    # rho of the stabilized lens is defined for every lens; only the
+    # double and its rho need k=1, n=3.
+    data = json.loads(pathlib.Path(F2).read_text())
+    data["lenses"]["h"] = dict(data["lenses"]["g"], k=2, n=4)
+    path = str(tmp_path / "h.json")
+    pathlib.Path(path).write_text(json.dumps(data))
+    expected = ("LENS: h\nK: 2\nN: 4\nMAIN: (1,0)[u]\nFRAMING: 0\n"
+                "STABLE_MAIN: (1,0)[u]\nSTABLE_FRAMING: 0\n"
+                "EPS_K: 2\nEPS_MAIN: (-1,0)[u^-1]\nRHO: [u]\n")
+    for extra in ((), ("--retraction", "r")):
+        status = main(["--scenario", path, "obstruct", "h", *extra])
+        assert (status, *capsys.readouterr()) == (0, expected, "")
+    status = main(["--scenario", path, "obstruct", "h", "--retraction", "nope"])
+    assert (status, *capsys.readouterr()) == (
+        3, "", "REJECTED: scenario declares no map named 'nope'\n")
+
+
 def _report_values(capsys, *args) -> dict:
     status, out = run_main(capsys, *args)
     assert status == 0
