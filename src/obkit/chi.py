@@ -261,7 +261,8 @@ def verify_cocycle(c: Cocycle):
     h_ql = [h * n + s for h in range(n) for q_sums in sums for s in q_sums]
     h_q = [t // n for t in range(nn * n)]
     for gi in rows:
-        gh_ql = [s * nn + t for s in sums[gi] for t in range(nn)]
+        # c(gh,q,l) lies in the row of gh: its slot in the whole table.
+        gh_q_l = [s * nn + t for s in sums[gi] for t in range(nn)]
         d = []
         for coeffs, col in zip(c._element_matrices[gi].entries, cols):
             # This coordinate of g.c(h,q,l) over the whole table.
@@ -270,7 +271,7 @@ def verify_cocycle(c: Cocycle):
             acted = terms[0] if len(terms) == 1 else list(map(sum, zip(*terms)))
             get = col[gi * nn:(gi + 1) * nn].__getitem__
             d.append([w - x + y - z + u for w, x, y, z, u in zip(
-                acted, map(col.__getitem__, gh_ql), map(get, hq_l), map(get, h_ql), map(get, h_q))])
+                acted, map(col.__getitem__, gh_q_l), map(get, hq_l), map(get, h_ql), map(get, h_q))])
         if any(map(any, d)):
             for t, total in enumerate(zip(*d)):
                 if any(total) and any(reduce(total)):
