@@ -2,8 +2,10 @@
 chain-level chi functional on certified-invertible matrix triples,
 computed as one contraction over the quotient.
 
-A quotient has at most MAX_QUOTIENT_ORDER elements.  A cocycle table is
-one flat tuple with a slot for each triple of quotient elements, in
+A quotient has at most MAX_QUOTIENT_ORDER elements, each named by its
+index, the mixed-radix number of its exponents; a source element's is
+summed from its letters' images, with no group product.  A cocycle table
+is one flat tuple with a slot for each triple of quotient elements, in
 index order; an empty slot holds the zero vector.
 When the coefficient module carries a nontrivial action it must be
 shown to factor through the quotient: the scenario supplies matrices
@@ -23,8 +25,8 @@ from functools import cached_property
 
 from .errors import ContextError, DimensionError, RejectedError
 from .gmodules import GModule, ModuleMap
-from .groupring import InvertiblePair, RingMatrix, _right_multiply
-from .groups import GroupElement, GroupSpec, enumerate_elements, multiply
+from .groupring import InvertiblePair, RingMatrix, _column_ops
+from .groups import GroupElement, GroupSpec, enumerate_elements
 from .intlinalg import IntMatrix
 from .wh1 import WhElement
 
@@ -43,7 +45,8 @@ MAX_QUOTIENT_ORDER = 32
 
 
 class FiniteQuotient:
-    """A homomorphism from the working group onto (into) a finite abelian group."""
+    """A homomorphism from the working group onto (into) a finite abelian
+    group; each generator's image is its exponent vector over ``torsion``."""
 
     def __init__(self, source: GroupSpec, target: GroupSpec, images: dict):
         if not target.is_finite:
@@ -53,6 +56,7 @@ class FiniteQuotient:
             raise ValueError(f"quotient order {order} exceeds the limit {MAX_QUOTIENT_ORDER}")
         self.source = source
         self.target = target
+        torsion = self.torsion = target.factors[0].torsion
         self.images = {}
         for factor in source.factors:
             for gi, name in enumerate(factor.names):
@@ -61,32 +65,39 @@ class FiniteQuotient:
                 img = images[name]
                 if img.spec != target:
                     raise ValueError(f"image of {name!r} is not in the quotient group")
+                vec = img.syllables[0][1] if img.syllables else (0,) * len(torsion)
                 if factor.kind == "abelian" and gi >= factor.free_rank:
                     order = factor.torsion[gi - factor.free_rank]
-                    if not (img ** order).is_identity:
+                    if any(order * e % m for e, m in zip(vec, torsion)):
                         raise ValueError(
                             f"image of {name!r} does not satisfy its torsion relation"
                         )
-                self.images[name] = img
+                self.images[name] = vec
         for name in images:
             if name not in self.images:
                 raise ValueError(f"images name unknown generator {name!r}")
 
-    def project(self, g: GroupElement) -> GroupElement:
+    def _position(self, exps) -> int:
+        """The index of the element with exponents ``exps``, reduced mod ``torsion``."""
+        out = 0
+        for e, m in zip(exps, self.torsion):
+            out = out * m + e % m
+        return out
+
+    def index_of(self, g: GroupElement) -> int:
+        """The index of g's image: each letter's exponent times its
+        generator's image vector, summed, then positioned."""
         if g.spec != self.source:
             raise ContextError("element over a different group")
-        out = self.target.identity()
+        total = [0] * len(self.torsion)
         for fi, payload in g.syllables:
             factor = self.source.factors[fi]
             if factor.kind == "free":
-                for x in payload:
-                    img = self.images[factor.names[abs(x) - 1]]
-                    out = multiply(out, img if x > 0 else img.inverse())
-            else:
-                for gi, e in enumerate(payload):
-                    if e:
-                        out = multiply(out, self.images[factor.names[gi]] ** e)
-        return out
+                payload = [payload.count(i) - payload.count(-i) for i in range(1, factor.rank + 1)]
+            for name, e in zip(factor.names, payload):
+                if e:
+                    total = [t + e * v for t, v in zip(total, self.images[name])]
+        return self._position(total)
 
     @cached_property
     def elements(self) -> tuple[GroupElement, ...]:
@@ -94,27 +105,16 @@ class FiniteQuotient:
 
     @cached_property
     def index(self) -> dict[GroupElement, int]:
-        """Position of each quotient element in ``elements``.
-
-        Elements are enumerated by exponent vector in lexicographic order,
-        so the position of (e_1, ..., e_r) is the mixed-radix number with
-        digits e_i over the torsion orders.
-        """
+        """Position of each quotient element in ``elements``: the loader's
+        lookup for cocycle argument words."""
         return {g: i for i, g in enumerate(self.elements)}
 
     @cached_property
     def sums(self) -> tuple[tuple[int, ...], ...]:
         """``sums[i][j]`` is the index of the product of elements i and j."""
-        torsion = self.target.factors[0].torsion
-        digits = list(itertools.product(*(range(m) for m in torsion)))
-
-        def position(a, b) -> int:
-            out = 0
-            for x, y, m in zip(a, b, torsion):
-                out = out * m + (x + y) % m
-            return out
-
-        return tuple(tuple(position(a, b) for b in digits) for a in digits)
+        digits = list(itertools.product(*map(range, self.torsion)))
+        return tuple(tuple(self._position(x + y for x, y in zip(a, b)) for b in digits)
+                     for a in digits)
 
 
 class Cocycle:
@@ -174,9 +174,9 @@ class Cocycle:
         report = module.action_violation(target.factors[0], mats)
         if report is not None:
             raise RejectedError(f"quotient {report}")
-        index = self.quotient.index
-        for gen in self.quotient.source.generator_names():
-            image = self._element_matrices[index[self.quotient.images[gen]]]
+        quotient = self.quotient
+        for gen in quotient.source.generator_names():
+            image = self._element_matrices[quotient.index_of(quotient.source.generator(gen))]
             if not module._congruent(module.action[gen], image):
                 raise RejectedError(
                     f"action of {gen!r} does not factor through the quotient"
@@ -192,12 +192,11 @@ class Cocycle:
         """
         names = self.quotient.target.factors[0].names
         out = []
-        for q in self.quotient.elements:
+        for exps in itertools.product(*map(range, self.quotient.torsion)):
             m = IntMatrix.identity(self.module.rank)
-            for _, exps in q.syllables:
-                for name, e in zip(names, exps):
-                    for _ in range(e):
-                        m = self._q_matrices[name] @ m
+            for name, e in zip(names, exps):
+                for _ in range(e):
+                    m = self._q_matrices[name] @ m
             out.append(m)
         return tuple(out)
 
@@ -250,8 +249,7 @@ def verify_cocycle(c: Cocycle):
     n = len(elems)
     nn = n * n
     target = quotient.target
-    rows = sorted({index[target.identity()]}
-                  | {index[target.generator(name)] for name in target.generator_names()})
+    rows = sorted({0, *(index[target.generator(q)] for q in target.generator_names())})
     reduce = c.module.presentation.reduce
     cols = list(zip(*c.values))
     zeros = [0] * (nn * n)
@@ -281,22 +279,22 @@ def verify_cocycle(c: Cocycle):
 
 def _resolve_inverse(a: InvertiblePair, b: InvertiblePair, cm: InvertiblePair,
                      d) -> RingMatrix:
-    inv = _right_multiply(cm.inverse, [gen.inverted() for p in (b, a)
-                                       for gen in reversed(p.provenance)])
+    inv = _column_ops(cm.inverse, [gen.inverted() for p in (b, a)
+                                   for gen in reversed(p.provenance)])
     if d is None or inv in ((d.matrix, d.inverse) if isinstance(d, InvertiblePair) else (d,)):
         return inv
     raise RejectedError("supplied matrix is not a two-sided inverse of A*B*C")
 
 
 def _split(quotient: FiniteQuotient, m: RingMatrix) -> dict[int, IntMatrix]:
-    """{i: the integer matrix of m's coefficients at terms that project to index i}."""
+    """{i: the integer matrix of m's coefficients at terms whose image has index i}."""
     n = m.n
-    index = quotient.index
+    index_of = quotient.index_of
     out: dict[int, list] = {}
     for j, col in enumerate(m.cols):
         for i, terms in col.items():
             for g, a in terms.items():
-                part = out.setdefault(index[quotient.project(g)], [[0] * n for _ in range(n)])
+                part = out.setdefault(index_of(g), [[0] * n for _ in range(n)])
                 part[i][j] += a
     return {q: IntMatrix(part) for q, part in out.items()}
 

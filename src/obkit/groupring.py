@@ -46,7 +46,7 @@ MAX_ENTRY_LETTERS = 400
 
 class RingMatrix:
     """A square matrix over Z[G]: ``cols[j]`` maps each row i with a nonzero
-    entry (i, j) to its terms.  ``_right_multiply`` keeps no zero entry or
+    entry (i, j) to its terms.  ``_column_ops`` keeps no zero entry or
     coefficient, so equal matrices have equal columns."""
 
     __slots__ = ("spec", "n", "cols")
@@ -131,7 +131,7 @@ def _check_letters(bound: int) -> int:
     return bound
 
 
-def _right_multiply(m: RingMatrix, gens) -> RingMatrix:
+def _column_ops(m: RingMatrix, gens) -> RingMatrix:
     """m times the generators in order, one column operation each.
 
     Right-multiplying by D_i(+-g) scales column i by +-g, and by E_ij(x)
@@ -200,7 +200,7 @@ def build_invertible(spec: GroupSpec, n: int, gens) -> InvertiblePair:
     """
     gens = tuple(gens)
     ident = RingMatrix.identity(spec, n)
-    m = _right_multiply(ident, gens)
-    inv = _right_multiply(ident, [gen.inverted() for gen in reversed(gens)])
+    m = _column_ops(ident, gens)
+    inv = _column_ops(ident, [gen.inverted() for gen in reversed(gens)])
     return InvertiblePair(m, inv, gens)
 

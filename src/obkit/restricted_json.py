@@ -13,13 +13,13 @@ recursion limit.  Each limit is diagnosed where the literal or container starts.
 pairs in file order, duplicate keys kept, an array a list, a string a str
 and an integer an int.  It reads the text with the stdlib ``json`` C
 scanner, guarded so that what the scanner accepts the profile accepts with
-the same values: the text holds none of ``true``, ``false``, ``null``,
-``NaN``, ``Infinity`` or ``\\u`` anywhere (the scanner would join a
-surrogate pair the profile keeps as two characters), and the result holds
-no float, no integer past MAX_INT_DIGITS digits and no container past
-MAX_DEPTH levels.  Any other text, and any text the scanner refuses, goes
-to ``parse_json``, the positioned parser, which diagnoses it or accepts it
-(a raw tab in a string, say) and has its tree converted.
+the same values: the text holds no ``\\u`` (the scanner would join a
+surrogate pair the profile keeps as two characters), the hooks refuse
+floats, ``NaN``, ``Infinity`` and integers past MAX_INT_DIGITS digits, and
+a walk of the result refuses ``true``, ``false``, ``null`` and containers
+past MAX_DEPTH levels.  Any other text, and any text the scanner refuses,
+goes to ``parse_json``, the positioned parser, which diagnoses it or
+accepts it (a raw tab in a string, say) and has its tree converted.
 
 ``parse_json`` gives every value its line and column.  A caller that
 decodes a file needs them only for a diagnostic: it parses again then,
@@ -231,21 +231,21 @@ def _int(literal: str) -> int:
 
 _SCANNER = json.JSONDecoder(object_pairs_hook=tuple, parse_float=_refuse,
                             parse_int=_int, parse_constant=_refuse)
-# Words whose presence anywhere in a text sends it to the positioned parser.
-_SCANNER_UNSAFE = ("true", "false", "null", "NaN", "Infinity", "\\u")
 _second = itemgetter(1)
 
 
-def _nests_too_deep(value) -> bool:
-    """Whether a decoded value holds a container MAX_DEPTH + 1 levels deep,
-    found one level of containers at a time."""
-    level = [value] if isinstance(value, (list, tuple)) else []
-    for _ in range(MAX_DEPTH):
+def _outside_profile(value) -> bool:
+    """Whether a decoded value holds ``true``, ``false`` or ``null``, or a
+    container MAX_DEPTH + 1 levels deep, found one level at a time."""
+    level = [value]
+    for _ in range(MAX_DEPTH + 1):
+        if {bool, type(None)} & set(map(type, level)):
+            return True
+        level = [x for x in level if type(x) is list or type(x) is tuple]
         if not level:
             return False
-        children = chain.from_iterable(c if type(c) is list else map(_second, c) for c in level)
-        level = [x for x in children if type(x) is list or type(x) is tuple]
-    return bool(level)
+        level = list(chain.from_iterable(c if type(c) is list else map(_second, c) for c in level))
+    return True
 
 
 def _plain(node: Node):
@@ -258,13 +258,13 @@ def _plain(node: Node):
 
 def _decode(text: str):
     """(``decode_json``'s value, ``parse_json``'s root if it read the text, else None)."""
-    if not any(word in text for word in _SCANNER_UNSAFE):
+    if "\\u" not in text:
         try:
             value = _SCANNER.decode(text)
         except (_Refused, json.JSONDecodeError, RecursionError):
             pass
         else:
-            if not _nests_too_deep(value):
+            if not _outside_profile(value):
                 return value, None
     root = parse_json(text)
     return _plain(root), root

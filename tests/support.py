@@ -4,8 +4,9 @@ generator matrices, flat cocycle tables, coboundary cocycles,
 pushed-forward cocycles, suspended lenses, reference implementations
 (the sum and the full Z[G] product of ring elements and the product of
 matrices, which obkit does not provide, with certified pairs and the
-two-sided inverse check built on them; cocycle check; chi by one
-linearization per index quadruple; the dense all-elements Wh oracle;
+two-sided inverse check built on them; cocycle check; the projection
+to a quotient by one group product per letter; chi by one linearization
+per index quadruple; the dense all-elements Wh oracle;
 dense row-vector product; character-by-character JSON parser) that fast
 paths are checked against, and the identities Wh normalization and chi
 must satisfy.
@@ -31,7 +32,8 @@ from obkit.groupring import (
     RingMatrix,
     build_invertible,
 )
-from obkit.groups import FactorSpec, GroupSpec, enumerate_elements, inverse, multiply
+from obkit.groups import (FactorSpec, GroupElement, GroupSpec, enumerate_elements, inverse,
+                          multiply)
 from obkit.intlinalg import IntMatrix, QuotientPresentation, smith_normal_form
 from obkit.obstruction import LensClass
 from obkit.restricted_json import MAX_DEPTH, MAX_INT_DIGITS, JsonError, Node
@@ -403,16 +405,39 @@ def reference_verify_cocycle(c):
     return None
 
 
+def reference_project(quotient: FiniteQuotient, g):
+    """g's image in the quotient as a quotient element, by one group
+    product per letter of g: the reference for
+    ``FiniteQuotient.index_of``, which sums exponent vectors instead."""
+    if g.spec != quotient.source:
+        raise ContextError("element over a different group")
+    target = quotient.target
+    images = {name: GroupElement(target, ((0, vec),)) if any(vec) else target.identity()
+              for name, vec in quotient.images.items()}
+    out = target.identity()
+    for fi, payload in g.syllables:
+        factor = quotient.source.factors[fi]
+        if factor.kind == "free":
+            for x in payload:
+                img = images[factor.names[abs(x) - 1]]
+                out = multiply(out, img if x > 0 else inverse(img))
+        else:
+            for gi, e in enumerate(payload):
+                if e:
+                    out = multiply(out, images[factor.names[gi]] ** e)
+    return out
+
+
 def linearize_eval(c, x: dict, y: dict, z: dict) -> tuple:
     """Trilinear extension of the pulled-back table over Z[G] supports,
-    projecting every support element of the terms x, y and z afresh; the
-    value's reduced coordinates."""
+    projecting every support element of the terms x, y and z afresh with
+    ``reference_project``; the value's reduced coordinates."""
     module = c.module
     k = module.rank
     table = dict(zip(itertools.product(enumerate_elements(c.quotient.target), repeat=3),
                      c.values))
     total = [0] * k
-    proj = c.quotient.project
+    proj = functools.partial(reference_project, c.quotient)
     xs = [(proj(g), a) for g, a in x.items()]
     ys = [(proj(g), a) for g, a in y.items()]
     zs = [(proj(g), a) for g, a in z.items()]

@@ -1,13 +1,15 @@
 """Cocycle verification, the quotient-order limit, and the chain-level
 chi map against its index-by-index reference."""
 
+import functools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obkit import chi, groupring
+from obkit import chi, groupring, groups
 from obkit.chi import (
     Cocycle,
     FiniteQuotient,
@@ -19,7 +21,7 @@ from obkit.chi import (
 from obkit.errors import RejectedError
 from obkit.gmodules import GModule, ModuleMap
 from obkit.groupring import DiagonalGen, InvertiblePair, build_invertible
-from obkit.groups import FactorSpec, GroupSpec
+from obkit.groups import FactorSpec, GroupElement, GroupSpec, multiply
 from obkit.intlinalg import QuotientPresentation
 from obkit.wh1 import WhElement, induced_map
 from support import (
@@ -32,6 +34,7 @@ from support import (
     rand_invertible,
     rand_ring,
     reference_chi_eval,
+    reference_project,
     reference_verify_cocycle,
     ring_add,
     ring_matmul,
@@ -183,19 +186,31 @@ def test_verify_cocycle_matches_reference(case):
     check()
 
 
-def test_cocycle_check_multiplies_at_most_q_squared_times(monkeypatch):
-    # Products come from the quotient's index, not from one multiply per
-    # quadruple.
-    calls = []
-    multiply = chi.multiply
-    monkeypatch.setattr(chi, "multiply", lambda g, h: calls.append(1) or multiply(g, h))
-    quotient, module, q_action = _torsion_setting((8,), ROT4)
-    q = quotient.target.generator("q0")
-    c = coboundary(quotient, module, {(q, q): (0, 1, 0), (q, q * q): (1, 0, -1)},
-                   q_action=q_action)
-    assert any(map(any, c.values))
-    assert verify_cocycle(c) is None
-    assert len(calls) <= 8 ** 2
+def test_cocycle_check_and_chi_make_no_group_product(monkeypatch):
+    # A quotient element is its index: neither the check nor chi forms a
+    # product of group elements over the quotient, and the check forms
+    # none at all.
+    assert not hasattr(chi, "multiply")
+    z8, module, q_action = _torsion_setting((8,), ROT4)
+    q = z8.target.generator("q0")
+    c8 = coboundary(z8, module, {(q, q): (0, 1, 0), (q, q * q): (1, 0, -1)}, q_action=q_action)
+    assert any(map(any, c8.values))
+    rng = random.Random(62)
+    spec, *_, quotient, _, cocycle = z2_setup()
+    a, b, cm = (rand_invertible(rng, spec, 3) for _ in range(3))
+    products = []
+    for layer in (groups, groupring):
+        monkeypatch.setattr(layer, "multiply",
+                            lambda g, h, real=layer.multiply: products.append(g.spec)
+                            or real(g, h))
+    assert verify_cocycle(c8) is None and verify_cocycle(cocycle) is None
+    assert products == []
+    value = chi_eval(cocycle, a, b, cm)
+    # The products that compose the inverse lie in the source group.
+    assert products and quotient.target not in products
+    monkeypatch.undo()
+    assert not value.is_zero
+    assert value == reference_chi_eval(cocycle, a, b, cm)
 
 
 @pytest.mark.parametrize("orders, matrix, quads", [((8,), ROT4, 2 * 8 ** 3),
@@ -308,6 +323,41 @@ def test_quotient_at_the_order_limit():
     quotient = FiniteQuotient(spec, qspec, {"t": qspec.generator("q"),
                                             "s": qspec.generator("q", MAX_QUOTIENT_ORDER // 2)})
     assert len(quotient.elements) == MAX_QUOTIENT_ORDER
+
+
+# Targets Z/6, Z/2 x Z/4 and (Z/2)^3, and torsion orders for the source's
+# torsion generator: its image is drawn among those of that order.
+INDEX_TARGETS = ((6,), (2, 4), (2, 2, 2))
+
+
+@st.composite
+def _quotient_and_element(draw):
+    """A quotient of free[x,y] * (Z^2 x Z/o) onto one of ``INDEX_TARGETS``
+    and a source element made of letters with exponents of both signs."""
+    torsion = draw(st.sampled_from(INDEX_TARGETS))
+    order = draw(st.sampled_from((2, 3, 4, 6)))
+    spec = GroupSpec((FactorSpec.free("x", "y"),
+                      FactorSpec.abelian(("a", "b", "s"), free_rank=2, torsion=[order])))
+    qspec = GroupSpec((FactorSpec.abelian(tuple(f"q{i}" for i in range(len(torsion))),
+                                          torsion=torsion),))
+
+    def image(step):
+        exps = tuple(draw(st.integers(0, m - 1)) * step(m) % m for m in torsion)
+        return GroupElement(qspec, ((0, exps),)) if any(exps) else qspec.identity()
+
+    images = {name: image(lambda m: 1) for name in ("x", "y", "a", "b")}
+    images["s"] = image(lambda m: m // math.gcd(m, order))
+    letters = draw(st.lists(st.tuples(st.sampled_from(("x", "y", "a", "b", "s")),
+                                      st.integers(-5, 5)), max_size=8))
+    g = functools.reduce(multiply, (spec.generator(n, e) for n, e in letters), spec.identity())
+    return FiniteQuotient(spec, qspec, images), g
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_quotient_and_element())
+def test_index_of_matches_the_projection_by_products(case):
+    quotient, g = case
+    assert quotient.index_of(g) == quotient.index[reference_project(quotient, g)]
 
 
 def test_linearize_single_term_and_zero():
@@ -440,9 +490,9 @@ def test_chi_projects_each_support_term_once(monkeypatch):
     terms = sum(len(x) for m in (a, b, cm) for col in m.matrix.cols for x in col.values())
     assert terms == 49
     calls = []
-    project = FiniteQuotient.project
-    monkeypatch.setattr(FiniteQuotient, "project",
-                        lambda self, g: calls.append(1) or project(self, g))
+    index_of = FiniteQuotient.index_of
+    monkeypatch.setattr(FiniteQuotient, "index_of",
+                        lambda self, g: calls.append(1) or index_of(self, g))
     value = chi_eval(cocycle, a, b, cm)
     assert len(calls) == terms
     monkeypatch.undo()

@@ -160,6 +160,28 @@ def test_quotient_torsion_law_checked_by_repeated_squaring(monkeypatch):
             "1:164: E242 quotient 'Q': image of 's' does not satisfy its torsion relation"]
 
 
+@pytest.mark.parametrize("image, accepted", [("q1*q2^2", True), ("q2", False)])
+def test_quotient_torsion_law_on_a_two_factor_target(image, accepted):
+    # s has order 2; in Z/2 x Z/4 the image (1, 2) has order 2, (0, 1)
+    # order 4: the law holds coordinate by coordinate or not at all.
+    text = json.dumps({
+        "name": "two-factor",
+        "group": {"factors": [{"kind": "free", "names": ["t"]},
+                              {"kind": "abelian", "names": ["s"], "torsion": [2]}]},
+        "quotients": {"Q": {"factors": [{"kind": "abelian", "names": ["q1", "q2"],
+                                         "torsion": [2, 4]}],
+                            "images": {"t": "q2", "s": image}}},
+    })
+    if accepted:
+        quotient = parse_scenario(text).quotients["Q"]
+        assert quotient.images["s"] == (1, 2)
+        return
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert [d.render() for d in err.value.diagnostics] == [
+        "1:154: E242 quotient 'Q': image of 's' does not satisfy its torsion relation"]
+
+
 def test_torsion_order_limit_is_a_positioned_error(monkeypatch):
     # A module over Z/order checks the law M^order = I; past the limit the
     # order is refused at its value instead of building a module.

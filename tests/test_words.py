@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from obkit import restricted_json
 from obkit.groupring import DiagonalGen, ElementaryGen
 from obkit.restricted_json import (MAX_DEPTH, MAX_INT_DIGITS, JsonError, Node, decode_json,
                                    parse_json)
@@ -300,6 +301,20 @@ def test_decoder_matches_reference_on_guard_texts():
     for text in GUARD_TEXTS:
         got, want = _decoded(text)
         assert got == want, text[:40]
+
+
+def test_decoder_keeps_words_in_strings_on_the_scanner(monkeypatch):
+    # Only a value, never a string, is refused as a constant: these texts
+    # stay on the scanner and decode as the positioned parser reads them.
+    texts = ['{"name": "nullspace", "a": ["true", "false"]}', '["NaN", "-Infinity"]',
+             '{"true": {"null": [1, "Infinity"]}}']
+    want = [_plain(parse_json(text)) for text in texts]
+
+    def fail(text):
+        raise AssertionError("fell back to the positioned parser")
+
+    monkeypatch.setattr(restricted_json, "parse_json", fail)
+    assert [decode_json(text) for text in texts] == want
 
 
 def test_decoder_keeps_order_duplicates_and_kinds():
