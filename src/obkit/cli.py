@@ -2,8 +2,9 @@
 deterministic key/value reports.
 
 Exit statuses: 0 success, 2 parse or validation failure (including
-usage errors), 3 computation rejected by a precondition, 4 a
-disagreement found by ``oracle agree``.
+usage errors, an unreadable scenario and an unwritable ``--out``), 3
+computation rejected by a precondition, 4 a disagreement found by
+``oracle agree``.
 """
 
 from __future__ import annotations
@@ -390,6 +391,10 @@ def main(argv=None) -> int:
         if args.scenario is not None:
             scenario = load_scenario(args.scenario)
         report = run_command(scenario, args.command, args)
+        text = report.render()
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except ScenarioError as err:
         for diag in err.diagnostics:
             print(diag.render(), file=sys.stderr)
@@ -403,11 +408,7 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"ERROR: {err}", file=sys.stderr)
         return 2
-    text = report.render()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return report.status
 

@@ -4,7 +4,8 @@ group action through integer matrices, plus maps between them.
 The action of a word is the product of its generators' matrices; inverse
 letters act through an inverse-on-the-quotient matrix found by integer
 linear solving, so matrices need not be unimodular over Z as long as
-they are invertible modulo the relation lattice.
+they are invertible modulo the relation lattice.  A generator that acts
+by the identity matrix is its own inverse and takes no solve.
 
 A module element is a plain coordinate tuple in the module's own basis,
 reduced to its coset's canonical representative by
@@ -107,12 +108,18 @@ class GModule:
         invertible on the quotient (checked only when ``inverses`` is given,
         which then receives the inverse), and, if it has torsion order m,
         have an m-th power congruent to the identity.  Then the generators
-        of an abelian factor must commute on the quotient.
+        of an abelian factor must commute on the quotient.  A generator whose
+        matrix is exactly the identity meets every one of these constraints,
+        so it is its own inverse and takes no solve and no power.
         """
         ident = IntMatrix.identity(self.rank)
         rel = self.presentation.relations.entries
         for gi, gen in enumerate(factor.names):
             m = mats[gen]
+            if m == ident:
+                if inverses is not None:
+                    inverses[gen] = m
+                continue
             if not all(self.presentation.is_zero(m.apply(r)) for r in rel):
                 return f"action of {gen!r} does not preserve the relation lattice"
             if inverses is not None:

@@ -206,13 +206,16 @@ class QuotientPresentation:
 
     def reduce(self, x) -> tuple:
         """The canonical representative of x + L, in the basis of x:
-        x - sum_i floor(y_i / d_i) * (U @ R)_i with y = x @ V."""
+        x - sum_i floor(y_i / d_i) * (U @ R)_i with y = x @ V.  Only the y_i
+        with d_i != 0 are formed, so V is read only in those columns, and
+        a presentation without relations returns x unchanged."""
         if len(x) != self.rank:
             raise DimensionError("vector length does not match rank")
-        y = _row_apply(x, self.v)
         out = list(x)
         for i, d in enumerate(self.diag):
-            q = y[i] // d if d else 0
+            if not d:
+                continue
+            q = sum(a * row[i] for a, row in zip(x, self.v.entries) if a) // d
             if q:
                 for j, b in self._lattice_row(i):
                     out[j] -= q * b

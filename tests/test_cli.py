@@ -381,6 +381,24 @@ def test_exit_status_parse_failure():
     assert result.returncode == 2
 
 
+def test_unwritable_out_exits_2(tmp_path):
+    result = run_cli("--scenario", Z2, "--out", str(tmp_path / "missing" / "x"),
+                     "report-paper")
+    assert result.returncode == 2
+    assert result.stderr.startswith("ERROR: ")
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+def test_out_to_a_directory_exits_2(capsys, tmp_path):
+    status = main(["--scenario", Z2, "--out", str(tmp_path), "report-paper"])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err.startswith("ERROR: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_exit_status_rejected(tmp_path):
     # a computation precondition failure is distinct from parse errors
     data = json.loads(pathlib.Path(F2).read_text())

@@ -1,6 +1,7 @@
 """G-module actions, validation and coefficient maps."""
 
 import math
+import pathlib
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from obkit.errors import ContextError, DimensionError
 from obkit.gmodules import GModule, ModuleMap
 from obkit.groups import inverse, multiply
 from obkit.intlinalg import IntMatrix, QuotientPresentation
+from obkit.scenario import load_scenario
 from support import (
     NON_SMITH_LATTICES,
     rand_element,
@@ -22,6 +24,7 @@ from support import (
     zz6_spec,
 )
 
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 SWAP = [[0, 1], [1, 0]]
 
 
@@ -111,6 +114,8 @@ MODULE_VIOLATIONS = [
      "action of 's' is not invertible on the quotient"),
     ("torsion", zz2_spec(), QuotientPresentation(2), {"s": [[0, -1], [1, -1]]},
      "action of 's' violates the torsion constraint (order 2)"),
+    ("torsion beside an identity", zmod_spec(2, 2), QuotientPresentation(2),
+     {"s2": [[0, -1], [1, -1]]}, "action of 's2' violates the torsion constraint (order 2)"),
     ("commuting", zmod_spec(2, 2), QuotientPresentation(2), {"s1": [[-1, 0], [0, 1]], "s2": SWAP},
      "actions of 's1' and 's2' do not commute on the quotient"),
 ]
@@ -123,6 +128,22 @@ def test_module_constructor_raises_each_violation(spec, presentation, action, me
     with pytest.raises(ValueError) as err:
         GModule(spec, presentation, action=action)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("fixture, solves", [
+    ("paper_f2.json", 0), ("paper_z2.json", 1), ("paper_z6.json", 1),
+])
+def test_identity_generators_take_no_solve(monkeypatch, fixture, solves):
+    # Only s on pi2 acts by a matrix other than the identity.
+    calls = []
+    solve = gmodules.solve
+    monkeypatch.setattr(gmodules, "solve", lambda *a: calls.append(1) or solve(*a))
+    scenario = load_scenario(SCENARIOS / fixture)
+    assert len(calls) == solves
+    for module in scenario.modules.values():
+        for gen, m in module.action.items():
+            if m == IntMatrix.identity(module.rank):
+                assert module._inverse[gen] is m
 
 
 def test_apply_map_examples():

@@ -99,6 +99,20 @@ def test_coset_reduce_examples():
     assert trivial.reduce((7, -3)) == (0, 0)
 
 
+class _Unreadable:
+    def __getattr__(self, name):
+        raise AssertionError(f"read V.{name}")
+
+
+def test_reduce_without_torsion_coordinates_does_not_read_v():
+    # No d_i != 0, so no y_i is formed and x is its own representative.
+    for p in (QuotientPresentation(3), QuotientPresentation(2, [(0, 0)])):
+        p.v = _Unreadable()
+        x = [4, -1, 0][:p.rank]
+        assert p.reduce(x) == tuple(x)
+        assert p.reduce((0,) * p.rank) == (0,) * p.rank
+
+
 def test_coset_membership():
     p = QuotientPresentation(1, [(2,)])
     assert p.is_zero((4,))
