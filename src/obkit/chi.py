@@ -1,12 +1,13 @@
 """Three-cocycles pulled back from finite abelian quotients and the
-chain-level chi functional on certified-invertible matrix triples,
-computed as one contraction over the quotient.
+chain-level chi functional on triples of certified matrices, each held
+as its matrix and its generators, computed as one contraction over the
+quotient.
 
-A quotient has at most MAX_QUOTIENT_ORDER elements, each named by its
-index, the mixed-radix number of its exponents; a source element's is
-summed from its letters' images, with no group product.  A cocycle table
-is one flat tuple with a slot for each triple of quotient elements, in
-index order; an empty slot holds the zero vector.
+A quotient has at most MAX_QUOTIENT_ORDER elements, and an element is
+its index, the mixed-radix number of its exponents; a source element's
+is summed from its letters' images, with no group product.  A cocycle
+table is one flat tuple with a slot for each triple of quotient
+elements, in index order; an empty slot holds the zero vector.
 When the coefficient module carries a nontrivial action it must be
 shown to factor through the quotient: the scenario supplies matrices
 for the quotient generators and the pullback compatibility is checked
@@ -21,6 +22,7 @@ reported without a separate full scan.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import cached_property
 
 from .errors import ContextError, DimensionError, RejectedError
@@ -46,7 +48,9 @@ MAX_QUOTIENT_ORDER = 32
 
 class FiniteQuotient:
     """A homomorphism from the working group onto (into) a finite abelian
-    group; each generator's image is its exponent vector over ``torsion``."""
+    group; each generator's image is its exponent vector over ``torsion``,
+    and a quotient element is its index below ``order``, the mixed-radix
+    number of its exponents, in the order of ``enumerate_elements``."""
 
     def __init__(self, source: GroupSpec, target: GroupSpec, images: dict):
         if not target.is_finite:
@@ -56,6 +60,7 @@ class FiniteQuotient:
             raise ValueError(f"quotient order {order} exceeds the limit {MAX_QUOTIENT_ORDER}")
         self.source = source
         self.target = target
+        self.order = order
         torsion = self.torsion = target.factors[0].torsion
         self.images = {}
         for factor in source.factors:
@@ -84,6 +89,10 @@ class FiniteQuotient:
             out = out * m + e % m
         return out
 
+    def target_index(self, q: GroupElement) -> int:
+        """The index of q, an element of the quotient group itself."""
+        return self._position(q.syllables[0][1] if q.syllables else ())
+
     def index_of(self, g: GroupElement) -> int:
         """The index of g's image: each letter's exponent times its
         generator's image vector, summed, then positioned."""
@@ -100,16 +109,6 @@ class FiniteQuotient:
         return self._position(total)
 
     @cached_property
-    def elements(self) -> tuple[GroupElement, ...]:
-        return tuple(enumerate_elements(self.target))
-
-    @cached_property
-    def index(self) -> dict[GroupElement, int]:
-        """Position of each quotient element in ``elements``: the loader's
-        lookup for cocycle argument words."""
-        return {g: i for i, g in enumerate(self.elements)}
-
-    @cached_property
     def sums(self) -> tuple[tuple[int, ...], ...]:
         """``sums[i][j]`` is the index of the product of elements i and j."""
         digits = list(itertools.product(*map(range, self.torsion)))
@@ -121,14 +120,16 @@ class Cocycle:
     """An inhomogeneous 3-cochain on a finite quotient, with coefficients
     in a module whose action factors through the quotient.
 
-    ``values[(i*n + j)*n + l]`` is c(q_i, q_j, q_l) over the n elements
-    of ``FiniteQuotient.elements``, the zero vector in an empty slot.
-    Values are stored unreduced: each reader reduces only a linear
-    combination of them, and the action preserves the relation lattice.
+    ``values[(i*n + j)*n + l]`` is c(q_i, q_j, q_l) over the n quotient
+    elements by index, the zero vector in an empty slot.  Values are
+    stored unreduced: each reader reduces only a linear combination of
+    them, and the action preserves the relation lattice.
 
     Factorization is validated on construction: for a trivial action the
     quotient acts trivially; otherwise explicit matrices for the quotient
-    generators are required and checked for compatibility.
+    generators, ``_q_matrices``, are required and checked for
+    compatibility.  They are the quotient action: the element with
+    exponents (e_1, ..., e_r) acts by M_r^e_r ... M_1^e_1.
     """
 
     def __init__(self, quotient: FiniteQuotient, module: GModule, values,
@@ -139,7 +140,7 @@ class Cocycle:
         self.module = module
         self.name = name
         self.values = values = tuple(values)
-        if len(values) != len(quotient.elements) ** 3:
+        if len(values) != quotient.order ** 3:
             raise DimensionError("table has the wrong number of slots")
         if any(len(v) != module.rank for v in values):
             raise DimensionError("table value has the wrong rank")
@@ -150,7 +151,6 @@ class Cocycle:
         target = self.quotient.target
         k = module.rank
         names = target.generator_names()
-        # ``_element_matrices`` reads the matrices while they are checked.
         mats = self._q_matrices = {n: IntMatrix.identity(k) for n in names}
         if q_action is None:
             if module.trivial_action:
@@ -174,31 +174,15 @@ class Cocycle:
         report = module.action_violation(target.factors[0], mats)
         if report is not None:
             raise RejectedError(f"quotient {report}")
-        quotient = self.quotient
-        for gen in quotient.source.generator_names():
-            image = self._element_matrices[quotient.index_of(quotient.source.generator(gen))]
+        for gen, exps in self.quotient.images.items():
+            image = IntMatrix.identity(k)
+            for name, e in zip(names, exps):
+                for _ in range(e):
+                    image = mats[name] @ image
             if not module._congruent(module.action[gen], image):
                 raise RejectedError(
                     f"action of {gen!r} does not factor through the quotient"
                 )
-
-    @cached_property
-    def _element_matrices(self) -> tuple[IntMatrix, ...]:
-        """The action matrix of each quotient element, by quotient index.
-
-        For exponents (e_1, ..., e_r) it is M_r^e_r ... M_1^e_1, the
-        generator matrices in the order they act, so applying it gives
-        exactly the coordinates of acting generator by generator.
-        """
-        names = self.quotient.target.factors[0].names
-        out = []
-        for exps in itertools.product(*map(range, self.quotient.torsion)):
-            m = IntMatrix.identity(self.module.rank)
-            for name, e in zip(names, exps):
-                for _ in range(e):
-                    m = self._q_matrices[name] @ m
-            out.append(m)
-        return tuple(out)
 
 
 def verify_cocycle(c: Cocycle):
@@ -224,11 +208,12 @@ def verify_cocycle(c: Cocycle):
 
     Returns None when the identity holds, else the first violated
     quadruple (g, h, q, l) in enumeration order: each coordinate runs
-    over ``FiniteQuotient.elements``, g slowest and l fastest.  The
-    scenario loader prints it in its E243 diagnostic, so the order is
-    part of the contract.  The checked rows run in index order, and the
-    first violation among them is that quadruple: elements are numbered
-    in mixed radix over their exponent vectors, so the rows before the
+    over the quotient's indices, g slowest and l fastest, and only the
+    witness is decoded, by ``enumerate_elements``.  The scenario loader
+    prints it in its E243 diagnostic, so the order is part of the
+    contract.  The checked rows run in index order, and the first
+    violation among them is that quadruple: elements are numbered in
+    mixed radix over their exponent vectors, so the rows before the
     generator q_i are exactly the subgroup of the later generators,
     whose rows come earlier and held.  A failing table costs the scan
     up to the end of the row that holds its witness.
@@ -236,20 +221,21 @@ def verify_cocycle(c: Cocycle):
     Each checked row is formed whole, one coordinate at a time:
     ``Cocycle.values`` is transposed once into k columns, the slots each
     term reads are index arrays built from ``FiniteQuotient.sums``, and
-    g acts on the whole table as k linear combinations of columns.  Only
-    a row with a nonzero total is walked, in enumeration order.  The
-    stored values are unreduced, so each nonzero total is reduced before
-    it is judged; a zero total is not reduced, which is exact because
-    reduction is linear.
+    g, the identity or a ``Cocycle._q_matrices`` generator, acts on the
+    whole table as k linear combinations of columns.  Only a row with a
+    nonzero total is walked, in enumeration order.  The stored values
+    are unreduced, so each nonzero total is reduced before it is judged;
+    a zero total is not reduced, which is exact because reduction is
+    linear.
     """
     quotient = c.quotient
-    elems = quotient.elements
-    index = quotient.index
     sums = quotient.sums
-    n = len(elems)
+    n = quotient.order
     nn = n * n
-    target = quotient.target
-    rows = sorted({0, *(index[target.generator(q)] for q in target.generator_names())})
+    # The identity has index 0, and generator i the product of the later orders.
+    torsion, names = quotient.torsion, quotient.target.generator_names()
+    rows = [(0, IntMatrix.identity(c.module.rank))] + [
+        (math.prod(torsion[i + 1:]), c._q_matrices[names[i]]) for i in reversed(range(len(names)))]
     reduce = c.module.presentation.reduce
     cols = list(zip(*c.values))
     zeros = [0] * (nn * n)
@@ -258,11 +244,11 @@ def verify_cocycle(c: Cocycle):
     hq_l = [s * n + l for h_sums in sums for s in h_sums for l in range(n)]
     h_ql = [h * n + s for h in range(n) for q_sums in sums for s in q_sums]
     h_q = [t // n for t in range(nn * n)]
-    for gi in rows:
+    for gi, action in rows:
         # c(gh,q,l) lies in the row of gh: its slot in the whole table.
         gh_q_l = [s * nn + t for s in sums[gi] for t in range(nn)]
         d = []
-        for coeffs, col in zip(c._element_matrices[gi].entries, cols):
+        for coeffs, col in zip(action.entries, cols):
             # This coordinate of g.c(h,q,l) over the whole table.
             terms = [x if a == 1 else [a * v for v in x] for a, x in zip(coeffs, cols) if a]
             terms = terms or [zeros]
@@ -273,15 +259,25 @@ def verify_cocycle(c: Cocycle):
         if any(map(any, d)):
             for t, total in enumerate(zip(*d)):
                 if any(total) and any(reduce(total)):
+                    elems = enumerate_elements(quotient.target)
                     return (elems[gi], elems[t // nn], elems[t // n % n], elems[t % n])
     return None
 
 
+def _inverse(*pairs: InvertiblePair) -> RingMatrix:
+    """The inverse of the product of the pairs' matrices, from the identity
+    by column operations: each pair's inverted generators in reverse
+    order, the last pair's first; exact, as E_ij(x) E_ij(-x) = I and
+    D_i(+-g) D_i(+-g^-1) = I."""
+    m = pairs[0].matrix
+    return _column_ops(RingMatrix.identity(m.spec, m.n),
+                       [gen.inverted() for p in reversed(pairs) for gen in reversed(p.provenance)])
+
+
 def _resolve_inverse(a: InvertiblePair, b: InvertiblePair, cm: InvertiblePair,
-                     d) -> RingMatrix:
-    inv = _column_ops(cm.inverse, [gen.inverted() for p in (b, a)
-                                   for gen in reversed(p.provenance)])
-    if d is None or inv in ((d.matrix, d.inverse) if isinstance(d, InvertiblePair) else (d,)):
+                     d: InvertiblePair | None) -> RingMatrix:
+    inv = _inverse(a, b, cm)
+    if d is None or d.matrix == inv or _inverse(d) == inv:
         return inv
     raise RejectedError("supplied matrix is not a two-sided inverse of A*B*C")
 
@@ -304,12 +300,13 @@ def chi_eval(c: Cocycle, a: InvertiblePair, b: InvertiblePair, cm: InvertiblePai
     """The chain-level functional: sum of f(a_ij (x) b_jk (x) c_kl)[d_li].
 
     The bracket extends Z-bilinearly over the support of d_li.  A, B
-    and C are pairs from ``build_invertible``, and C^-1 B^-1 A^-1 is
-    built by applying the inverted generators of B and A to C's inverse,
-    by column operations and without a check: each inverse is exact by
-    construction.  It is rejected past ``MAX_MATRIX_TERMS`` terms.  A
-    supplied inverse d (a matrix, or either reading of a pair) is
-    accepted only when it equals that matrix, since a two-sided inverse
+    and C are pairs from ``build_invertible``, and D = C^-1 B^-1 A^-1 is
+    built from the identity by the inverted generators of C, B and A, by
+    column operations and without a check: it is exact by construction.
+    It is rejected past ``MAX_MATRIX_TERMS`` terms or
+    ``MAX_ENTRY_LETTERS`` letters in an entry.  A supplied inverse d, a
+    pair, is accepted when its matrix equals D, or failing that when the
+    inverse composed from its generators does, since a two-sided inverse
     is unique and matrices compare by canonical terms; any other d
     rejects the call.
 
@@ -330,7 +327,7 @@ def chi_eval(c: Cocycle, a: InvertiblePair, b: InvertiblePair, cm: InvertiblePai
     d_mat = _resolve_inverse(a, b, cm, d)
     n = am.n
     k = c.module.rank
-    order = len(c.quotient.elements)
+    order = c.quotient.order
     a_parts, b_parts, c_parts = (_split(c.quotient, m) for m in (am, bm, cmm))
     t = [[[0] * k for _ in range(n)] for _ in range(n)]
     for q1, x in a_parts.items():

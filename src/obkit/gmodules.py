@@ -70,7 +70,7 @@ class GModule:
             if report is not None:
                 raise ValueError(report)
         ident = IntMatrix.identity(k)
-        self.trivial_action = all(self._congruent(m, ident) for m in full.values())
+        self.trivial_action = all(m == ident or self._congruent(m, ident) for m in full.values())
 
     @property
     def rank(self) -> int:

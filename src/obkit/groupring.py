@@ -8,12 +8,13 @@ test suite's reference (``ring_mul``, ``ring_matmul`` in tests/support.py).
 
 Matrix inverses are never computed: invertible matrices are built from
 elementary and diagonal-unit generators, which invert symbolically, so
-each certified pair is exact by construction and is not multiplied out
-again.  A matrix is built by column operations, one per generator, and
-holds at most MAX_MATRIX_TERMS terms over all its entries and at most
+a certified matrix is held as its matrix and its generators, and
+``chi_eval`` composes the inverse it needs from the inverted generators.
+A matrix is built by column operations, one per generator, and holds at
+most MAX_MATRIX_TERMS terms over all its entries and at most
 MAX_ENTRY_LETTERS free letters in each element of them.  Nothing
 multiplies a supplied inverse out: ``chi_eval`` compares one with the
-inverse it composes from the pairs' generators.
+inverse it composes.
 """
 
 from __future__ import annotations
@@ -32,9 +33,10 @@ __all__ = [
 ]
 
 # Largest number of terms, summed over the entries, that a built matrix
-# or its inverse may hold.  The fixtures and the benchmark stay under 20
-# per matrix; n generators E(i, i mod n + 1, "t - s") reach the limit at
-# n = 14, and without it one entry at n = 24 holds about 200,000 terms.
+# may hold: a certified matrix at load, and the inverse chi composes.
+# The fixtures and the benchmark stay under 20 per matrix; n generators
+# E(i, i mod n + 1, "t - s") reach the limit at n = 14, and without it
+# one entry at n = 24 holds about 200,000 terms.
 MAX_MATRIX_TERMS = 10_000
 # Largest number of letters (``_letters``) an element of a built matrix
 # may hold, as bounded per column before each generator: a product has
@@ -93,19 +95,18 @@ class DiagonalGen:
 
 
 class InvertiblePair:
-    """A matrix with a two-sided inverse and its generator history.
+    """A certified invertible matrix: the matrix and its generator history.
 
-    The pair is taken as given; ``build_invertible`` makes pairs that are
-    inverse by construction.  ``provenance`` holds the generators whose
-    product is the matrix.  ``chi_eval`` trusts it: it composes the
-    inverse of A*B*C from the provenance of A and B and the inverse of C,
-    and never multiplies a matrix out to check them."""
+    ``provenance`` holds the generators whose product is the matrix;
+    ``build_invertible`` makes the matrix from them, and the pair is taken
+    as given.  No inverse is stored: ``chi_eval`` composes the inverse of
+    A*B*C from the inverted generators of C, B and A, and never
+    multiplies a matrix out to check it."""
 
-    __slots__ = ("matrix", "inverse", "provenance")
+    __slots__ = ("matrix", "provenance")
 
-    def __init__(self, matrix: RingMatrix, inv: RingMatrix, provenance=()):
+    def __init__(self, matrix: RingMatrix, provenance):
         self.matrix = matrix
-        self.inverse = inv
         self.provenance = tuple(provenance)
 
 
@@ -186,21 +187,15 @@ def _column_ops(m: RingMatrix, gens) -> RingMatrix:
 
 
 def build_invertible(spec: GroupSpec, n: int, gens) -> InvertiblePair:
-    """Product of generators in order, with the symbolically built inverse.
+    """The product of generators in order, with the generators.
 
-    Both are built from the identity by column operations: the matrix
-    applies the generators, and the inverse applies the inverted
-    generators in reverse order, which is exact: E_ij(x) E_ij(-x) = I and
-    D_i(+-g) D_i(+-g^-1) = I.  Each holds at most MAX_MATRIX_TERMS terms
-    and at most MAX_ENTRY_LETTERS free letters in an element
-    (RejectedError past either, before the generator that would pass it
-    runs).  The number of generators is bounded only by the length of the
-    input, but both limits bound the work of each, so the cost grows
-    linearly with their number.
+    The matrix is built from the identity by column operations, one per
+    generator.  It holds at most MAX_MATRIX_TERMS terms and at most
+    MAX_ENTRY_LETTERS free letters in an element (RejectedError past
+    either, before the generator that would pass it runs).  The number of
+    generators is bounded only by the length of the input, but both
+    limits bound the work of each, so the cost grows linearly with their
+    number.  The inverse is not built here: ``chi_eval`` composes it.
     """
     gens = tuple(gens)
-    ident = RingMatrix.identity(spec, n)
-    m = _column_ops(ident, gens)
-    inv = _column_ops(ident, [gen.inverted() for gen in reversed(gens)])
-    return InvertiblePair(m, inv, gens)
-
+    return InvertiblePair(_column_ops(RingMatrix.identity(spec, n), gens), gens)

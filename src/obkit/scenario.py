@@ -91,9 +91,9 @@ class Scenario:
     commands report such a cocycle as verified without checking it again.
     Every module and map passed its constructor's checks, and every entry
     of ``matrices`` is an ``InvertiblePair`` from ``build_invertible``,
-    built by column operations and inverse by construction; the matrix
-    and its inverse each hold at most ``groupring.MAX_MATRIX_TERMS``
-    terms (a sequence past it is diagnosed E245 at ``generators``).
+    its matrix built by column operations within ``groupring``'s term and
+    letter limits (a sequence past either is diagnosed E245 at
+    ``generators``); its inverse is composed, within them, by ``chi_eval``.
     """
 
     name: str
@@ -436,12 +436,11 @@ class _Resolver:
             target = self.build_group(qobj["factors"], qpath)
             if target is None:
                 continue
-            images_value = qobj.get("images")
-            images = self.named(images_value, qpath + ("images",), "images", "image of",
-                                partial(self.read_word, target))
-            if not isinstance(images_value, tuple):
+            if "images" not in qobj:
                 self.diag(qpath, "E200", f"quotient {name!r} needs 'images'")
                 continue
+            images = self.named(qobj["images"], qpath + ("images",), "images", "image of",
+                                partial(self.read_word, target))
             if images is None:
                 continue
             try:
@@ -492,7 +491,7 @@ class _Resolver:
         if value is not None and not isinstance(value, list):
             self.diag(path, "E200", "entries must be an array")
             return None
-        n = len(quotient.elements)
+        n = quotient.order
         slots = [None] * n ** 3
         words: dict[str, int] = {}
         for i, entry in enumerate(value or ()):
@@ -515,7 +514,7 @@ class _Resolver:
                                        "cocycle argument")
                     if g is None:
                         return None
-                    w = words[word] = quotient.index[g]
+                    w = words[word] = quotient.target_index(g)
                 slot = slot * n + w
             vec = self.int_list(eobj["value"], epath + ("value",), "entry value")
             if vec is None:

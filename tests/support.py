@@ -1,12 +1,13 @@
 """Shared builders for the test suite: group specs, random elements,
 trivial-action modules, framing modules, random certified matrices,
-generator matrices, flat cocycle tables, coboundary cocycles,
-pushed-forward cocycles, suspended lenses, reference implementations
-(the sum and the full Z[G] product of ring elements and the product of
-matrices, which obkit does not provide, with certified pairs and the
-two-sided inverse check built on them; cocycle check; the projection
-to a quotient by one group product per letter; chi by one linearization
-per index quadruple; the dense all-elements Wh oracle;
+generator matrices, flat cocycle tables, the action matrix of each
+quotient element, coboundary cocycles, pushed-forward cocycles,
+suspended lenses, reference implementations (the sum and the full Z[G]
+product of ring elements and the product of matrices, which obkit does
+not provide, with certified matrices, the inverses of their products
+and the two-sided inverse check built on them; cocycle check; the
+projection to a quotient by one group product per letter; chi by one
+linearization per index quadruple; the dense all-elements Wh oracle;
 dense row-vector product; character-by-character JSON parser) that fast
 paths are checked against, and the identities Wh normalization and chi
 must satisfy.
@@ -22,7 +23,7 @@ import functools
 import itertools
 import random
 
-from obkit.chi import Cocycle, FiniteQuotient, _resolve_inverse, chi_eval
+from obkit.chi import Cocycle, FiniteQuotient, _inverse, _resolve_inverse, chi_eval
 from obkit.errors import ContextError, DimensionError, RejectedError
 from obkit.gmodules import GModule, ModuleMap
 from obkit.groupring import (
@@ -129,6 +130,25 @@ def flat_table(quotient: FiniteQuotient, module: GModule, table: dict) -> tuple:
     return tuple(tuple(table.get(key, zero)) for key in keys)
 
 
+def element_matrices(c: Cocycle) -> tuple[IntMatrix, ...]:
+    """The action matrix of each quotient element, by quotient index.
+
+    For exponents (e_1, ..., e_r) it is M_r^e_r ... M_1^e_1 over the
+    generator matrices ``c._q_matrices``, in the order they act, so
+    applying it gives exactly the coordinates of acting generator by
+    generator.
+    """
+    names = c.quotient.target.generator_names()
+    out = []
+    for exps in itertools.product(*map(range, c.quotient.torsion)):
+        m = IntMatrix.identity(c.module.rank)
+        for name, e in zip(names, exps):
+            for _ in range(e):
+                m = c._q_matrices[name] @ m
+        out.append(m)
+    return tuple(out)
+
+
 def coboundary(quotient: FiniteQuotient, module: GModule, two_cochain,
                q_action=None, name: str = "") -> Cocycle:
     """The 3-cocycle that is the coboundary of an explicit 2-cochain.
@@ -138,9 +158,9 @@ def coboundary(quotient: FiniteQuotient, module: GModule, two_cochain,
     zero leaves its slot the zero vector.
     """
     k = module.rank
-    index = quotient.index
+    index = {g: i for i, g in enumerate(enumerate_elements(quotient.target))}
     sums = quotient.sums
-    n = len(quotient.elements)
+    n = quotient.order
     values = [(0,) * k] * (n * n * n)
     probe = Cocycle(quotient, module, values, q_action=q_action)
     b = [(0,) * k] * (n * n)
@@ -152,7 +172,7 @@ def coboundary(quotient: FiniteQuotient, module: GModule, two_cochain,
             raise ContextError("2-cochain key outside the quotient group")
         b[index[q1] * n + index[q2]] = coords
 
-    for gi, act in enumerate(probe._element_matrices):
+    for gi, act in enumerate(element_matrices(probe)):
         g_sums = sums[gi]
         for hi in range(n):
             gh = g_sums[hi] * n
@@ -228,7 +248,7 @@ def rand_invertible(rng: random.Random, spec: GroupSpec, n: int, max_gens: int =
                 x = {rand_element(rng, spec, 2): rng.choice([-1, 1])}
                 gens.append(ElementaryGen(i, j, x))
         pair = build_invertible(spec, n, gens)
-        supports = [len(terms) for m in (pair.matrix, pair.inverse)
+        supports = [len(terms) for m in (pair.matrix, _inverse(pair))
                     for col in m.cols for terms in col.values()]
         if max(supports) <= max_support:
             return pair
@@ -292,18 +312,28 @@ def ring_matmul(m: RingMatrix, n: RingMatrix) -> RingMatrix:
     return RingMatrix(m.spec, cols)
 
 
-def reference_build_invertible(spec: GroupSpec, n: int, gens) -> InvertiblePair:
-    """``build_invertible`` by full matrix products: the generators'
-    matrices multiplied in order, and the inverted generators' in
-    reverse order."""
-    gens = tuple(gens)
+def reference_build_invertible(spec: GroupSpec, n: int, gens) -> RingMatrix:
+    """The matrix of ``build_invertible`` by full matrix products: the
+    generators' matrices multiplied in order."""
     m = RingMatrix.identity(spec, n)
     for gen in gens:
         m = ring_matmul(m, gen_matrix(gen, spec, n))
-    inv = RingMatrix.identity(spec, n)
-    for gen in reversed(gens):
-        inv = ring_matmul(inv, gen_matrix(gen.inverted(), spec, n))
-    return InvertiblePair(m, inv, gens)
+    return m
+
+
+def inverted_generators(*pairs: InvertiblePair) -> tuple:
+    """Generators whose product is the inverse of the product of the
+    pairs' matrices: each pair's inverted generators in reverse order,
+    the last pair's first."""
+    return tuple(gen.inverted() for p in reversed(pairs) for gen in reversed(p.provenance))
+
+
+def reference_inverse(*pairs: InvertiblePair) -> RingMatrix:
+    """The inverse of the product of the pairs' matrices by full matrix
+    products of the inverted generators' matrices: the reference for the
+    inverse that ``chi_eval`` composes by column operations."""
+    m = pairs[0].matrix
+    return reference_build_invertible(m.spec, m.n, inverted_generators(*pairs))
 
 
 def is_two_sided_inverse(m: RingMatrix, n: RingMatrix) -> bool:

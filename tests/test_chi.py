@@ -21,7 +21,7 @@ from obkit.chi import (
 from obkit.errors import RejectedError
 from obkit.gmodules import GModule, ModuleMap
 from obkit.groupring import DiagonalGen, InvertiblePair, build_invertible
-from obkit.groups import FactorSpec, GroupElement, GroupSpec, multiply
+from obkit.groups import FactorSpec, GroupElement, GroupSpec, enumerate_elements, multiply
 from obkit.intlinalg import QuotientPresentation
 from obkit.wh1 import WhElement, induced_map
 from support import (
@@ -29,11 +29,13 @@ from support import (
     chi_naturality_check,
     coboundary,
     flat_table,
+    inverted_generators,
     linearize_eval,
     pushforward,
     rand_invertible,
     rand_ring,
     reference_chi_eval,
+    reference_inverse,
     reference_project,
     reference_verify_cocycle,
     ring_add,
@@ -98,7 +100,7 @@ def test_shipped_table_passes_and_mutations_fail():
 def test_coboundary_always_verifies():
     rng = random.Random(67)
     spec, pi2, _, _, quotient, _, _ = z2_setup()
-    elems = quotient.elements
+    elems = enumerate_elements(quotient.target)
     for _ in range(20):
         two = {}
         for _ in range(rng.randint(0, 4)):
@@ -159,7 +161,7 @@ def oracle_cocycles(draw, orders, action, rank, relations):
     changed, over one of ``ORACLE_CASES``."""
     quotient, module, q_action = _torsion_setting(orders, QUOTIENT_ACTIONS[action], rank,
                                                   relations)
-    element = st.sampled_from(quotient.elements)
+    element = st.sampled_from(enumerate_elements(quotient.target))
     vector = st.tuples(*[st.integers(-2, 2)] * rank)
     kind = draw(st.sampled_from(["random", "coboundary", "mutated"]))
     if kind == "random":
@@ -217,27 +219,26 @@ def test_cocycle_check_and_chi_make_no_group_product(monkeypatch):
                                                     ((2, 2), SWAP3, 3 * 4 ** 3)])
 def test_cocycle_check_reads_the_generator_rows_only(orders, matrix, quads):
     # A passing table is decided on the rows g = 1 and g = a generator,
-    # (1 + #generators)·|Q|^3 quadruples: the check reads the action of
-    # exactly those elements, once each and in index order.
+    # (1 + #generators)·|Q|^3 quadruples: past the identity row, the
+    # check reads the matrix of each generator once, in index order.
     quotient, module, q_action = _torsion_setting(orders, matrix)
-    elems = quotient.elements
+    elems = enumerate_elements(quotient.target)
     rng = random.Random(0)
     two = {(g, h): tuple(rng.randint(-2, 2) for _ in range(3)) for g in elems for h in elems}
     c = coboundary(quotient, module, two, q_action=q_action)
     read = []
 
-    class Recording(tuple):
-        def __getitem__(self, i):
-            read.append(i)
-            return tuple.__getitem__(self, i)
+    class Recording(dict):
+        def __getitem__(self, name):
+            read.append(name)
+            return dict.__getitem__(self, name)
 
-    c._element_matrices = Recording(c._element_matrices)
+    c._q_matrices = Recording(c._q_matrices)
     assert verify_cocycle(c) is None
     target = quotient.target
-    rows = {quotient.index[g] for g in (target.identity(), *map(target.generator,
-                                                                 target.generator_names()))}
-    assert read == sorted(rows)
-    assert len(read) * len(elems) ** 3 == quads
+    names = sorted(target.generator_names(), key=lambda q: elems.index(target.generator(q)))
+    assert read == names
+    assert (1 + len(read)) * len(elems) ** 3 == quads
 
 
 def test_totals_in_the_relation_lattice_pass():
@@ -322,7 +323,7 @@ def test_quotient_at_the_order_limit():
     qspec = GroupSpec((FactorSpec.abelian(("q",), torsion=[MAX_QUOTIENT_ORDER]),))
     quotient = FiniteQuotient(spec, qspec, {"t": qspec.generator("q"),
                                             "s": qspec.generator("q", MAX_QUOTIENT_ORDER // 2)})
-    assert len(quotient.elements) == MAX_QUOTIENT_ORDER
+    assert quotient.order == len(quotient.sums) == MAX_QUOTIENT_ORDER
 
 
 # Targets Z/6, Z/2 x Z/4 and (Z/2)^3, and torsion orders for the source's
@@ -357,7 +358,9 @@ def _quotient_and_element(draw):
 @given(_quotient_and_element())
 def test_index_of_matches_the_projection_by_products(case):
     quotient, g = case
-    assert quotient.index_of(g) == quotient.index[reference_project(quotient, g)]
+    elements = enumerate_elements(quotient.target)
+    assert quotient.index_of(g) == elements.index(reference_project(quotient, g))
+    assert [quotient.target_index(q) for q in elements] == list(range(quotient.order))
 
 
 def test_linearize_single_term_and_zero():
@@ -408,16 +411,17 @@ CHI_CASES = (
 @st.composite
 def chi_inputs(draw, case):
     """A nonzero cocycle of ``oracle_cocycles``, a certified triple of
-    size 1..3, and D: omitted, the bare inverse, or a certified pair
-    holding the inverse as its matrix or as its inverse."""
+    size 1..3, and D: omitted, or a certified pair that is the inverse
+    or whose generators' inverse is, each matrix by full products."""
     c = draw(oracle_cocycles(*case).filter(lambda c: any(map(any, c.values))))
     rng = random.Random(draw(st.integers(0, 2**32)))
     n = draw(st.integers(1, 3))
     spec = c.module.spec
     a, b, cm = (rand_invertible(rng, spec, n, max_gens=4, max_support=3) for _ in range(3))
-    inv = ring_matmul(ring_matmul(cm.inverse, b.inverse), a.inverse)
-    abc = ring_matmul(ring_matmul(a.matrix, b.matrix), cm.matrix)
-    d = draw(st.sampled_from([None, inv, InvertiblePair(inv, abc), InvertiblePair(abc, inv)]))
+    inv = InvertiblePair(reference_inverse(a, b, cm), inverted_generators(a, b, cm))
+    abc = InvertiblePair(ring_matmul(ring_matmul(a.matrix, b.matrix), cm.matrix),
+                         a.provenance + b.provenance + cm.provenance)
+    d = draw(st.sampled_from([None, inv, abc]))
     return c, a, b, cm, d
 
 
@@ -450,7 +454,7 @@ def test_values_are_exact_up_to_relations(case):
     # some slots, empty ones included, must change no verdict or value.
     orders, action, rank, relations = case
     quotient, _, _ = _torsion_setting(orders, QUOTIENT_ACTIONS[action], rank, relations)
-    element = st.sampled_from(quotient.elements)
+    element = st.sampled_from(enumerate_elements(quotient.target))
     relation = st.tuples(*[st.integers(-2, 2)] * len(relations)).filter(any).map(
         lambda coeffs: tuple(sum(a * row[i] for a, row in zip(coeffs, relations))
                              for i in range(rank)))
@@ -527,8 +531,10 @@ def test_chi_rejects_bad_inverse():
     s = spec.generator("s")
     t = spec.generator("t")
     m = build_invertible(spec, 1, [DiagonalGen(0, 1, s)])
-    wrong = build_invertible(spec, 1, [DiagonalGen(0, 1, t)])
-    for d in (wrong, wrong.matrix, wrong.inverse):
+    # The inverse of m^3 is (s): neither (t) nor (t^-1) is it, as its
+    # matrix or as the inverse of its generators.
+    for g in (t, t ** -1):
+        d = build_invertible(spec, 1, [DiagonalGen(0, 1, g)])
         with pytest.raises(RejectedError, match="not a two-sided inverse"):
             chi_eval(cocycle, m, m, m, d)
 
@@ -541,11 +547,12 @@ def test_chi_inverse_uniqueness():
         a = rand_invertible(rng, spec, 2)
         b = rand_invertible(rng, spec, 2)
         c = rand_invertible(rng, spec, 2)
-        d1 = ring_matmul(ring_matmul(c.inverse, b.inverse), a.inverse)
-        baseline = chi_eval(cocycle, a, b, c, d1)
+        ci, bi, ai = map(reference_inverse, (c, b, a))
+        d1 = ring_matmul(ring_matmul(ci, bi), ai)
+        baseline = chi_eval(cocycle, a, b, c, InvertiblePair(d1, inverted_generators(a, b, c)))
         alt = chi_eval(cocycle, a, b, c)  # recomposed internally
         assert baseline == alt
-        assert d1 == ring_matmul(c.inverse, ring_matmul(b.inverse, a.inverse))
+        assert d1 == ring_matmul(ci, ring_matmul(bi, ai))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -554,7 +561,7 @@ def test_chi_inverse_uniqueness():
 def test_composed_inverse_equals_the_product_of_inverses(spec, n, seed):
     rng = random.Random(seed)
     a, b, cm = (rand_invertible(rng, spec, n, max_gens=5, max_support=4) for _ in range(3))
-    expected = ring_matmul(ring_matmul(cm.inverse, b.inverse), a.inverse)
+    expected = ring_matmul(ring_matmul(*map(reference_inverse, (cm, b))), reference_inverse(a))
     assert chi._resolve_inverse(a, b, cm, None) == expected
 
 
@@ -562,7 +569,7 @@ def test_composed_inverse_past_the_term_limit_is_rejected(monkeypatch):
     rng = random.Random(83)
     spec, _, _, _, _, _, cocycle = z2_setup()
     a, b, cm = (rand_invertible(rng, spec, 3, max_gens=6) for _ in range(3))
-    composed = ring_matmul(ring_matmul(cm.inverse, b.inverse), a.inverse)
+    composed = ring_matmul(ring_matmul(*map(reference_inverse, (cm, b))), reference_inverse(a))
     terms = sum(len(x) for col in composed.cols for x in col.values())
     monkeypatch.setattr(groupring, "MAX_MATRIX_TERMS", terms - 1)
     with pytest.raises(RejectedError, match=f"limit of {terms - 1} terms"):
@@ -589,7 +596,7 @@ def test_naturality_randomized():
     qspec = GroupSpec((FactorSpec.abelian(("q",), torsion=[2]),))
     quotient = FiniteQuotient(spec, qspec,
                               {"t": qspec.generator("q"), "s": qspec.generator("q")})
-    elems = quotient.elements
+    elems = enumerate_elements(quotient.target)
     for _ in range(25):
         two = {}
         for _ in range(rng.randint(1, 3)):
@@ -637,7 +644,7 @@ def test_retraction_kills_chi_randomized():
     qspec = GroupSpec((FactorSpec.abelian(("q",), torsion=[2]),))
     quotient = FiniteQuotient(spec, qspec,
                               {"t": qspec.generator("q"), "s": qspec.generator("q")})
-    elems = quotient.elements
+    elems = enumerate_elements(quotient.target)
     killed = leaked = 0
     for _ in range(40):
         # 2-cochain values on the line through v, so the table lies on it
@@ -687,6 +694,6 @@ def test_z6_sample_matches_frozen_value():
     q = qspec.generator("q")
     c = coboundary(quotient, pi2, {(q, q): (0, 1, 0)}, q_action={"q": rot})
     assert verify_cocycle(c) is None
-    i = quotient.index[q]
+    i = quotient.target_index(q)
     assert c.values[(i * 6 + i) * 6 + i] == (0, -1, 1)
     assert sum(map(any, c.values)) == 17

@@ -146,6 +146,27 @@ def test_identity_generators_take_no_solve(monkeypatch, fixture, solves):
                 assert module._inverse[gen] is m
 
 
+def test_identity_generators_take_no_reduce(monkeypatch):
+    # A generator whose matrix is exactly the identity acts trivially with
+    # no reduce; one congruent to it on the quotient still takes them.
+    # No group here has two generators in one abelian factor, whose
+    # commuting check reduces as well.
+    ident = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    cases = [(spec, QuotientPresentation(3, [(2, 0, 0), (0, 6, 3)]))
+             for spec in (tu_spec(), zz6_spec(), zmod_spec(4))]
+    mod2 = QuotientPresentation(1, [(2,)])
+    calls = []
+    reduce = QuotientPresentation.reduce
+    monkeypatch.setattr(QuotientPresentation, "reduce",
+                        lambda self, x: calls.append(1) or reduce(self, x))
+    for spec, presentation in cases:
+        action = {gen: ident for gen in spec.generator_names()}
+        assert GModule(spec, presentation, action=action).trivial_action
+    assert calls == []
+    assert GModule(zz2_spec(), mod2, action={"s": [[-1]]}).trivial_action
+    assert calls
+
+
 def test_apply_map_examples():
     spec = zz2_spec()
     pi2 = GModule(spec, QuotientPresentation(2), elements={"alpha": (1, 0)})

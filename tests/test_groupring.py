@@ -30,6 +30,7 @@ from support import (
     rand_invertible,
     rand_ring,
     reference_build_invertible,
+    reference_inverse,
     ring_add,
     ring_matmul,
     ring_mul,
@@ -130,13 +131,13 @@ def test_build_invertible_examples():
     empty = build_invertible(spec, 2, [])
     assert empty.matrix == RingMatrix.identity(spec, 2)
     single = build_invertible(spec, 2, [ElementaryGen(0, 1, ring(t))])
-    assert single.inverse == gen_matrix(ElementaryGen(0, 1, ring(t, -1)), spec, 2)
+    assert chi._inverse(single) == gen_matrix(ElementaryGen(0, 1, ring(t, -1)), spec, 2)
     tricky = build_invertible(spec, 2, [
         ElementaryGen(0, 1, ring(t)),
         DiagonalGen(0, -1, s),
         ElementaryGen(1, 0, ring_add(ring(spec.identity()), ring(s))),
     ])
-    assert is_two_sided_inverse(tricky.matrix, tricky.inverse)
+    assert is_two_sided_inverse(tricky.matrix, chi._inverse(tricky))
     assert not is_two_sided_inverse(single.matrix, single.matrix)
 
 
@@ -168,7 +169,7 @@ def test_invertible_pairs_randomized():
     for spec in (f2_spec(), zz2_spec()):
         for _ in range(25):
             pair = rand_invertible(rng, spec, rng.choice([1, 2, 3]))
-            assert is_two_sided_inverse(pair.matrix, pair.inverse)
+            assert is_two_sided_inverse(pair.matrix, chi._inverse(pair))
 
 
 @st.composite
@@ -198,12 +199,30 @@ def _generator_sequences(draw):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_generator_sequences())
 def test_built_pairs_are_inverse_by_construction(case):
-    # InvertiblePair does not multiply its pair out; build_invertible's
-    # symbolic inverse must be exact on its own.
+    # Nothing multiplies a certified matrix out; the inverse chi composes
+    # from its generators must be exact on its own.
     spec, n, gens = case
     pair = build_invertible(spec, n, gens)
-    assert is_two_sided_inverse(pair.matrix, pair.inverse)
+    assert is_two_sided_inverse(pair.matrix, chi._inverse(pair))
     assert pair.provenance == tuple(gens)
+
+
+def test_build_invertible_runs_one_column_pass(monkeypatch):
+    # A certified matrix is its matrix and its generators: building it
+    # makes one column-operation pass, and no inverse is built or held.
+    spec = zz2_spec()
+    t, s = spec.generator("t"), spec.generator("s")
+    column_ops = groupring._column_ops
+    calls = []
+    monkeypatch.setattr(groupring, "_column_ops",
+                        lambda m, gens: calls.append(len(gens)) or column_ops(m, gens))
+    sequences = ([], [DiagonalGen(0, -1, s)],
+                 [ElementaryGen(0, 1, ring(t)), DiagonalGen(1, 1, t),
+                  ElementaryGen(1, 0, ring(s))])
+    for gens in sequences:
+        pair = build_invertible(spec, 2, gens)
+        assert not hasattr(pair, "inverse")
+    assert calls == [len(gens) for gens in sequences]
 
 
 def tu_z6_spec() -> GroupSpec:
@@ -245,9 +264,8 @@ def _powered_sequences(draw, count=1):
 def test_column_build_matches_the_product_build(case):
     spec, n, gens = case
     pair = build_invertible(spec, n, gens)
-    reference = reference_build_invertible(spec, n, gens)
-    assert pair.matrix == reference.matrix
-    assert pair.inverse == reference.inverse
+    assert pair.matrix == reference_build_invertible(spec, n, gens)
+    assert chi._inverse(pair) == reference_inverse(pair)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -258,7 +276,7 @@ def test_built_and_composed_matrices_hold_no_zero(case):
     spec, n, *lists = case
     a, b, cm = (build_invertible(spec, n, gens) for gens in lists)
     composed = chi._resolve_inverse(a, b, cm, None)
-    for m in (a.matrix, a.inverse, b.matrix, b.inverse, cm.matrix, cm.inverse, composed):
+    for m in (a.matrix, b.matrix, cm.matrix, *map(chi._inverse, (a, b, cm)), composed):
         assert len(m.cols) == n
         for col in m.cols:
             assert set(col) <= set(range(n))
@@ -307,7 +325,7 @@ def test_letter_limit_is_checked_before_each_generator(monkeypatch):
     monkeypatch.undo()
     count = MAX_ENTRY_LETTERS // 100
     gens = [DiagonalGen(0, 1, t ** 100)] * count
-    assert entry(build_invertible(spec, 1, gens).inverse, 0, 0) == ring(t ** (-100 * count))
+    assert entry(chi._inverse(build_invertible(spec, 1, gens)), 0, 0) == ring(t ** (-100 * count))
     with pytest.raises(RejectedError, match=f"limit of {MAX_ENTRY_LETTERS} letters"):
         build_invertible(spec, 1, gens + gens[:1])
 

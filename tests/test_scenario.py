@@ -16,7 +16,7 @@ from obkit.chi import FiniteQuotient
 from obkit.errors import DimensionError
 from obkit.gmodules import GModule
 from obkit.groupring import MAX_ENTRY_LETTERS, MAX_MATRIX_TERMS, RingMatrix
-from obkit.groups import FactorSpec, GroupSpec
+from obkit.groups import FactorSpec, GroupSpec, enumerate_elements
 from obkit.intlinalg import IntMatrix, QuotientPresentation
 from obkit.restricted_json import MAX_DEPTH, MAX_INT_DIGITS
 from obkit.scenario import (MAX_MATRIX_SIZE, MAX_MODULE_RANK, MAX_TORSION_ORDER, ScenarioError,
@@ -690,7 +690,6 @@ DIAGNOSTIC_CASES = [
       "115:14: E220 unresolved cocycle name 'c'"]),
     ("quotient-images-not-object", _mutated(("quotients.Q.images", ["q"])),
      ["71:14: E200 images must be an object",
-      "59:8: E200 quotient 'Q' needs 'images'",
       "78:16: E220 unresolved quotient name 'Q'",
       "118:14: E220 unresolved cocycle name 'c'"]),
     ("quotient-image-bad", _mutated(("quotients.Q.images.s", "w"), ("quotients.Q.images.t", 1)),
@@ -941,13 +940,43 @@ def test_growing_generator_sequence_is_refused_within_a_second(tmp_path, capsys)
 
 
 def test_composed_inverse_past_the_term_limit_is_rejected(tmp_path, capsys):
-    # Each matrix and inverse loads within the limit (528 terms at most);
-    # C^-1 B^-1 A^-1 is a product of three such inverses and is not.
+    # Each matrix loads within the limit, and each one's inverse holds at
+    # most 528 terms; C^-1 B^-1 A^-1, the product of the three, does not.
     path = tmp_path / "composed.json"
     path.write_text(_with_matrices("paper_z2.json", 8, _cyclic_inverted(8)))
     assert main(["--scenario", str(path), "chi", "c", "A", "B", "C"]) == 3
     assert capsys.readouterr().err == (
         f"REJECTED: matrix would exceed the limit of {MAX_MATRIX_TERMS} terms\n")
+
+
+def test_inverse_past_the_letter_limit_loads_and_chi_refuses_it(tmp_path, capsys):
+    # Only the matrix is built at load: it holds 4 * 96 letters in an
+    # entry.  Its inverse applies E(1,2,"-t^96") first, so its bound
+    # reaches 5 * 96, and chi refuses it before that generator runs.
+    count = MAX_ENTRY_LETTERS // MAX_WORD_LETTERS
+    gens = " ; ".join([f'D(2,"t^{MAX_WORD_LETTERS}")'] * count
+                      + [f'E(1,2,"t^{MAX_WORD_LETTERS}")'])
+    path = tmp_path / "letters.json"
+    path.write_text(_with_matrices("paper_z2.json", 2, gens))
+    assert main(["--scenario", str(path), "normalize", "t"]) == 0
+    capsys.readouterr()
+    assert main(["--scenario", str(path), "chi", "c", "A", "B", "C"]) == 3
+    assert capsys.readouterr().err == (
+        f"REJECTED: matrix would exceed the limit of {MAX_ENTRY_LETTERS} letters in an entry\n")
+
+
+def test_fixtures_never_list_their_quotients(monkeypatch, capsys):
+    # A quotient element is its index: loading a fixture, checking its
+    # cocycle, evaluating chi and reporting enumerate no quotient.
+    def fail(spec):
+        raise AssertionError("enumerated the elements of a quotient")
+
+    for layer in (groups, chi):
+        monkeypatch.setattr(layer, "enumerate_elements", fail)
+    for name in ("paper_f2.json", "paper_z2.json", "paper_z6.json"):
+        for command in (["chi", "c", "A", "B", "C"], ["report-paper"]):
+            assert main(["--scenario", str(SCENARIOS / name)] + command) == 0, (name, command)
+    assert "COCYCLE_OK: true" in capsys.readouterr().out
 
 
 def test_chi_path_forms_no_matrix_product(tmp_path, capsys):
@@ -1042,7 +1071,7 @@ def _dense_torsion_text(m):
     quotient = FiniteQuotient(spec, qspec, {"t": qspec.identity(), "s": qspec.generator("q")})
     module = GModule(spec, QuotientPresentation(3), action={"s": ROT4})
     rng = random.Random(m)
-    elems = quotient.elements
+    elems = enumerate_elements(qspec)
     two = {(g, h): [rng.randint(-2, 2) for _ in range(3)] for g in elems for h in elems}
     values = coboundary(quotient, module, two, q_action={"q": ROT4}).values
     table = {key: value for key, value in zip(itertools.product(elems, repeat=3), values)
