@@ -27,7 +27,7 @@ from functools import cached_property
 
 from .errors import ContextError, DimensionError, RejectedError
 from .gmodules import GModule, ModuleMap
-from .groupring import InvertiblePair, RingMatrix, _column_ops
+from .groupring import InvertiblePair, RingMatrix, _inverse_columns
 from .groups import GroupElement, GroupSpec, enumerate_elements
 from .intlinalg import IntMatrix
 from .wh1 import WhElement
@@ -265,19 +265,19 @@ def verify_cocycle(c: Cocycle):
 
 
 def _inverse(*pairs: InvertiblePair) -> RingMatrix:
-    """The inverse of the product of the pairs' matrices, from the identity
-    by column operations: each pair's inverted generators in reverse
-    order, the last pair's first; exact, as E_ij(x) E_ij(-x) = I and
-    D_i(+-g) D_i(+-g^-1) = I."""
+    """The inverse of the product of the pairs' matrices, every column of
+    it composed by ``_inverse_columns``; exact, as E_ij(x) E_ij(-x) = I
+    and D_i(+-g) D_i(+-g^-1) = I."""
     m = pairs[0].matrix
-    return _column_ops(RingMatrix.identity(m.spec, m.n),
-                       [gen.inverted() for p in reversed(pairs) for gen in reversed(p.provenance)])
+    return RingMatrix(m.spec, _inverse_columns(pairs, range(m.n)))
 
 
-def _resolve_inverse(a: InvertiblePair, b: InvertiblePair, cm: InvertiblePair,
-                     d: InvertiblePair | None) -> RingMatrix:
+def _checked_inverse(a: InvertiblePair, b: InvertiblePair, cm: InvertiblePair,
+                     d: InvertiblePair) -> RingMatrix:
+    """D = C^-1 B^-1 A^-1 when the supplied pair d is it, as its matrix or
+    as the inverse composed from its generators; else RejectedError."""
     inv = _inverse(a, b, cm)
-    if d is None or d.matrix == inv or _inverse(d) == inv:
+    if d.matrix == inv or _inverse(d) == inv:
         return inv
     raise RejectedError("supplied matrix is not a two-sided inverse of A*B*C")
 
@@ -300,22 +300,26 @@ def chi_eval(c: Cocycle, a: InvertiblePair, b: InvertiblePair, cm: InvertiblePai
     """The chain-level functional: sum of f(a_ij (x) b_jk (x) c_kl)[d_li].
 
     The bracket extends Z-bilinearly over the support of d_li.  A, B
-    and C are pairs from ``build_invertible``, and D = C^-1 B^-1 A^-1 is
-    built from the identity by the inverted generators of C, B and A, by
-    column operations and without a check: it is exact by construction.
-    It is rejected past ``MAX_MATRIX_TERMS`` terms or
-    ``MAX_ENTRY_LETTERS`` letters in an entry.  A supplied inverse d, a
-    pair, is accepted when its matrix equals D, or failing that when the
-    inverse composed from its generators does, since a two-sided inverse
-    is unique and matrices compare by canonical terms; any other d
-    rejects the call.
+    and C are pairs from ``build_invertible``.  f is trilinear and sees an
+    entry only through its image in the quotient, so each matrix is split
+    once by quotient index and d_li carries T_il = sum of
+    f(q1, q2, q3) (A_q1 B_q2 C_q3)_il over the nonzero slots of
+    ``Cocycle.values``, unreduced: the action preserves the relation
+    lattice, and ``WhElement.build`` sums each class before it reduces.
+    A_q1 B_q2 is formed only for a pair (q1, q2) whose table row holds a
+    nonzero slot at some q3 of C's split.
 
-    f is trilinear and sees an entry only through its image in the
-    quotient, so each matrix is split once by quotient index and d_li
-    carries T_il = sum of f(q1, q2, q3) (A_q1 B_q2 C_q3)_il over the
-    nonzero slots of ``Cocycle.values``, unreduced: the action preserves
-    the relation lattice, and ``WhElement.build`` sums each class before
-    it reduces.
+    D = C^-1 B^-1 A^-1 is read only in its columns i for which row i of T
+    holds a nonzero entry, and only those are composed, each from the
+    unit vector by the inverted generators of A, B and C
+    (``_inverse_columns``), without a check: it is exact by
+    construction.  Those columns are rejected past ``MAX_MATRIX_TERMS``
+    terms or ``MAX_ENTRY_LETTERS`` letters in an entry; a column chi does
+    not read is never composed, so it is never refused.  A supplied
+    inverse d, a pair, is checked against all of D: it is accepted when
+    its matrix equals D, or failing that when the inverse composed from
+    its generators does, since a two-sided inverse is unique and
+    matrices compare by canonical terms; any other d rejects the call.
     """
     am, bm, cmm = a.matrix, b.matrix, cm.matrix
     spec = c.module.spec
@@ -324,31 +328,36 @@ def chi_eval(c: Cocycle, a: InvertiblePair, b: InvertiblePair, cm: InvertiblePai
             raise ContextError("matrix over a different group")
     if not (am.n == bm.n == cmm.n):
         raise DimensionError("matrix sizes differ")
-    d_mat = _resolve_inverse(a, b, cm, d)
+    d_cols = None if d is None else _checked_inverse(a, b, cm, d).cols
     n = am.n
     k = c.module.rank
     order = c.quotient.order
+    values = c.values
     a_parts, b_parts, c_parts = (_split(c.quotient, m) for m in (am, bm, cmm))
     t = [[[0] * k for _ in range(n)] for _ in range(n)]
     for q1, x in a_parts.items():
         for q2, y in b_parts.items():
-            xy = x @ y
             row = (q1 * order + q2) * order
-            for q3, z in c_parts.items():
-                v = c.values[row + q3]
-                if not any(v):
-                    continue
+            slots = [(v, z) for q3, z in c_parts.items() if any(v := values[row + q3])]
+            if not slots:
+                continue
+            xy = x @ y
+            for v, z in slots:
                 for t_row, p_row in zip(t, (xy @ z).entries):
                     for t_il, p in zip(t_row, p_row):
                         if p:
                             for r, w in enumerate(v):
                                 t_il[r] += p * w
+    read = [i for i, t_row in enumerate(t) if any(map(any, t_row))]
+    if d_cols is None:
+        d_cols = dict(zip(read, _inverse_columns((a, b, cm), read)))
     raw = []
-    for i, t_row in enumerate(t):
-        for l, t_il in enumerate(t_row):
+    for i in read:
+        d_col = d_cols[i]
+        for l, t_il in enumerate(t[i]):
             if any(t_il):
                 raw.extend(([coeff * w for w in t_il], h)
-                           for h, coeff in d_mat.cols[i].get(l, {}).items())
+                           for h, coeff in d_col.get(l, {}).items())
     return WhElement.build(c.module, raw)
 
 

@@ -138,7 +138,8 @@ class GModule:
             for i, x in enumerate(factor.names):
                 for y in factor.names[i + 1:]:
                     a, b = mats[x], mats[y]
-                    if not self._congruent(a @ b, b @ a):
+                    ab, ba = a @ b, b @ a
+                    if not (ab == ba or self._congruent(ab, ba)):
                         return f"actions of {x!r} and {y!r} do not commute on the quotient"
         return None
 

@@ -9,12 +9,13 @@ test suite's reference (``ring_mul``, ``ring_matmul`` in tests/support.py).
 Matrix inverses are never computed: invertible matrices are built from
 elementary and diagonal-unit generators, which invert symbolically, so
 a certified matrix is held as its matrix and its generators, and
-``chi_eval`` composes the inverse it needs from the inverted generators.
+``chi_eval`` composes the columns of the inverse it reads from the
+inverted generators, each column on its own (``_inverse_columns``).
 A matrix is built by column operations, one per generator, and holds at
 most MAX_MATRIX_TERMS terms over all its entries and at most
-MAX_ENTRY_LETTERS free letters in each element of them.  Nothing
-multiplies a supplied inverse out: ``chi_eval`` compares one with the
-inverse it composes.
+MAX_ENTRY_LETTERS free letters in each element of them; the columns of
+an inverse are held to the same limits.  Nothing multiplies a supplied
+inverse out: ``chi_eval`` compares one with the inverse it composes.
 """
 
 from __future__ import annotations
@@ -33,15 +34,17 @@ __all__ = [
 ]
 
 # Largest number of terms, summed over the entries, that a built matrix
-# may hold: a certified matrix at load, and the inverse chi composes.
+# may hold: a certified matrix at load, and the columns of an inverse
+# that chi composes, summed over those columns.
 # The fixtures and the benchmark stay under 20 per matrix; n generators
 # E(i, i mod n + 1, "t - s") reach the limit at n = 14, and without it
 # one entry at n = 24 holds about 200,000 terms.
 MAX_MATRIX_TERMS = 10_000
 # Largest number of letters (``_letters``) an element of a built matrix
-# may hold, as bounded per column before each generator: a product has
-# at most the letters of its factors.  The benchmark's matrices and chi's
-# composed inverses of them reach about 100; without the limit each of k
+# may hold, as bounded per column (per entry of an inverse's column)
+# before each generator: a product has at most the letters of its
+# factors.  The benchmark's matrices and chi's composed inverses of them
+# reach about 100; without the limit each of k
 # generators D(1,"t^96") copies a longer element, O(k^2) work in all.
 MAX_ENTRY_LETTERS = 400
 
@@ -99,9 +102,9 @@ class InvertiblePair:
 
     ``provenance`` holds the generators whose product is the matrix;
     ``build_invertible`` makes the matrix from them, and the pair is taken
-    as given.  No inverse is stored: ``chi_eval`` composes the inverse of
-    A*B*C from the inverted generators of C, B and A, and never
-    multiplies a matrix out to check it."""
+    as given.  No inverse is stored: ``chi_eval`` composes the columns it
+    reads of the inverse of A*B*C from the inverted generators of A, B and
+    C, and never multiplies a matrix out to check it."""
 
     __slots__ = ("matrix", "provenance")
 
@@ -199,3 +202,71 @@ def build_invertible(spec: GroupSpec, n: int, gens) -> InvertiblePair:
     """
     gens = tuple(gens)
     return InvertiblePair(_column_ops(RingMatrix.identity(spec, n), gens), gens)
+
+
+def _inverse_columns(pairs, columns) -> list[dict]:
+    """Columns ``columns`` of the inverse of the product of the pairs'
+    matrices, in that order, each held as ``RingMatrix.cols`` holds one.
+
+    The inverse is L_1 ... L_k, each pair's inverted generators in
+    reverse order, the last pair's first, so its column i is
+    L_1(...(L_k e_i)).  On a column v, E_ab(x) acts by v_a += x*v_b and
+    D_a(+-g) by v_a = +-g*v_a, multiplying on the left; a generator that
+    meets a zero entry forms no product.  The pairs are built, so their
+    generators' indices were checked.  As in ``_column_ops``, both limits
+    are checked before each generator: the terms of the composed columns,
+    summed, against MAX_MATRIX_TERMS, and each entry's letter bound (its
+    units' letters, or an added entry's bound plus the longest term's
+    letters) against MAX_ENTRY_LETTERS.
+    """
+    columns = list(columns)
+    if not columns:
+        return []
+    steps = []
+    for p in pairs:
+        for gen in p.provenance:
+            gen = gen.inverted()
+            if isinstance(gen, DiagonalGen):
+                steps.append((gen, _letters(gen.g)))
+            else:
+                steps.append((gen, max(map(_letters, gen.x), default=0)))
+    identity = pairs[0].matrix.spec.identity()
+    total = 0
+    out = []
+    for i in columns:
+        v = {i: {identity: 1}}
+        letters = {i: 0}
+        total += 1
+        for gen, grow in steps:
+            a = gen.i
+            if isinstance(gen, DiagonalGen):
+                terms = v.get(a)
+                if terms is not None:
+                    letters[a] = _check_letters(letters[a] + grow)
+                    g, sign = gen.g, gen.sign
+                    v[a] = {multiply(g, h): sign * c for h, c in terms.items()}
+                continue
+            b = gen.j
+            source = v.get(b)
+            if source is None:
+                continue
+            x = gen.x
+            if total + len(source) * len(x) > MAX_MATRIX_TERMS:
+                raise RejectedError(f"matrix would exceed the limit of {MAX_MATRIX_TERMS} terms")
+            grown = _check_letters(letters[b] + grow)
+            acc = v.get(a, {})
+            total -= len(acc)
+            for h, y in x.items():
+                for g, c in source.items():
+                    hg = multiply(h, g)
+                    acc[hg] = acc.get(hg, 0) + y * c
+            acc = {g: c for g, c in acc.items() if c}
+            total += len(acc)
+            if acc:
+                v[a] = acc
+                letters[a] = max(letters.get(a, 0), grown)
+            else:
+                v.pop(a, None)
+                letters.pop(a, None)
+        out.append(v)
+    return out

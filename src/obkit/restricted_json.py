@@ -13,8 +13,9 @@ recursion limit.  Each limit is diagnosed where the literal or container starts.
 pairs in file order, duplicate keys kept, an array a list, a string a str
 and an integer an int.  It reads the text with the stdlib ``json`` C
 scanner, guarded so that what the scanner accepts the profile accepts with
-the same values: the text holds no ``\\u`` (the scanner would join a
-surrogate pair the profile keeps as two characters), the hooks refuse
+the same values: the text holds no ``\\u`` (the profile joins an escaped
+surrogate pair into its code point as the scanner does, but refuses a
+lone surrogate escape, which no UTF-8 output can write), the hooks refuse
 floats, ``NaN``, ``Infinity`` and integers past MAX_INT_DIGITS digits, and
 a walk of the result refuses ``true``, ``false``, ``null`` and containers
 past MAX_DEPTH levels.  Any other text, and any text the scanner refuses,
@@ -52,6 +53,7 @@ _WS = re.compile(r"[ \t\r\n]*")
 _PLAIN = re.compile(r'[^"\\\n]*')
 _INT = re.compile(r"-?([0-9]*)")
 _HEX4 = re.compile(r"[0-9a-fA-F]{4}")
+_LOW_SURROGATE = re.compile(r"\\u([dD][c-fC-F][0-9a-fA-F]{2})")
 
 
 class JsonError(ObkitError):
@@ -189,8 +191,17 @@ class _Parser:
             elif esc == "u":
                 if _HEX4.fullmatch(text, end + 2, end + 6) is None:
                     self.fail("invalid unicode escape", end + 1)
-                out.append(chr(int(text[end + 2:end + 6], 16)))
+                code = int(text[end + 2:end + 6], 16)
                 pos = end + 6
+                if 0xD800 <= code < 0xE000:
+                    # A surrogate is text only as the high half of an
+                    # escaped pair, which is joined into its code point.
+                    low = _LOW_SURROGATE.match(text, pos)
+                    if code >= 0xDC00 or low is None:
+                        self.fail("unpaired surrogate in unicode escape", end + 1)
+                    code = 0x10000 + (code - 0xD800) * 0x400 + int(low.group(1), 16) - 0xDC00
+                    pos = low.end()
+                out.append(chr(code))
             else:
                 self.fail(f"invalid escape {esc!r}", end + 1)
 

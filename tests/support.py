@@ -23,7 +23,7 @@ import functools
 import itertools
 import random
 
-from obkit.chi import Cocycle, FiniteQuotient, _inverse, _resolve_inverse, chi_eval
+from obkit.chi import Cocycle, FiniteQuotient, _inverse, chi_eval
 from obkit.errors import ContextError, DimensionError, RejectedError
 from obkit.gmodules import GModule, ModuleMap
 from obkit.groupring import (
@@ -485,12 +485,15 @@ def linearize_eval(c, x: dict, y: dict, z: dict) -> tuple:
 def reference_chi_eval(c, a, b, cm, d=None) -> WhElement:
     """chi summed index quadruple by index quadruple: one
     ``linearize_eval`` per nonzero (a_ij, b_jk, c_kl), each term of
-    d_li bracketing the value.  The reference for ``chi.chi_eval``,
-    which shares only its argument checks and inverse resolution."""
+    d_li bracketing the value, with D the whole ``reference_inverse``.
+    The reference for ``chi.chi_eval``: a supplied d must equal D as its
+    matrix or as the reference inverse of its generators."""
     am, bm, cmm = a.matrix, b.matrix, cm.matrix
     if not (am.n == bm.n == cmm.n):
         raise DimensionError("matrix sizes differ")
-    d_mat = _resolve_inverse(a, b, cm, d)
+    d_mat = reference_inverse(a, b, cm)
+    if d is not None and d.matrix != d_mat and reference_inverse(d) != d_mat:
+        raise RejectedError("supplied matrix is not a two-sided inverse of A*B*C")
     n = am.n
     raw = []
     for i in range(n):
@@ -717,7 +720,19 @@ class _ReferenceParser:
                     hexpart = self.text[self.pos + 1:self.pos + 5]
                     if len(hexpart) != 4 or any(c not in "0123456789abcdefABCDEF" for c in hexpart):
                         self.fail("invalid unicode escape")
-                    out.append(chr(int(hexpart, 16)))
+                    code = int(hexpart, 16)
+                    if 0xD800 <= code <= 0xDFFF:
+                        low = self.text[self.pos + 7:self.pos + 11]
+                        if (code > 0xDBFF or self.text[self.pos + 5:self.pos + 7] != "\\u"
+                                or len(low) != 4
+                                or any(c not in "0123456789abcdefABCDEF" for c in low)
+                                or not 0xDC00 <= int(low, 16) <= 0xDFFF):
+                            self.fail("unpaired surrogate in unicode escape")
+                        out.append((chr(code) + chr(int(low, 16))).encode(
+                            "utf-16", "surrogatepass").decode("utf-16"))
+                        self.pos += 11
+                        continue
+                    out.append(chr(code))
                     self.pos += 5
                 else:
                     self.fail(f"invalid escape {esc!r}")

@@ -22,12 +22,13 @@ from obkit.errors import RejectedError
 from obkit.gmodules import GModule, ModuleMap
 from obkit.groupring import DiagonalGen, InvertiblePair, build_invertible
 from obkit.groups import FactorSpec, GroupElement, GroupSpec, enumerate_elements, multiply
-from obkit.intlinalg import QuotientPresentation
+from obkit.intlinalg import IntMatrix, QuotientPresentation
 from obkit.wh1 import WhElement, induced_map
 from support import (
     NON_SMITH_LATTICES,
     chi_naturality_check,
     coboundary,
+    entry,
     flat_table,
     inverted_generators,
     linearize_eval,
@@ -562,18 +563,115 @@ def test_composed_inverse_equals_the_product_of_inverses(spec, n, seed):
     rng = random.Random(seed)
     a, b, cm = (rand_invertible(rng, spec, n, max_gens=5, max_support=4) for _ in range(3))
     expected = ring_matmul(ring_matmul(*map(reference_inverse, (cm, b))), reference_inverse(a))
-    assert chi._resolve_inverse(a, b, cm, None) == expected
+    assert chi._inverse(a, b, cm) == expected
 
 
 def test_composed_inverse_past_the_term_limit_is_rejected(monkeypatch):
+    # The same nonzero value in every slot makes T that value times the
+    # augmentation of ABC, an invertible integer matrix: no row of T is
+    # zero, so chi reads, and composes, every column of D.
     rng = random.Random(83)
-    spec, _, _, _, _, _, cocycle = z2_setup()
+    spec, _, z, _, quotient, _, _ = z2_setup()
+    constant = Cocycle(quotient, z, [(1,)] * quotient.order ** 3)
     a, b, cm = (rand_invertible(rng, spec, 3, max_gens=6) for _ in range(3))
     composed = ring_matmul(ring_matmul(*map(reference_inverse, (cm, b))), reference_inverse(a))
     terms = sum(len(x) for col in composed.cols for x in col.values())
+    assert _read_rows(constant, a, b, cm) == [0, 1, 2]
     monkeypatch.setattr(groupring, "MAX_MATRIX_TERMS", terms - 1)
     with pytest.raises(RejectedError, match=f"limit of {terms - 1} terms"):
-        chi_eval(cocycle, a, b, cm)
+        chi_eval(constant, a, b, cm)
+    monkeypatch.setattr(groupring, "MAX_MATRIX_TERMS", terms)
+    assert chi_eval(constant, a, b, cm) == reference_chi_eval(constant, a, b, cm)
+
+
+def test_term_limit_counts_only_the_columns_chi_reads(monkeypatch):
+    # Against the one-slot table T has zero rows, so chi composes fewer
+    # columns of D, and a limit that only its unread columns would pass
+    # refuses nothing.  A supplied D is checked against all of it.
+    rng = random.Random(66)
+    spec, _, _, _, _, _, cocycle = z2_setup()
+    a, b, cm = (rand_invertible(rng, spec, 3, max_gens=6) for _ in range(3))
+    composed = reference_inverse(a, b, cm)
+    read = _read_rows(cocycle, a, b, cm)
+    assert 0 < len(read) < 3
+    terms = sum(len(x) for col in composed.cols for x in col.values())
+    read_terms = sum(len(x) for i in read for x in composed.cols[i].values())
+    monkeypatch.setattr(groupring, "MAX_MATRIX_TERMS", read_terms)
+    assert read_terms < terms
+    assert chi_eval(cocycle, a, b, cm) == reference_chi_eval(cocycle, a, b, cm)
+    with pytest.raises(RejectedError, match=f"limit of {read_terms} terms"):
+        chi_eval(cocycle, a, b, cm, InvertiblePair(composed, inverted_generators(a, b, cm)))
+
+
+def _read_rows(c, a, b, cm) -> list[int]:
+    """The rows i of T, the table contracted with A, B and C, that hold a
+    nonzero entry: T_il sums values[q(g), q(h), q(r)] * x*y*z over the
+    terms x*g of a_ij, y*h of b_jk and z*r of c_kl, before reduction."""
+    quotient, n = c.quotient, a.matrix.n
+    order = quotient.order
+
+    def index(g):
+        return quotient.target_index(reference_project(quotient, g))
+
+    rows = []
+    for i in range(n):
+        for l in range(n):
+            total = [0] * c.module.rank
+            for j in range(n):
+                for k in range(n):
+                    for g, x in entry(a.matrix, i, j).items():
+                        for h, y in entry(b.matrix, j, k).items():
+                            for r, z in entry(cm.matrix, k, l).items():
+                                v = c.values[(index(g) * order + index(h)) * order + index(r)]
+                                total = [t + x * y * z * w for t, w in zip(total, v)]
+            if any(total):
+                rows.append(i)
+                break
+    return rows
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([zz2_spec(), zz6_spec(), tu_spec()]), st.integers(1, 4),
+       st.integers(0, 2**32))
+def test_composed_columns_equal_the_reference_inverse(spec, n, seed):
+    # Any columns, in any order, each composed on its own from e_i.
+    rng = random.Random(seed)
+    a, b, cm = (rand_invertible(rng, spec, n, max_gens=5, max_support=4) for _ in range(3))
+    expected = reference_inverse(a, b, cm)
+    columns = rng.sample(range(n), rng.randint(0, n))
+    assert groupring._inverse_columns((a, b, cm), columns) == [expected.cols[i] for i in columns]
+
+
+def test_chi_composes_only_the_columns_and_products_it_reads(monkeypatch):
+    # One composition per row of T with a nonzero entry, and A_q1 B_q2
+    # only for a pair whose table row has a nonzero slot at some q3 of
+    # C's split: the one-slot table has only (q, q).  Before, chi composed
+    # all of D and formed A_q1 B_q2 for every pair of A's and B's parts.
+    rng = random.Random(61)
+    spec, _, _, _, quotient, _, cocycle = z2_setup()
+    skipped_rows = skipped_pairs = 0
+    for _ in range(12):
+        a, b, cm = (rand_invertible(rng, spec, 3) for _ in range(3))
+        composed, products = [], []
+        monkeypatch.setattr(chi, "_inverse_columns",
+                            lambda pairs, cols, real=chi._inverse_columns:
+                            composed.append(list(cols)) or real(pairs, cols))
+        monkeypatch.setattr(IntMatrix, "__matmul__",
+                            lambda x, y, real=IntMatrix.__matmul__:
+                            products.append(y) or real(x, y))
+        value = chi_eval(cocycle, a, b, cm)
+        monkeypatch.undo()
+        read = _read_rows(cocycle, a, b, cm)
+        assert composed == [read]
+        a_parts, b_parts, c_parts = (chi._split(quotient, m.matrix) for m in (a, b, cm))
+        slots = [(q1, q2, q3) for q1 in a_parts for q2 in b_parts for q3 in c_parts
+                 if any(cocycle.values[(q1 * quotient.order + q2) * quotient.order + q3])]
+        pairs = {(q1, q2) for q1, q2, _ in slots}
+        assert len(products) == len(pairs) + len(slots)
+        skipped_rows += 3 - len(read)
+        skipped_pairs += len(a_parts) * len(b_parts) - len(pairs)
+        assert value == reference_chi_eval(cocycle, a, b, cm)
+    assert skipped_rows and skipped_pairs
 
 
 def test_naturality_identity_and_zero():

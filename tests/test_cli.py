@@ -390,6 +390,37 @@ def test_unwritable_out_exits_2(tmp_path):
     assert result.stdout == ""
 
 
+def _renamed_z2(tmp_path, name):
+    """paper_z2.json with its name set to ``name``, which json.dumps writes
+    with a \\u escape for each UTF-16 half of a character past U+FFFF."""
+    data = json.loads(pathlib.Path(Z2).read_text(encoding="utf-8"))
+    data["name"] = name
+    path = tmp_path / "renamed.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert "\\ud83d" in path.read_text(encoding="utf-8")
+    return str(path)
+
+
+def test_escaped_surrogate_pair_loads_and_prints(capsys, tmp_path):
+    status, out = run_main(capsys, "--scenario", _renamed_z2(tmp_path, "paper-\U0001f600"),
+                           "report-paper")
+    assert status == 0
+    assert out.splitlines()[0] == "SCENARIO: paper-\U0001f600"
+
+
+def test_surrogate_escapes_through_the_console_script(tmp_path):
+    # In process, captured stdout takes any str; a pipe must encode it.
+    lone = run_cli("--scenario", _renamed_z2(tmp_path, "paper-\ud83d"), "report-paper")
+    assert lone.returncode == 2
+    assert lone.stdout == ""
+    assert lone.stderr.endswith(": E100 unpaired surrogate in unicode escape\n")
+    assert "Traceback" not in lone.stderr
+    pair = run_cli("--scenario", _renamed_z2(tmp_path, "paper-\U0001f600"), "report-paper",
+                   encoding="utf-8")
+    assert pair.returncode == 0, pair.stderr
+    assert pair.stdout.startswith("SCENARIO: paper-\U0001f600\n")
+
+
 def test_out_to_a_directory_exits_2(capsys, tmp_path):
     status = main(["--scenario", Z2, "--out", str(tmp_path), "report-paper"])
     captured = capsys.readouterr()
@@ -564,3 +595,58 @@ def test_exit_status_oversized_input(tmp_path):
         result = run_cli("--scenario", str(path), "report-paper")
         assert result.returncode == 2
         assert result.stderr == expected
+
+
+def _z2_edited(tmp_path, edit):
+    """paper_z2.json as a dict, changed by ``edit``, written to a file."""
+    data = json.loads(pathlib.Path(Z2).read_text(encoding="utf-8"))
+    edit(data)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data, indent=1), encoding="utf-8")
+    return str(path)
+
+
+def _refusal(capsys, *args):
+    status = main(list(args))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return status, captured.err
+
+
+def test_report_paper_needs_a_paper_section_and_the_kernel_assertion(capsys, tmp_path):
+    no_paper = _z2_edited(tmp_path, lambda d: d.pop("paper"))
+    assert _refusal(capsys, "--scenario", no_paper, "report-paper") == (
+        3, "REJECTED: scenario has no 'paper' section\n")
+    no_kernel = _z2_edited(tmp_path, lambda d: d.update(assertions=["retraction-kills-cocycle"]))
+    assert _refusal(capsys, "--scenario", no_kernel, "report-paper") == (
+        3, "REJECTED: the stable invariant is defined on the kernel of the first invariant; "
+           "scenario must assert 'kernel-of-first-invariant'\n")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["normalize"], "wh normalize takes one Wh expression"),
+    (["normalize", "1[t]", "1[t]"], "wh normalize takes one Wh expression"),
+    (["add", "1[t]"], "wh add takes two Wh expressions"),
+    (["equal", "1[t]", "1[t]", "1[t]"], "wh equal takes two Wh expressions"),
+    (["detect", "1[t]"], "wh detect takes a Wh expression and a map name"),
+])
+def test_wh_refuses_a_wrong_argument_count(capsys, args, message):
+    assert _refusal(capsys, "--scenario", Z2, "wh", *args) == (3, f"REJECTED: {message}\n")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--module", "pi2", "normalize", "[t]"],
+     "tuple coefficient required for a module of rank > 1 (at offset 0)"),
+    (["normalize", "x"], "expected a coefficient or '[', found 'x' (at offset 0)"),
+    (["normalize", "1[t] +"], "dangling operator (at offset 6)"),
+    (["normalize", "1[t] 2[t]"], "expected '+' or '-', found '2' (at offset 5)"),
+])
+def test_wh_expression_errors_exit_2(capsys, args, message):
+    assert _refusal(capsys, "--scenario", Z2, "wh", *args) == (2, f"PARSE: {message}\n")
+
+
+def test_trailing_input_in_a_diagonal_unit_is_a_load_error(capsys, tmp_path):
+    path = _z2_edited(tmp_path, lambda d: d["matrices"]["A"].update(generators='D(1,"t s")'))
+    assert _refusal(capsys, "--scenario", path, "normalize", "t") == (
+        2, "144:18: E230 matrix 'A': in D(...): unexpected trailing input\n"
+           "169:4: E220 unresolved matrix name\n")

@@ -148,12 +148,12 @@ def test_identity_generators_take_no_solve(monkeypatch, fixture, solves):
 
 def test_identity_generators_take_no_reduce(monkeypatch):
     # A generator whose matrix is exactly the identity acts trivially with
-    # no reduce; one congruent to it on the quotient still takes them.
-    # No group here has two generators in one abelian factor, whose
-    # commuting check reduces as well.
+    # no reduce, and two whose products are exactly equal commute with
+    # none (Z/2 x Z/4 has two generators in one abelian factor); one
+    # congruent to the identity on the quotient still takes them.
     ident = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     cases = [(spec, QuotientPresentation(3, [(2, 0, 0), (0, 6, 3)]))
-             for spec in (tu_spec(), zz6_spec(), zmod_spec(4))]
+             for spec in (tu_spec(), zz6_spec(), zmod_spec(4), zmod_spec(2, 4))]
     mod2 = QuotientPresentation(1, [(2,)])
     calls = []
     reduce = QuotientPresentation.reduce

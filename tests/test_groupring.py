@@ -275,7 +275,7 @@ def test_built_and_composed_matrices_hold_no_zero(case):
     # coefficient is 0; chi's supplied-inverse check relies on that.
     spec, n, *lists = case
     a, b, cm = (build_invertible(spec, n, gens) for gens in lists)
-    composed = chi._resolve_inverse(a, b, cm, None)
+    composed = chi._inverse(a, b, cm)
     for m in (a.matrix, b.matrix, cm.matrix, *map(chi._inverse, (a, b, cm)), composed):
         assert len(m.cols) == n
         for col in m.cols:

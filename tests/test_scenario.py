@@ -481,6 +481,11 @@ DIAGNOSTIC_CASES = [
      ["1:1: E210 no group declared"]),
     ("syntax", '{"group": }',
      ["1:11: E100 unexpected character '}'"]),
+    # json.dumps writes a surrogate as a \\u escape.
+    ("lone-high-surrogate", _mutated(("name", "paper-\ud83d")),
+     ["2:18: E100 unpaired surrogate in unicode escape"]),
+    ("lone-low-surrogate", _mutated(("name", "paper-\ude00")),
+     ["2:18: E100 unpaired surrogate in unicode escape"]),
     ("top-not-object", "[1]",
      ["1:1: E200 scenario must be an object"]),
     ("duplicate-key", _mutated()[:-2] + ',\n "name": "again"\n}',
@@ -949,18 +954,46 @@ def test_composed_inverse_past_the_term_limit_is_rejected(tmp_path, capsys):
         f"REJECTED: matrix would exceed the limit of {MAX_MATRIX_TERMS} terms\n")
 
 
-def test_inverse_past_the_letter_limit_loads_and_chi_refuses_it(tmp_path, capsys):
-    # Only the matrix is built at load: it holds 4 * 96 letters in an
-    # entry.  Its inverse applies E(1,2,"-t^96") first, so its bound
-    # reaches 5 * 96, and chi refuses it before that generator runs.
+def _heavy_inverse(unit):
+    """Generators of a 2 x 2 matrix [[u, 0], [x, 1]]: u the product of
+    D(1, ...) units of MAX_WORD_LETTERS letters each, the last of them
+    ``unit``, and x = t^MAX_WORD_LETTERS.  The matrix holds 4 * 96 letters
+    in an entry.  Column 1 of its inverse, [u^-1, -x*u^-1], is bounded by
+    5 * 96 letters, past MAX_ENTRY_LETTERS; column 2 is e_2."""
     count = MAX_ENTRY_LETTERS // MAX_WORD_LETTERS
-    gens = " ; ".join([f'D(2,"t^{MAX_WORD_LETTERS}")'] * count
-                      + [f'E(1,2,"t^{MAX_WORD_LETTERS}")'])
+    return " ; ".join([f'D(1,"t^{MAX_WORD_LETTERS}*s")'] * (count - 1)
+                      + [f'D(1,"{unit}")', f'E(2,1,"t^{MAX_WORD_LETTERS}")'])
+
+
+def test_inverse_past_the_letter_limit_loads_and_chi_refuses_it(tmp_path, capsys):
+    # A's units multiply to t^384*s, whose image is the table's slot q:
+    # with B = C = D(1,"s"), T_11 is nonzero, so chi reads column 1 of
+    # D = C^-1 B^-1 A^-1 and refuses it before its letter bound passes
+    # the limit.
+    data = json.loads(_with_matrices("paper_z2.json", 2, 'D(1,"s")'))
+    data["matrices"]["A"]["generators"] = _heavy_inverse(f"t^{MAX_WORD_LETTERS}")
     path = tmp_path / "letters.json"
-    path.write_text(_with_matrices("paper_z2.json", 2, gens))
+    path.write_text(json.dumps(data))
     assert main(["--scenario", str(path), "normalize", "t"]) == 0
     capsys.readouterr()
     assert main(["--scenario", str(path), "chi", "c", "A", "B", "C"]) == 3
+    assert capsys.readouterr().err == (
+        f"REJECTED: matrix would exceed the limit of {MAX_ENTRY_LETTERS} letters in an entry\n")
+
+
+def test_inverse_past_the_letter_limit_only_in_unread_columns_evaluates(tmp_path, capsys):
+    # The same A with units t^384*s^4 over the trivial part of the
+    # quotient: every entry of A, B and C maps to the identity, so T is
+    # zero, chi composes no column of D, and the column that would pass
+    # the letter limit is never built.  With D supplied, all of D is
+    # composed to check it, and the limit refuses it.
+    data = json.loads(_with_matrices("paper_z2.json", 2, ""))
+    data["matrices"]["A"]["generators"] = _heavy_inverse(f"t^{MAX_WORD_LETTERS}*s")
+    path = tmp_path / "unread.json"
+    path.write_text(json.dumps(data))
+    assert main(["--scenario", str(path), "chi", "c", "A", "B", "C"]) == 0
+    assert capsys.readouterr().out == "COCYCLE_OK: true\nCHI: 0\n"
+    assert main(["--scenario", str(path), "chi", "c", "A", "B", "C", "A"]) == 3
     assert capsys.readouterr().err == (
         f"REJECTED: matrix would exceed the limit of {MAX_ENTRY_LETTERS} letters in an entry\n")
 
@@ -1139,12 +1172,13 @@ def _nested_list(depth):
     return out
 
 
-# Every JSON kind, small integers, the first value past each size limit
-# and a string that sends the file past the decoder's scanner.
+# Every JSON kind, small integers, the first value past each size limit,
+# a string that sends the file past the decoder's scanner and a lone
+# surrogate, which json.dumps escapes.
 _FUZZ_POOL = (0, 1, -1, 2, 3, MAX_MODULE_RANK + 1, MAX_MATRIX_SIZE + 1, MAX_TORSION_ORDER + 1,
               "", "x", "t", "q", "1", "sigma", "t^2*s", [], [1], [[1]], ["q", "q", "q"], {},
               {"x": 1}, None, True, 1.5, f"t^{MAX_WORD_LETTERS + 1}", 10 ** MAX_INT_DIGITS,
-              _nested_list(MAX_DEPTH + 1), "null")
+              _nested_list(MAX_DEPTH + 1), "null", "\ud83d")
 
 
 def _slots(node):

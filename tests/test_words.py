@@ -320,7 +320,8 @@ def test_decoder_keeps_words_in_strings_on_the_scanner(monkeypatch):
 def test_decoder_keeps_order_duplicates_and_kinds():
     assert decode_json('{"b": [1, {}], "a": "x", "b": []}') == (
         ("b", [1, ()]), ("a", "x"), ("b", []))
-    assert decode_json('"\\ud83d\\ude00"') == "\ud83d\ude00"
+    # An escaped surrogate pair is joined into its code point.
+    assert decode_json('"\\ud83d\\ude00"') == "\U0001f600"
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
